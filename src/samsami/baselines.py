@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QueryStats, _prefix_range
+from .core import QueryStats, _prefix_range, _verify_candidates
 from .errors import InvalidParams, PatternTooShort
 from .suffix_sort import build_full_sa
 
@@ -67,20 +67,7 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
     out = []
     for off in range(1, spasa.step + 1):
         ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:])
-        prefix = pattern[:off - 1]
-        for r in range(ranks.lo, ranks.hi):
-            s = int(sa[r])
-            if stats:
-                stats.candidates += 1
-            start = s - off + 1
-            if start < 1:
-                continue
-            if off > 1:
-                if stats:
-                    stats.text_verifications += 1
-                if text[start - 1:start - 1 + off - 1] != prefix:
-                    continue
-            out.append(start)
+        out += _verify_candidates(text, sa, pattern, off, ranks, stats=stats)
     out.sort()
     return out
 

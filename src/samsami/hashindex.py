@@ -131,4 +131,5 @@ def _locate_hash_impl(idx, table, pattern, stats):
         return []
     narrowed = _prefix_range(idx.text, idx.sa, ranged.lo, ranged.hi,
                              pattern[j - 1:])
-    return _verify_candidates(idx, pattern, j, narrowed, stats=stats)
+    return _verify_candidates(idx.text, idx.sa, pattern, j, narrowed,
+                              stats=stats)

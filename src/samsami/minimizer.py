@@ -10,7 +10,7 @@ built on. All positions are 1-based; comparisons are unsigned bytewise.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,14 +50,14 @@ class PruneMask:
     j is the minimizer offset in the pattern's q-prefix. possible[d] tells,
     for each distance d in 1..min(15, j-1), whether some text alignment
     admits a sampled position at pattern offset j-d. False entries are
-    proven mismatches; absent distances carry no information.
+    proven mismatches; absent distances carry no information. allowed is
+    the same map as a 16-entry bool array indexed by the delta nibble,
+    true wherever possible has no false entry.
     """
 
     j: int
     possible: dict[int, bool]
-
-    def allows(self, d: int) -> bool:
-        return self.possible.get(d, True)
+    allowed: np.ndarray = field(repr=False, compare=False)
 
 
 def window_minimizer(s: bytes, p: int) -> int:
@@ -157,31 +157,26 @@ def prune_mask(pattern: bytes, params: SamplingParams) -> PruneMask:
     alignment may show a sampled position d places earlier, at pattern
     offset g = j-d. That offset can only be sampled by a window hanging
     over the left pattern edge (any window fully inside the prefix also
-    covers j's p-gram, which beats g's). possible[d] is true when some
-    such window exists in which no fully-known p-gram beats g's.
+    covers j's p-gram, which beats g's). Such a window ends between
+    g+p-1 and j+p-2, so it starts at or before offset 0 (j <= q-p+1) and
+    covers every fully-known p-gram left of g; the shortest one covers
+    none right of g. g's p-gram therefore survives exactly when it is
+    smaller than every p-gram before it (ties go to the leftmost), and
+    one running minimum from the left settles every distance.
     """
     q, p = params.q, params.p
     if len(pattern) < q:
         raise PatternTooShort(f"pattern length {len(pattern)} < q={q}")
     j = window_minimizer(pattern[:q], p)
     possible: dict[int, bool] = {}
-    for d in range(1, min(15, j - 1) + 1):
-        g = j - d
-        g_gram = pattern[g - 1:g - 1 + p]
-        feasible = False
-        # candidate windows end before j's p-gram is fully covered
-        for e in range(g + p - 1, j + p - 1):
-            start = e - q + 1
-            beaten = False
-            for h in range(max(1, start), e - p + 2):
-                if h == g:
-                    continue
-                h_gram = pattern[h - 1:h - 1 + p]
-                if h_gram < g_gram or (h_gram == g_gram and h < g):
-                    beaten = True
-                    break
-            if not beaten:
-                feasible = True
-                break
-        possible[d] = feasible
-    return PruneMask(j=j, possible=possible)
+    allowed = [True] * 16
+    low = None
+    for g in range(1, j):
+        gram = pattern[g - 1:g - 1 + p]
+        feasible = low is None or gram < low
+        if feasible:
+            low = gram
+        if j - g <= 15:
+            possible[j - g] = allowed[j - g] = feasible
+    return PruneMask(j=j, possible=possible,
+                     allowed=np.array(allowed, dtype=bool))

@@ -192,6 +192,12 @@ def _read(rd: _Reader, text: bytes) -> IndexBundle:
         used = slots[:, 0] != EMPTY_SLOT
         if (slots[used] > n_sampled).any():
             raise CorruptIndex("hash range beyond the sampled array")
+        # linear probing ends only at an empty slot; the builder keeps
+        # the load factor at or below one half
+        occupied = int(np.count_nonzero(used))
+        if occupied > capacity // 2:
+            raise CorruptIndex(f"hash table has {occupied} of {capacity} "
+                               "slots occupied, above the 0.5 load factor")
         bundle.table = PrefixRangeTable(k=k, capacity=int(capacity), slots=slots)
 
     if flags & FLAG_PHRASE:

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
-                     TextTooShort, build, build_full_sa, count, locate,
-                     naive_locate, suffix_range, window_minimizer)
+                     TextTooShort, annotate, build, build_full_sa,
+                     build_table, count, locate, locate2, locate_hash,
+                     naive_locate, spasa_build, spasa_locate, suffix_range,
+                     window_minimizer)
+from samsami import core
 
 from helpers import random_text
 
@@ -136,3 +139,59 @@ def test_counting_is_monotone_under_left_extension():
         s = text[i - 1:i - 1 + m]
         xs = text[i - 2:i - 1 + m]
         assert len(naive_locate(text, s)) >= len(naive_locate(text, xs))
+
+
+def _repetitive_text():
+    line = b"ab" * 24 + b"\n" + b" " * 30 + b"x = ab\n"
+    return line * 20 + b"    " * 50 + b"ab" * 300
+
+
+def _random_text():
+    return random_text(random.Random(0x5EED), 4000, 2)
+
+
+@pytest.mark.parametrize("make_text", [_repetitive_text, _random_text])
+def test_verification_paths_agree(make_text, monkeypatch):
+    # the scalar loop and the numpy kernel must give the same answers
+    # and the same QueryStats, whichever variant calls them; the default
+    # cutoff also runs the kernel's scalar finish
+    text = make_text()
+    params = SamplingParams(12, 2)
+    idx = build(text, params)
+    ann = annotate(idx)
+    table = build_table(idx, 3)
+    spasa = spasa_build(text, 8)
+    variants = {
+        "locate": lambda pat, st: locate(idx, pat, st),
+        "locate2": lambda pat, st: locate2(idx, ann, pat, st),
+        "locate_hash": lambda pat, st: locate_hash(idx, table, pat, st),
+        "spasa_locate": lambda pat, st: spasa_locate(spasa, pat, st),
+    }
+    rng = random.Random(0xB07)
+    patterns = set()
+    for _ in range(120):
+        m = rng.randint(13, 40)
+        i = rng.randint(1, len(text) - m + 1)
+        pattern = bytearray(text[i - 1:i - 1 + m])
+        if rng.random() < 0.3:
+            pattern[rng.randrange(m)] = rng.choice(b"ab \n01")
+        patterns.add(bytes(pattern))
+
+    cutoff = core._VECTOR_MIN_CANDIDATES
+    runs = {}
+    for forced in (0, cutoff, 1 << 30):
+        monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", forced)
+        for name, fn in variants.items():
+            for pattern in patterns:
+                stats = QueryStats()
+                runs.setdefault((name, pattern), []).append(
+                    (fn(pattern, stats), stats))
+    largest = 0
+    for (name, pattern), results in runs.items():
+        expect = naive_locate(text, pattern)
+        first = results[0][1]
+        for hits, stats in results:
+            assert hits == expect, (name, pattern)
+            assert stats == first, (name, pattern)
+        largest = max(largest, first.candidates)
+    assert largest > cutoff  # ranges the kernel serves by default

@@ -194,3 +194,43 @@ def test_prune_mask_distances_within_cap(seed, q, p):
     pattern = random_text(rng, q + 4, 4)
     mask = prune_mask(pattern, SamplingParams(q, p))
     assert set(mask.possible) == set(range(1, min(15, mask.j - 1) + 1))
+
+
+def _prune_possible_reference(pattern, q, p):
+    """The direct statement: try every window end, every p-gram in it."""
+    j = window_minimizer(pattern[:q], p)
+    possible = {}
+    for d in range(1, min(15, j - 1) + 1):
+        g = j - d
+        g_gram = pattern[g - 1:g - 1 + p]
+        feasible = False
+        # candidate windows end before j's p-gram is fully covered
+        for e in range(g + p - 1, j + p - 1):
+            start = e - q + 1
+            beaten = False
+            for h in range(max(1, start), e - p + 2):
+                if h == g:
+                    continue
+                h_gram = pattern[h - 1:h - 1 + p]
+                if h_gram < g_gram or (h_gram == g_gram and h < g):
+                    beaten = True
+                    break
+            if not beaten:
+                feasible = True
+                break
+        possible[d] = feasible
+    return possible
+
+
+def test_prune_mask_matches_window_reference():
+    rng = random.Random(0x9A5C)
+    for _ in range(3000):
+        q = rng.randint(2, 45)
+        p = rng.randint(1, min(4, q))
+        alphabet = rng.choice([2, 3, 4, 26, 256])
+        pattern = random_text(rng, q + rng.randint(0, 10), alphabet)
+        mask = prune_mask(pattern, SamplingParams(q, p))
+        assert mask.possible == _prune_possible_reference(pattern, q, p), (
+            pattern, q, p)
+        assert list(mask.allowed) == [mask.possible.get(d, True)
+                                      for d in range(16)]

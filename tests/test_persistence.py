@@ -2,6 +2,7 @@ import io
 import random
 import struct
 
+import numpy as np
 import pytest
 
 from samsami import (CorruptIndex, SamplingParams, TextMismatch,
@@ -155,3 +156,19 @@ def test_text_mismatch_rejected():
         load(io.BytesIO(data), b"abracadabrX")
     with pytest.raises(TextMismatch):
         load(io.BytesIO(data), b"abracadabra-longer")
+
+
+def test_overfull_hash_table_rejected():
+    # a table with no empty slot would make every probe for an absent
+    # key run forever
+    text = b"abcde" * 6 + b"abc"
+    bundle = build_bundle(text, P42, hash_k=2)
+    assert bundle.table.capacity == 8
+    data = bytearray(serialized_bytes(bundle))
+    start = 48 + 4 * bundle.index.n_sampled + 8
+    slots = np.frombuffer(bytes(data[start:start + 64]), dtype="<u4")
+    slots = slots.reshape(8, 2).copy()
+    slots[slots[:, 0] == 0xFFFFFFFF] = (0, 1)
+    data[start:start + 64] = slots.astype("<u4").tobytes()
+    with pytest.raises(CorruptIndex):
+        load(io.BytesIO(bytes(data)), text)
