@@ -174,17 +174,19 @@ def _verify_vector(text, sa, pattern, j, lo, hi, deltas, allowed):
     return (begin + 1).tolist(), pruned, checked
 
 
-def _locate_impl(idx: SamsamiIndex, pattern: bytes, deltas=None,
-                 stats: QueryStats | None = None, mask=None,
-                 sort: bool = True):
+def _anchor_range(idx: SamsamiIndex, pattern: bytes) -> tuple[int, MatchRange]:
+    """The pattern's q-prefix minimizer offset j and the ranks of pattern[j-1:]."""
     q, p = idx.params.q, idx.params.p
     if len(pattern) < q:
         raise PatternTooShort(f"pattern length {len(pattern)} < q={q}")
-    j = mask.j if mask is not None else window_minimizer(pattern[:q], p)
-    ranks = suffix_range(idx, pattern[j - 1:])
-    hits = _verify_candidates(idx.text, idx.sa, pattern, j, ranks, deltas,
-                              mask.allowed if mask is not None else None,
-                              stats)
+    j = window_minimizer(pattern[:q], p)
+    return j, suffix_range(idx, pattern[j - 1:])
+
+
+def _locate_impl(idx: SamsamiIndex, pattern: bytes,
+                 stats: QueryStats | None = None, sort: bool = True):
+    j, ranks = _anchor_range(idx, pattern)
+    hits = _verify_candidates(idx.text, idx.sa, pattern, j, ranks, stats=stats)
     if sort:
         hits.sort()
     return hits

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QueryStats, SamsamiIndex, _locate_impl
+from .core import QueryStats, SamsamiIndex, _anchor_range, _verify_candidates
 from .errors import TextTooLargeForDeltaVariant
 from .minimizer import prune_mask
 
@@ -63,12 +63,18 @@ def unpack(offset: int) -> tuple[int, int]:
 def locate2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,
             stats: QueryStats | None = None) -> list[int]:
     """Same result set as core.locate, with delta-based pruning."""
-    mask = prune_mask(pattern, idx.params)
-    return _locate_impl(idx, pattern, deltas=ann.delta, stats=stats, mask=mask)
+    return sorted(_pruned_hits(idx, ann, pattern, stats))
 
 
 def count2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,
            stats: QueryStats | None = None) -> int:
-    mask = prune_mask(pattern, idx.params)
-    return len(_locate_impl(idx, pattern, deltas=ann.delta, stats=stats,
-                            mask=mask, sort=False))
+    return len(_pruned_hits(idx, ann, pattern, stats))
+
+
+def _pruned_hits(idx, ann, pattern, stats):
+    j, ranks = _anchor_range(idx, pattern)
+    if ranks.lo == ranks.hi:  # no candidates, so nothing to prune
+        return []
+    mask = prune_mask(pattern, idx.params, j)
+    return _verify_candidates(idx.text, idx.sa, pattern, j, ranks, ann.delta,
+                              mask.allowed, stats)

@@ -150,7 +150,8 @@ def _sampled_vectorized(text: bytes, q: int, p: int) -> np.ndarray:
     return positions + np.uint32(1)
 
 
-def prune_mask(pattern: bytes, params: SamplingParams) -> PruneMask:
+def prune_mask(pattern: bytes, params: SamplingParams,
+               j: int | None = None) -> PruneMask:
     """Precompute which predecessor distances are feasible for a pattern.
 
     With the pattern's q-prefix minimizer at offset j, a candidate text
@@ -163,11 +164,15 @@ def prune_mask(pattern: bytes, params: SamplingParams) -> PruneMask:
     none right of g. g's p-gram therefore survives exactly when it is
     smaller than every p-gram before it (ties go to the leftmost), and
     one running minimum from the left settles every distance.
+
+    A caller that has already computed j, the q-prefix minimizer, may
+    pass it to skip the second computation.
     """
     q, p = params.q, params.p
     if len(pattern) < q:
         raise PatternTooShort(f"pattern length {len(pattern)} < q={q}")
-    j = window_minimizer(pattern[:q], p)
+    if j is None:
+        j = window_minimizer(pattern[:q], p)
     possible: dict[int, bool] = {}
     allowed = [True] * 16
     low = None

@@ -31,7 +31,7 @@ from .core import SamsamiIndex, build
 from .delta import MAX_DELTA_TEXT, DeltaAnnotation, annotate
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table, fnv1a
-from .minimizer import SamplingParams
+from .minimizer import SampledPositions, SamplingParams
 from .phrase import (EncodedText, PhraseDictionary, encode_id, encode_text,
                      rebuild_positions)
 
@@ -81,7 +81,9 @@ def build_bundle(text: bytes, params: SamplingParams, *, with_delta=False,
     if hash_k is not None:
         bundle.table = build_table(idx, hash_k)
     if with_phrase:
-        bundle.dictionary, bundle.encoded = encode_text(text, params)
+        # The index holds exactly the sampled positions, in suffix order.
+        sampled = SampledPositions(positions=np.sort(idx.sa), n=idx.n)
+        bundle.dictionary, bundle.encoded = encode_text(text, params, sampled)
     return bundle
 
 

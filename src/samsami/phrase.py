@@ -16,13 +16,14 @@ pattern prefix and tail by decoding the neighboring phrases.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from bisect import bisect_left, bisect_right
 from .errors import CorruptEncoding, PatternTooShort, TextTooShort
-from .minimizer import SamplingParams, sampled_positions
+from .minimizer import SampledPositions, SamplingParams, sampled_positions
 from .suffix_sort import build_full_sa
 
 
@@ -63,17 +64,23 @@ class EncodedText:
 
 def parse_phrases(text: bytes, params: SamplingParams) -> list[tuple[int, int]]:
     """Cut text at each sampled position; returns (start, length) pairs."""
+    starts = _phrase_starts(text, params)
+    lengths = np.diff(starts, append=len(text) + 1)
+    return list(zip(starts.tolist(), lengths.tolist()))
+
+
+def _phrase_starts(text: bytes, params: SamplingParams,
+                   sampled: SampledPositions | None = None) -> np.ndarray:
+    # 1-based phrase starts: the sampled positions, after an unsampled
+    # leading piece when the first sample is not position 1
     if len(text) < params.q:
         raise TextTooShort(f"text length {len(text)} < q={params.q}")
-    bounds = [int(s) for s in sampled_positions(text, params).positions]
-    n = len(text)
-    phrases = []
-    if bounds[0] > 1:
-        phrases.append((1, bounds[0] - 1))
-    for a, b in zip(bounds, bounds[1:]):
-        phrases.append((a, b - a))
-    phrases.append((bounds[-1], n - bounds[-1] + 1))
-    return phrases
+    if sampled is None:
+        sampled = sampled_positions(text, params)
+    starts = np.asarray(sampled.positions, dtype=np.int64)
+    if starts[0] > 1:
+        starts = np.concatenate(([1], starts))
+    return starts
 
 
 def encode_id(phrase_id: int) -> bytes:
@@ -86,32 +93,34 @@ def encode_id(phrase_id: int) -> bytes:
     return bytes(reversed(parts))
 
 
-def encode_text(text: bytes, params: SamplingParams) -> tuple[PhraseDictionary, EncodedText]:
-    """Parse, rank phrases by frequency, and emit the codeword stream."""
-    spans = parse_phrases(text, params)
-    raw = [text[a - 1:a - 1 + ln] for a, ln in spans]
-    freq: dict[bytes, int] = {}
-    first: dict[bytes, int] = {}
-    for i, ph in enumerate(raw):
-        freq[ph] = freq.get(ph, 0) + 1
-        if ph not in first:
-            first[ph] = i
-    ranked = sorted(freq, key=lambda ph: (-freq[ph], first[ph]))
+def encode_text(text: bytes, params: SamplingParams,
+                sampled: SampledPositions | None = None,
+                ) -> tuple[PhraseDictionary, EncodedText]:
+    """Parse, rank phrases by frequency, and emit the codeword stream.
+
+    sampled, when given, must be sampled_positions(text, params); a
+    caller that already has it saves sampling the text a second time.
+    """
+    starts = _phrase_starts(text, params, sampled)
+    cuts = (starts - 1).tolist() + [len(text)]
+    raw = [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    # Counter keeps first-seen order and the sort is stable, so equally
+    # frequent phrases stay in the order they first appear.
+    freq = Counter(raw)
+    ranked = sorted(freq, key=freq.__getitem__, reverse=True)
     ids = {ph: i for i, ph in enumerate(ranked)}
     codewords = [encode_id(i) for i in range(len(ranked))]
 
-    stream = bytearray()
-    offsets = np.empty(len(raw), dtype=np.uint32)
-    ids_arr = np.empty(len(raw), dtype=np.uint32)
-    for i, ph in enumerate(raw):
-        offsets[i] = len(stream)
-        ids_arr[i] = ids[ph]
-        stream += codewords[ids[ph]]
+    phrase_ids = [ids[ph] for ph in raw]
+    ids_arr = np.array(phrase_ids, dtype=np.uint32)
+    sizes = np.array([len(c) for c in codewords], dtype=np.int64)[ids_arr]
+    offsets = np.zeros(len(raw), dtype=np.uint32)
+    offsets[1:] = np.cumsum(sizes[:-1])
     dictionary = PhraseDictionary(phrases=ranked, ids=ids, codewords=codewords)
     encoded = EncodedText(
-        stream=bytes(stream),
+        stream=b"".join([codewords[i] for i in phrase_ids]),
         stream_offsets=offsets,
-        text_positions=np.array([a for a, _ in spans], dtype=np.uint32),
+        text_positions=starts.astype(np.uint32),
         phrase_ids=ids_arr,
     )
     return dictionary, encoded

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 
 def random_text(rng: random.Random, n: int, alphabet: int) -> bytes:
     return bytes(rng.randrange(alphabet) for _ in range(n))
@@ -36,6 +38,31 @@ def brute_sampled(text: bytes, q: int, p: int) -> list[int]:
 def brute_suffix_array(text: bytes) -> list[int]:
     """Comparison sort of all suffixes (implicit smallest sentinel)."""
     return sorted(range(1, len(text) + 1), key=lambda i: text[i - 1:])
+
+
+def reference_suffix_sort(text: bytes) -> np.ndarray:
+    """Reference for suffix_sort._doubling_sort: plain prefix doubling.
+
+    One full lexsort of all suffixes per round; returns 0-based suffix
+    starts in suffix order.
+    """
+    n = len(text)
+    rank = np.frombuffer(text, dtype=np.uint8).astype(np.int32)
+    shift = 1
+    while True:
+        key2 = np.full(n, -1, dtype=np.int32)
+        if shift < n:
+            key2[:n - shift] = rank[shift:]
+        order = np.lexsort((key2, rank))
+        r1 = rank[order]
+        r2 = key2[order]
+        bump = np.empty(n, dtype=np.int32)
+        bump[0] = 0
+        bump[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
+        rank[order] = np.cumsum(bump, dtype=np.int32)
+        if int(rank[order[-1]]) == n - 1:
+            return order
+        shift *= 2
 
 
 def brute_locate(text: bytes, pattern: bytes) -> list[int]:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from samsami import (QueryStats, SamplingParams, TextTooLargeForDeltaVariant,
                      annotate, build, count2, locate, locate2, naive_locate,
                      pack, unpack)
+from samsami import delta
 from samsami.core import SamsamiIndex
 from samsami.delta import MAX_DELTA_TEXT
 
@@ -113,3 +114,37 @@ def test_pruning_skips_text_access():
     plain, pruned = _find_pruning_case()
     assert pruned.text_verifications < plain.text_verifications
     assert pruned.pruned >= 1
+
+
+def test_prune_mask_only_for_nonempty_ranges(monkeypatch):
+    calls = []
+    original = delta.prune_mask
+
+    def counted(pattern, params, j=None):
+        calls.append(pattern)
+        return original(pattern, params, j)
+
+    monkeypatch.setattr(delta, "prune_mask", counted)
+    rng = random.Random(0xE4B7)
+    absent = present = 0
+    for _ in range(60):
+        q = rng.randint(2, 10)
+        p = rng.randint(1, q)
+        text = random_text(rng, rng.randint(q + 20, 300), 4)
+        idx = build(text, SamplingParams(q, p))
+        ann = annotate(idx)
+        for _ in range(4):
+            pattern = random_text(rng, rng.randint(q, q + 8), 4)
+            plain, pruned = QueryStats(), QueryStats()
+            expect = locate(idx, pattern, plain)
+            before = len(calls)
+            assert count2(idx, ann, pattern, pruned) == len(expect)
+            if plain.candidates == 0:
+                absent += 1
+                assert len(calls) == before
+                assert pruned == QueryStats()
+            else:
+                present += 1
+                assert len(calls) == before + 1
+                assert pruned.candidates == plain.candidates
+    assert absent > 20 and present > 20

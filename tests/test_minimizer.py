@@ -232,5 +232,8 @@ def test_prune_mask_matches_window_reference():
         mask = prune_mask(pattern, SamplingParams(q, p))
         assert mask.possible == _prune_possible_reference(pattern, q, p), (
             pattern, q, p)
+        given_j = prune_mask(pattern, SamplingParams(q, p), mask.j)
+        assert given_j == mask
+        assert list(given_j.allowed) == list(mask.allowed)
         assert list(mask.allowed) == [mask.possible.get(d, True)
                                       for d in range(16)]

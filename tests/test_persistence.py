@@ -1,3 +1,4 @@
+import hashlib
 import io
 import random
 import struct
@@ -82,6 +83,24 @@ def test_rebuild_is_byte_identical():
             text, SamplingParams(q, p), with_delta=True, hash_k=3,
             with_phrase=True))
         assert first == again
+
+
+def test_bundle_bytes_golden():
+    # The digest was recorded before the suffix sort and the phrase
+    # encoder were rewritten; any change to either that alters a single
+    # byte of an index file changes it.
+    rng = random.Random(2718)
+    words = [b"def", b"return", b"self", b"    ", b"\n", b"import", b"(", b")",
+             b":", b"x", b"value", b"for", b"in", b"range", b"=", b"+", b"1", b"0"]
+    out = bytearray()
+    while len(out) < 65536:
+        out += rng.choice(words) + b" "
+    text = bytes(out[:65536])
+    bundle = build_bundle(text, SamplingParams(8, 2), with_delta=True,
+                          hash_k=4, with_phrase=True)
+    digest = hashlib.sha256(serialized_bytes(bundle)).hexdigest()
+    assert digest == ("198bab637fd2c174ece0231cbe86a107"
+                      "910f94231e3ada33098e531baf8107c7")
 
 
 def test_roundtrip_preserves_queries_across_variants():

@@ -103,6 +103,41 @@ def test_roundtrip_randomized():
         assert decode_text(dictionary, encoded) == text
 
 
+def _reference_encode(text, params):
+    """The encoder restated phrase by phrase, one stream write at a time."""
+    spans = parse_phrases(text, params)
+    raw = [text[a - 1:a - 1 + ln] for a, ln in spans]
+    freq, first = {}, {}
+    for i, ph in enumerate(raw):
+        freq[ph] = freq.get(ph, 0) + 1
+        first.setdefault(ph, i)
+    ranked = sorted(freq, key=lambda ph: (-freq[ph], first[ph]))
+    stream, offsets, ids = bytearray(), [], []
+    for ph in raw:
+        offsets.append(len(stream))
+        ids.append(ranked.index(ph))
+        stream += encode_id(ids[-1])
+    return ranked, bytes(stream), offsets, ids, [a for a, _ in spans]
+
+
+def test_encode_text_matches_reference():
+    rng = random.Random(0x5EED)
+    for _ in range(60):
+        q = rng.randint(1, 8)
+        p = rng.randint(1, q)
+        params = SamplingParams(q, p)
+        text = random_text(rng, rng.randint(q, 600), rng.choice([2, 4, 26]))
+        ranked, stream, offsets, ids, positions = _reference_encode(text, params)
+        sampled = sampled_positions(text, params)
+        for dictionary, encoded in (encode_text(text, params),
+                                    encode_text(text, params, sampled)):
+            assert dictionary.phrases == ranked
+            assert encoded.stream == stream
+            assert encoded.stream_offsets.tolist() == offsets
+            assert encoded.phrase_ids.tolist() == ids
+            assert encoded.text_positions.tolist() == positions
+
+
 def test_rebuild_positions_matches_encoder():
     dictionary, encoded = encode_text(ABRA, P42)
     rebuilt = rebuild_positions(dictionary, encoded.stream)
