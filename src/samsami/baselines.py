@@ -41,6 +41,10 @@ class SparseSuffixArray:
     step: int
     sa: np.ndarray = field(repr=False)
     n: int = 0
+    sa_view: memoryview = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sa_view = memoryview(self.sa)  # items read as Python ints
 
 
 def spasa_build(text: bytes, step: int) -> SparseSuffixArray:
@@ -63,7 +67,7 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
     m = len(pattern)
     if m < spasa.step:
         raise PatternTooShort(f"pattern length {m} < step {spasa.step}")
-    text, sa = spasa.text, spasa.sa
+    text, sa = spasa.text, spasa.sa_view
     out = []
     for off in range(1, spasa.step + 1):
         ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:])

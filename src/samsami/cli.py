@@ -6,7 +6,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import baselines, core, delta, hashindex, persistence, phrase, stats
 from . import suffix_sort
@@ -277,23 +276,11 @@ def _loaded_target(bundle, args) -> _BenchTarget:
                         idx.params.q, idx.params.p, 0, size)
 
 
-def _time_queries(count_fn, patterns, jobs: int) -> tuple[float, list[int]]:
-    """Total seconds and per-pattern counts; sharded when jobs > 1."""
-    def run(shard):
-        t0 = time.perf_counter()
-        counts = [count_fn(pat) for pat in shard]
-        return time.perf_counter() - t0, counts
-
-    if jobs <= 1:
-        return run(patterns)
-    shards = [patterns[i::jobs] for i in range(jobs)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(run, shards))
-    total = sum(r[0] for r in results)
-    counts: list[int] = [0] * len(patterns)
-    for lane, (_, shard_counts) in enumerate(results):
-        counts[lane::jobs] = shard_counts
-    return total, counts
+def _time_queries(count_fn, patterns) -> tuple[float, list[int]]:
+    """Total seconds and per-pattern counts."""
+    t0 = time.perf_counter()
+    counts = [count_fn(pat) for pat in patterns]
+    return time.perf_counter() - t0, counts
 
 
 def cmd_bench(args) -> int:
@@ -317,7 +304,7 @@ def cmd_bench(args) -> int:
         if args.m < minimum:
             raise SamsamiError(
                 f"m={args.m} below the minimum {minimum} of {target.name}")
-        seconds, counts = _time_queries(target.count_fn, patterns, args.jobs)
+        seconds, counts = _time_queries(target.count_fn, patterns)
         all_counts[target.name] = counts
         mean_us = seconds * 1e6 / len(patterns)
         ratio = (target.index_bytes + len(text)) / len(text)
@@ -391,8 +378,6 @@ def make_parser() -> argparse.ArgumentParser:
     be.add_argument("--patterns", type=int, default=1000,
                     help="number of random patterns to extract")
     be.add_argument("--seed", type=int, default=20240917)
-    be.add_argument("--jobs", type=int, default=1,
-                    help="shard patterns across worker threads")
     return parser
 
 

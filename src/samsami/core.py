@@ -41,12 +41,32 @@ class QueryStats:
 
 @dataclass(eq=False)
 class SamsamiIndex:
-    """Immutable index over a text: safe to share across threads."""
+    """Immutable index over a text: safe to share across threads.
+
+    Two fields are derived on construction and never stored in an index
+    file: sa_view, a memoryview of sa whose items read as Python ints,
+    and left, the 4 text bytes before each sampled suffix as one uint32
+    (the byte next to the suffix in the top bits, zero bytes before the
+    text start), so that verification can compare the end of a
+    pattern's skipped prefix in one contiguous scan. left costs 4 bytes
+    of memory per sampled suffix.
+    """
 
     text: bytes
     params: SamplingParams
     sa: np.ndarray = field(repr=False)
     n: int = 0
+    sa_view: memoryview = field(init=False, repr=False)
+    left: np.ndarray | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.sa_view = memoryview(self.sa)
+        # padded[s:s + 4] holds the 4 bytes before 1-based position s;
+        # clipping only matters for stub indexes whose sa outruns text
+        padded = bytes(5) + self.text
+        words = np.ndarray((len(padded) - 3,), "<u4", buffer=padded,
+                           strides=(1,))
+        self.left = words.take(self.sa, mode="clip")
 
     @property
     def n_sampled(self) -> int:
@@ -67,19 +87,35 @@ def suffix_range(idx: SamsamiIndex, seq: bytes) -> MatchRange:
     """Maximal rank interval whose suffixes start with seq."""
     if len(seq) == 0:
         raise InvalidParams("empty search string")
-    return _prefix_range(idx.text, idx.sa, 0, len(idx.sa), seq)
+    return _prefix_range(idx.text, idx.sa_view, 0, len(idx.sa), seq)
 
 
 def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes) -> MatchRange:
+    """Ranks in [lo, hi) of the sorted 1-based positions sa whose suffix
+    of text starts with seq.
+
+    sa may be any sequence of ints; a memoryview of the numpy array
+    makes each probe read a Python int. The lower bound is a binary
+    search; the upper bound gallops from it (lower,
+    +1, +2, +4, ...) and then bisects the last gap, so its cost grows
+    with the size of the answer, not of [lo, hi) (Bentley and Yao, "An
+    almost optimal algorithm for unbounded searching").
+    """
     # A suffix shorter than seq truncates and therefore compares smaller,
     # which is exactly the end-of-text-is-smallest order.
-    def head(pos):
-        pos = int(pos) - 1
-        return text[pos:pos + len(seq)]
+    width = len(seq)
 
-    lo_rank = bisect_left(sa, seq, lo, hi, key=head)
-    hi_rank = bisect_right(sa, seq, lo_rank, hi, key=head)
-    return MatchRange(lo_rank, hi_rank)
+    def head(pos):
+        return text[pos - 1:pos - 1 + width]
+
+    first = bisect_left(sa, seq, lo, hi, key=head)
+    known, probe, step = first, first, 1
+    while probe < hi and head(sa[probe]) == seq:
+        known = probe + 1
+        probe = first + step
+        step *= 2
+    return MatchRange(first, bisect_right(sa, seq, known, min(probe, hi),
+                                          key=head))
 
 
 # Ranges with fewer candidates than this are verified one by one: the
@@ -91,37 +127,42 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes) -> MatchRange:
 _VECTOR_MIN_CANDIDATES = 48
 
 
-def _verify_candidates(text: bytes, sa: np.ndarray, pattern: bytes, j: int,
+def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
                        ranks: MatchRange, deltas: np.ndarray | None = None,
-                       allowed: np.ndarray | None = None,
-                       stats: QueryStats | None = None) -> list[int]:
+                       allowed: tuple[bool, ...] | None = None,
+                       stats: QueryStats | None = None,
+                       left: np.ndarray | None = None) -> list[int]:
     """Occurrence starts of pattern among the suffixes at ranks [lo, hi).
 
-    The suffix at sa[r] matches pattern[j-1:]; the occurrence it stands
-    for starts j-1 bytes earlier, which must lie inside the text and
-    agree with the skipped prefix pattern[:j-1]. With delta nibbles and
-    a prune mask's 16-entry allowed array, a candidate whose recorded
-    predecessor distance d has allowed[d] false is dropped without
-    touching the text. The result is in rank order.
+    sa is a memoryview of the sorted 1-based suffix positions, as in
+    _prefix_range. The suffix at sa[r] matches pattern[j-1:]; the
+    occurrence it stands for starts j-1 bytes earlier, which must lie
+    inside the text and agree with the skipped prefix pattern[:j-1].
+    With delta nibbles and a prune mask's 16-entry allowed tuple, a
+    candidate whose recorded predecessor distance d has allowed[d]
+    false is dropped without touching the text. left, an index's
+    left-context column in sa order, lets large ranges check the
+    prefix's last 4 bytes without touching the text either; it counts
+    as the text verification it replaces. The result is in rank order.
     """
     lo, hi = ranks
     if lo == hi:
         return []
     if hi - lo >= _VECTOR_MIN_CANDIDATES:
         out, pruned, checked = _verify_vector(text, sa, pattern, j, lo, hi,
-                                              deltas, allowed)
+                                              deltas, allowed, left,
+                                              stats is not None)
     else:
         shift = j - 1
         prefix = pattern[:shift]
-        ok = allowed.tolist() if deltas is not None else None
         ds = deltas[lo:hi].tolist() if deltas is not None else None
         out = []
         pruned = checked = 0
-        for i, s in enumerate(sa[lo:hi].tolist()):
+        for i, s in enumerate(sa[lo:hi]):
             start = s - shift
             if start < 1:
                 continue
-            if ok is not None and not ok[ds[i]]:
+            if ds is not None and not allowed[ds[i]]:
                 pruned += 1
                 continue
             if shift:
@@ -136,39 +177,65 @@ def _verify_candidates(text: bytes, sa: np.ndarray, pattern: bytes, j: int,
     return out
 
 
-def _verify_vector(text, sa, pattern, j, lo, hi, deltas, allowed):
+def _verify_vector(text, sa, pattern, j, lo, hi, deltas, allowed, left,
+                   counting):
     shift = j - 1
-    begin = np.subtract(sa[lo:hi], j, dtype=np.int64)  # 0-based starts
-    keep = begin >= 0
-    pruned = 0
+    anchors = np.asarray(sa[lo:hi])
     if deltas is not None:
-        inside = np.count_nonzero(keep)
-        keep &= allowed[deltas[lo:hi]]
-        pruned = int(inside - np.count_nonzero(keep))
-    begin = begin[keep]
-    checked = len(begin) if shift else 0
+        deltas = deltas[lo:hi]
+    pruned = checked = 0
+    if counting:  # whole-range passes that only the statistics need
+        inside = anchors >= j
+        allowed_inside = inside
+        if deltas is not None:
+            allowed_inside = inside & np.take(allowed, deltas)
+            pruned = int(np.count_nonzero(inside)
+                         - np.count_nonzero(allowed_inside))
+        checked = int(np.count_nonzero(allowed_inside)) if shift else 0
     # Compare the prefix nearest the anchor first, shrinking the set
     # after each step; once few candidates are left, the scalar compare
-    # finishes them. The first step is one byte: gathering aligned bytes
-    # costs about a third of gathering unaligned words, and on source
-    # text one byte already rejects most candidates. Then 8-byte words
-    # come through an in-place view of the text at every offset, or
-    # single bytes when the prefix is shorter than a word.
+    # finishes them. The first step reads no scattered text: the
+    # left-context column holds up to 4 prefix bytes in sa order, so one
+    # contiguous compare leaves few candidates for the start and delta
+    # checks. Without a column, one byte is gathered after those checks
+    # (gathering aligned bytes costs about a third of gathering
+    # unaligned words, and on source text one byte already rejects most
+    # candidates). Then 8-byte words come through an in-place view of
+    # the text at every offset, or single bytes when the rest of the
+    # prefix is shorter than a word.
+    rest = shift  # pattern[:rest] is still to compare
+    if shift and left is not None:
+        tail = min(shift, 4)
+        want = int.from_bytes(pattern[shift - tail:shift].rjust(4, b"\0"),
+                              "little")
+        column = left[lo:hi]
+        if tail < 4:  # the low bytes lie before the occurrence: ignore
+            column = column & ((0xFFFFFFFF << 8 * (4 - tail)) & 0xFFFFFFFF)
+        survivors = (column == want).nonzero()[0]
+        anchors = anchors[survivors]
+        if deltas is not None:
+            deltas = deltas[survivors]
+        rest -= tail
+    keep = anchors >= j  # the occurrence starts inside the text
+    if deltas is not None:
+        keep &= np.take(allowed, deltas)
+    begin = anchors[keep].astype(np.int64) - j  # 0-based starts
     symbols = np.frombuffer(text, dtype=np.uint8)
-    if shift:
-        begin = begin[symbols[begin + (shift - 1)] == pattern[shift - 1]]
-    if shift >= 8 and len(begin) >= _VECTOR_MIN_CANDIDATES:
+    if rest and left is None:
+        begin = begin[symbols[begin + (rest - 1)] == pattern[rest - 1]]
+        rest -= 1
+    if rest >= 8 and len(begin) >= _VECTOR_MIN_CANDIDATES:
         view, width = np.ndarray((len(text) - 7,), "<u8", buffer=text,
                                  strides=(1,)), 8
-        steps = (max(off, 0) for off in range(shift - 8, -8, -8))
+        steps = (max(off, 0) for off in range(rest - 8, -8, -8))
     else:
         view, width = symbols, 1
-        steps = range(shift - 2, -1, -1)
+        steps = range(rest - 1, -1, -1)
     for off in steps:
         if len(begin) < _VECTOR_MIN_CANDIDATES:
-            prefix = pattern[:shift]
+            prefix = pattern[:rest]
             return ([b + 1 for b in begin.tolist()
-                     if text[b:b + shift] == prefix], pruned, checked)
+                     if text[b:b + rest] == prefix], pruned, checked)
         want = int.from_bytes(pattern[off:off + width], "little")
         begin = begin[view[begin + off] == want]
     return (begin + 1).tolist(), pruned, checked
@@ -186,7 +253,8 @@ def _anchor_range(idx: SamsamiIndex, pattern: bytes) -> tuple[int, MatchRange]:
 def _locate_impl(idx: SamsamiIndex, pattern: bytes,
                  stats: QueryStats | None = None, sort: bool = True):
     j, ranks = _anchor_range(idx, pattern)
-    hits = _verify_candidates(idx.text, idx.sa, pattern, j, ranks, stats=stats)
+    hits = _verify_candidates(idx.text, idx.sa_view, pattern, j, ranks,
+                              stats=stats, left=idx.left)
     if sort:
         hits.sort()
     return hits

@@ -76,5 +76,5 @@ def _pruned_hits(idx, ann, pattern, stats):
     if ranks.lo == ranks.hi:  # no candidates, so nothing to prune
         return []
     mask = prune_mask(pattern, idx.params, j)
-    return _verify_candidates(idx.text, idx.sa, pattern, j, ranks, ann.delta,
-                              mask.allowed, stats)
+    return _verify_candidates(idx.text, idx.sa_view, pattern, j, ranks,
+                              ann.delta, mask.allowed, stats, idx.left)

@@ -39,6 +39,11 @@ class PrefixRangeTable:
     k: int
     capacity: int
     slots: np.ndarray = field(repr=False)  # (capacity, 2) uint32, lo/hi
+    # the slots row by row as Python ints: lo of slot i at 2i, hi at 2i+1
+    slot_view: memoryview = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.slot_view = memoryview(self.slots.reshape(-1))
 
     @property
     def occupied(self) -> int:
@@ -91,14 +96,14 @@ def build_table(idx: SamsamiIndex, k: int) -> PrefixRangeTable:
 def _probe(idx: SamsamiIndex, table: PrefixRangeTable, key: bytes) -> MatchRange | None:
     mask = table.capacity - 1
     slot = fnv1a(key) & mask
+    slots, sa, text, k = table.slot_view, idx.sa_view, idx.text, table.k
     while True:
-        lo = int(table.slots[slot, 0])
+        lo = slots[2 * slot]
         if lo == EMPTY_SLOT:
             return None
-        hi = int(table.slots[slot, 1])
-        pos = int(idx.sa[lo])
-        if idx.text[pos - 1:pos - 1 + table.k] == key:
-            return MatchRange(lo, hi)
+        pos = sa[lo]
+        if text[pos - 1:pos - 1 + k] == key:
+            return MatchRange(lo, slots[2 * slot + 1])
         slot = (slot + 1) & mask
 
 
@@ -129,7 +134,7 @@ def _locate_hash_impl(idx, table, pattern, stats):
     ranged = _probe(idx, table, pattern[j - 1:j - 1 + k])
     if ranged is None:
         return []
-    narrowed = _prefix_range(idx.text, idx.sa, ranged.lo, ranged.hi,
+    narrowed = _prefix_range(idx.text, idx.sa_view, ranged.lo, ranged.hi,
                              pattern[j - 1:])
-    return _verify_candidates(idx.text, idx.sa, pattern, j, narrowed,
-                              stats=stats)
+    return _verify_candidates(idx.text, idx.sa_view, pattern, j, narrowed,
+                              stats=stats, left=idx.left)

@@ -51,13 +51,13 @@ class PruneMask:
     for each distance d in 1..min(15, j-1), whether some text alignment
     admits a sampled position at pattern offset j-d. False entries are
     proven mismatches; absent distances carry no information. allowed is
-    the same map as a 16-entry bool array indexed by the delta nibble,
-    true wherever possible has no false entry.
+    the same map as a 16-entry tuple of bools indexed by the delta
+    nibble, true wherever possible has no false entry.
     """
 
     j: int
     possible: dict[int, bool]
-    allowed: np.ndarray = field(repr=False, compare=False)
+    allowed: tuple[bool, ...] = field(repr=False, compare=False)
 
 
 def window_minimizer(s: bytes, p: int) -> int:
@@ -66,13 +66,25 @@ def window_minimizer(s: bytes, p: int) -> int:
         raise InvalidParams(f"p must be >= 1, got {p}")
     if len(s) < p:
         raise InvalidParams(f"window of length {len(s)} has no {p}-gram")
-    best = 1
-    best_gram = s[:p]
-    for g in range(2, len(s) - p + 2):
-        gram = s[g - 1:g - 1 + p]
+    return _leftmost_smallest(s, p, len(s) - p + 1) + 1
+
+
+def _leftmost_smallest(s: bytes, p: int, starts: int) -> int:
+    # 0-based start of the leftmost smallest p-gram among the first
+    # `starts` ones. The smallest p-gram begins with the smallest byte
+    # that can start one, so only that byte's occurrences are compared,
+    # and min() and find() scan the bytes at C speed.
+    low = min(s[:starts])
+    best = s.find(low, 0, starts)
+    if p == 1:
+        return best
+    best_gram = s[best:best + p]
+    at = s.find(low, best + 1, starts)
+    while at >= 0:
+        gram = s[at:at + p]
         if gram < best_gram:
-            best = g
-            best_gram = gram
+            best, best_gram = at, gram
+        at = s.find(low, at + 1, starts)
     return best
 
 
@@ -175,13 +187,17 @@ def prune_mask(pattern: bytes, params: SamplingParams,
         j = window_minimizer(pattern[:q], p)
     possible: dict[int, bool] = {}
     allowed = [True] * 16
+    # Only offsets within 15 of j fit a delta nibble; the p-grams left of
+    # them matter only through their minimum.
+    first = max(1, j - 15)
     low = None
-    for g in range(1, j):
+    if first > 1:
+        at = _leftmost_smallest(pattern, p, first - 1)
+        low = pattern[at:at + p]
+    for g in range(first, j):
         gram = pattern[g - 1:g - 1 + p]
         feasible = low is None or gram < low
         if feasible:
             low = gram
-        if j - g <= 15:
-            possible[j - g] = allowed[j - g] = feasible
-    return PruneMask(j=j, possible=possible,
-                     allowed=np.array(allowed, dtype=bool))
+        possible[j - g] = allowed[j - g] = feasible
+    return PruneMask(j=j, possible=possible, allowed=tuple(allowed))

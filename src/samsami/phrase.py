@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from bisect import bisect_left, bisect_right
+from .core import _prefix_range
 from .errors import CorruptEncoding, PatternTooShort, TextTooShort
 from .minimizer import SampledPositions, SamplingParams, sampled_positions
 from .suffix_sort import build_full_sa
@@ -45,6 +45,9 @@ class EncodedText:
     text_positions: np.ndarray = field(repr=False)
     phrase_ids: np.ndarray = field(repr=False)
     _suffix_order: np.ndarray | None = field(default=None, repr=False)
+    # 1-based stream positions of the phrases in suffix order, the
+    # searched column of a codeword lookup; built with the suffix order
+    _ordered_starts: memoryview | None = field(default=None, repr=False)
 
     @property
     def phrase_count(self) -> int:
@@ -57,6 +60,8 @@ class EncodedText:
             starts = np.zeros(len(self.stream), dtype=bool)
             starts[self.stream_offsets.astype(np.int64)] = True
             aligned = full[starts[full]]
+            self._ordered_starts = memoryview(
+                (aligned + 1).astype(np.uint32))
             self._suffix_order = np.searchsorted(
                 self.stream_offsets, aligned).astype(np.uint32)
         return self._suffix_order
@@ -219,18 +224,11 @@ def _locate_by_codewords(dictionary, encoded, n, pattern, stable):
     k_phrases = len(stable) - 1
 
     order = encoded.suffix_order()
-    stream, offs = encoded.stream, encoded.stream_offsets
-
-    def head(pi):
-        off = int(offs[int(pi)])
-        return stream[off:off + len(codeword_str)]
-
-    lo = bisect_left(order, codeword_str, key=head)
-    hi = bisect_right(order, codeword_str, lo, len(order), key=head)
+    lo, hi = _prefix_range(encoded.stream, encoded._ordered_starts, 0,
+                           len(order), codeword_str)
 
     out = []
-    for r in range(lo, hi):
-        pi = int(order[r])
+    for pi in order[lo:hi].tolist():
         start = int(encoded.text_positions[pi]) - j1 + 1
         if start < 1 or start + m - 1 > n:
             continue

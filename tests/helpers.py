@@ -22,6 +22,19 @@ def brute_minimizer(s: bytes, p: int) -> int:
     return min(pos for g, pos in grams if g == smallest)
 
 
+def reference_window_minimizer(s: bytes, p: int) -> int:
+    """Reference for minimizer.window_minimizer: one pass over every
+    p-gram, keeping the first strictly smaller one (1-based)."""
+    best = 1
+    best_gram = s[:p]
+    for g in range(2, len(s) - p + 2):
+        gram = s[g - 1:g - 1 + p]
+        if gram < best_gram:
+            best = g
+            best_gram = gram
+    return best
+
+
 def brute_sampled(text: bytes, q: int, p: int) -> list[int]:
     """O(n*q*p) double loop over windows and offsets."""
     n = len(text)

@@ -190,16 +190,18 @@ def test_bench_determinism_and_agreement(corpus, capsys):
     assert drop_timing(first) == drop_timing(second)
 
 
-def test_bench_single_variant_and_jobs(corpus, capsys):
+def test_bench_single_variant(corpus, capsys):
     path, _ = corpus
     code, stdout, _ = _run(capsys, [
         "bench", "--text", str(path), "--variant", "samsami,sa", "--q", "4",
-        "--p", "2", "--m", "8", "--patterns", "20", "--jobs", "2"])
+        "--p", "2", "--m", "8", "--patterns", "20"])
     assert code == 0
     lines = stdout.strip().split("\n")
     assert len(lines) == 3
     assert lines[1].startswith("samsami,")
     assert lines[2].startswith("sa,")
+    with pytest.raises(SystemExit):  # --jobs is gone
+        main(["bench", "--text", str(path), "--jobs", "2"])
 
 
 def test_bench_m_below_minimum_fails(corpus, capsys):

@@ -1,5 +1,7 @@
+import copy
 import random
 
+import numpy as np
 import pytest
 
 from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
@@ -9,7 +11,7 @@ from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
                      window_minimizer)
 from samsami import core
 
-from helpers import random_text
+from helpers import brute_suffix_array, random_text
 
 ABRA = b"abracadabra"
 
@@ -195,3 +197,109 @@ def test_verification_paths_agree(make_text, monkeypatch):
             assert stats == first, (name, pattern)
         largest = max(largest, first.candidates)
     assert largest > cutoff  # ranges the kernel serves by default
+
+
+def _brute_prefix_range(text, sa, lo, hi, seq):
+    # in a sorted run of heads, seq's range is bounded by the count of
+    # heads below it and the count of heads not above it
+    heads = [text[s - 1:s - 1 + len(seq)] for s in sa[lo:hi]]
+    return (lo + sum(h < seq for h in heads),
+            lo + sum(h <= seq for h in heads))
+
+
+def test_prefix_range_gallop_matches_sorted_scan():
+    rng = random.Random(0x6A11)
+    texts = [
+        b"a" * 200,  # one suffix per length: ranges run up to hi
+        bytes([0x00, 0xFF]) * 60 + b"\x00" * 20,
+        random_text(rng, 400, 2),
+        bytes(rng.choice(b"\x00\x01\xfe\xff") for _ in range(500)),
+    ]
+    for text in texts:
+        sa = memoryview(np.array(brute_suffix_array(text), dtype=np.uint32))
+        n = len(sa)
+        seqs = {text[i:i + k] for i in rng.sample(range(len(text)), 40)
+                for k in (1, 2, 5, 17)}
+        seqs |= {b"\x00", b"\xff", b"\x00" * 3, b"\xff" * 3,
+                 text + b"\x00", text + b"\xff",  # longer than every suffix
+                 b"\xff" * (len(text) + 1)}
+        for seq in seqs:
+            bounds = [(0, n), (n, n)]
+            bounds += [tuple(sorted(rng.sample(range(n + 1), 2)))
+                       for _ in range(4)]  # sub-ranges, as the hash path
+            for lo, hi in bounds:
+                got = core._prefix_range(text, sa, lo, hi, seq)
+                assert tuple(got) == _brute_prefix_range(text, sa, lo, hi,
+                                                         seq), (seq, lo, hi)
+
+
+def _without_column(idx):
+    bare = copy.copy(idx)
+    bare.left = None
+    return bare
+
+
+def test_left_context_column_holds_the_four_bytes_before_each_suffix():
+    rng = random.Random(0xC01)
+    for text in (ABRA, b"\x00" * 30,
+                 bytes(rng.choice(b"\x00\x01\xff") for _ in range(300))):
+        idx = build(text, SamplingParams(4, 2))
+        padded = bytes(4) + text  # zero bytes stand in before the text
+        assert idx.left.dtype == np.uint32
+        assert idx.left.tolist() == [
+            int.from_bytes(padded[s - 1:s + 3], "little")
+            for s in idx.sa.tolist()]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 12])
+def test_column_filter_matches_text_compare(q, monkeypatch):
+    # every range goes through the kernel; with the column and without
+    # it the answers and QueryStats agree and equal the naive scan, for
+    # prefixes of 0-3 bytes (partial masks) and longer ones
+    monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", 0)
+    rng = random.Random(q)
+    text = b"\x00\x00\x01" + bytes(rng.choice(b"\x00\x01\x02\xff")
+                                    for _ in range(3000))
+    params = SamplingParams(q, 2)
+    idx = build(text, params)
+    bare = _without_column(idx)
+    ann = annotate(idx)
+    table = build_table(idx, 2)
+    starts = list(range(1, 7)) + [rng.randint(1, len(text) - q - 8)
+                                  for _ in range(150)]
+    patterns = set()
+    for i in starts:  # the first few occur within 4 bytes of the start
+        pattern = bytearray(text[i - 1:i - 1 + q + rng.randint(0, 8)])
+        if rng.random() < 0.3:
+            pattern[rng.randrange(len(pattern))] = rng.choice(b"\x00\x01\xff")
+        patterns.add(bytes(pattern))
+    shifts = set()
+    for pattern in patterns:
+        expect = naive_locate(text, pattern)
+        shifts.add(window_minimizer(pattern[:q], 2) - 1)
+        for ask in (lambda i, st: locate(i, pattern, st),
+                    lambda i, st: locate2(i, ann, pattern, st),
+                    lambda i, st: locate_hash(i, table, pattern, st)):
+            with_column, without = QueryStats(), QueryStats()
+            assert ask(idx, with_column) == expect, pattern
+            assert ask(bare, without) == expect, pattern
+            assert with_column == without, pattern
+            assert ask(idx, None) == expect, pattern  # no statistics pass
+    assert set(range(min(q - 1, 5))) <= shifts
+
+
+def test_column_padding_cannot_admit_a_start_before_the_text(monkeypatch):
+    # The suffix at position 4 has one zero padding byte in its column
+    # word, and the pattern's 4-byte prefix starts with a zero byte, so
+    # the column alone would accept an occurrence starting at position 0.
+    monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", 0)
+    text = b"\x05\x05\x05\x00\x01" + b"\x07" * 20
+    idx = build(text, SamplingParams(6, 2))
+    pattern = b"\x00\x05\x05\x05\x00\x01"
+    assert window_minimizer(pattern, 2) == 5
+    rank = idx.sa.tolist().index(4)
+    assert idx.left[rank] == int.from_bytes(pattern[:4], "little")
+    stats = QueryStats()
+    assert locate(idx, pattern, stats) == []
+    assert stats == QueryStats(candidates=1)
+    assert locate(idx, pattern) == []

@@ -10,7 +10,8 @@ from samsami import (InvalidParams, PatternTooShort, SamplingParams,
                      window_minimizer)
 from samsami.minimizer import _sampled_deque, _sampled_vectorized
 
-from helpers import brute_minimizer, brute_sampled, random_text
+from helpers import (brute_minimizer, brute_sampled, random_text,
+                     reference_window_minimizer)
 
 
 def test_params_validation():
@@ -42,6 +43,24 @@ def test_window_minimizer_matches_oracle(s, p):
     if len(s) < p:
         p = len(s)
     assert window_minimizer(s, p) == brute_minimizer(s, p)
+
+
+def test_window_minimizer_matches_reference_loop():
+    # the first-byte search must pick the same leftmost smallest p-gram
+    # as the per-p-gram loop, whatever the alphabet and p
+    rng = random.Random(0x3141)
+    for _ in range(3000):
+        s = random_text(rng, rng.randint(1, 60),
+                        rng.choice([1, 2, 3, 4, 26, 256]))
+        p = rng.randint(1, len(s))
+        assert window_minimizer(s, p) == reference_window_minimizer(s, p), (
+            s, p)
+    # bytes 0x00 and 0xFF, runs of the smallest byte, and a smallest
+    # byte that only the last p-1 positions hold (no p-gram starts there)
+    for s, p in [(b"\xff\x00\x00\xff\x00", 2), (b"\x00" * 9, 3),
+                 (b"bab\x00", 2), (b"cbcba\x00\x00", 3), (b"\xff" * 5, 5)]:
+        assert window_minimizer(s, p) == reference_window_minimizer(s, p), (
+            s, p)
 
 
 def test_sampled_positions_paper_example():

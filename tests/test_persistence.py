@@ -125,6 +125,29 @@ def test_roundtrip_preserves_queries_across_variants():
                               params) == expect
 
 
+def test_loaded_index_rebuilds_the_left_context_column(monkeypatch):
+    # the column is not in the file: load derives it again, and the
+    # kernel (forced for every range) answers alike from both
+    from samsami import core
+    monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", 0)
+    rng = random.Random(0x1EF7)
+    text = b"\x00\x00" + bytes(rng.choice(b"\x00\x01\x02\xff")
+                                for _ in range(2000))
+    params = SamplingParams(8, 2)
+    bundle = build_bundle(text, params, with_delta=True, hash_k=3)
+    back = roundtrip(bundle, text)
+    assert back.index.left.dtype == np.uint32
+    assert back.index.left.tolist() == bundle.index.left.tolist()
+    for _ in range(100):
+        i = rng.randint(1, len(text) - 20)
+        pattern = text[i - 1:i - 1 + rng.randint(9, 20)]
+        expect = naive_locate(text, pattern)
+        for b in (bundle, back):
+            assert locate(b.index, pattern) == expect
+            assert locate2(b.index, b.delta, pattern) == expect
+            assert locate_hash(b.index, b.table, pattern) == expect
+
+
 def test_bad_magic_rejected():
     data = bytearray(serialized_bytes(build_bundle(ABRA, P42)))
     data[:4] = b"XXXX"
