@@ -32,8 +32,8 @@ from .delta import MAX_DELTA_TEXT, DeltaAnnotation, annotate
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table, fnv1a
 from .minimizer import SampledPositions, SamplingParams
-from .phrase import (EncodedText, PhraseDictionary, encode_id, encode_text,
-                     rebuild_positions)
+from .phrase import (EncodedText, PhraseDictionary, codeword_table,
+                     encode_text, rebuild_positions)
 
 MAGIC = b"SSMI"
 VERSION = 1
@@ -42,6 +42,8 @@ FLAG_HASH = 2
 FLAG_PHRASE = 4
 
 _HEADER = struct.Struct("<4s5I3Q")
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
 
 
 @lru_cache(maxsize=4)
@@ -203,29 +205,93 @@ def _read(rd: _Reader, text: bytes) -> IndexBundle:
         bundle.table = PrefixRangeTable(k=k, capacity=int(capacity), slots=slots)
 
     if flags & FLAG_PHRASE:
-        (count,) = struct.unpack("<I", rd.exactly(4))
-        phrases = []
-        for _ in range(count):
-            (length,) = struct.unpack("<I", rd.exactly(4))
-            phrases.append(rd.exactly(length))
-        (stream_len,) = struct.unpack("<Q", rd.exactly(8))
-        stream = rd.exactly(stream_len)
-        dictionary = PhraseDictionary(
-            phrases=phrases,
-            ids={ph: i for i, ph in enumerate(phrases)},
-            codewords=[encode_id(i) for i in range(count)],
-        )
-        try:
-            encoded = rebuild_positions(dictionary, stream)
-        except SamsamiError as exc:
-            raise CorruptIndex(f"phrase stream does not decode: {exc}") from exc
-        span = 0
-        if encoded.phrase_count:
-            last = encoded.phrase_count - 1
-            span = (int(encoded.text_positions[last]) - 1
-                    + len(phrases[int(encoded.phrase_ids[last])]))
-        if span != n:
-            raise CorruptIndex("phrase stream does not span the text")
-        bundle.dictionary = dictionary
-        bundle.encoded = encoded
+        # the phrase section is the file's last: read it in one piece
+        bundle.dictionary, bundle.encoded = _read_phrases(rd.fh.read(), idx)
     return bundle
+
+
+def _read_phrases(buf: bytes, idx: SamsamiIndex,
+                  ) -> tuple[PhraseDictionary, EncodedText]:
+    """Parse a phrase section and check it against the loaded index.
+
+    Besides decoding, the section must name each phrase once, start its
+    phrases exactly at the index's sampled positions (after an unsampled
+    leading piece), and spell the text byte for byte. A section that
+    passes is the encoder's output up to the numbering of its phrases,
+    so phrase queries answer as on the bundle that was saved.
+    """
+    if len(buf) < 4:
+        raise CorruptIndex("phrase section truncated before its count")
+    (count,) = _U32.unpack_from(buf)
+    if 4 + 4 * count + 8 > len(buf):
+        raise CorruptIndex(f"phrase count {count} exceeds the section")
+    phrases = []
+    at = 4
+    unpack = _U32.unpack_from
+    try:
+        for _ in range(count):
+            (size,) = unpack(buf, at)
+            at += 4
+            phrases.append(buf[at:at + size])
+            at += size
+        (stream_len,) = _U64.unpack_from(buf, at)
+    except struct.error:
+        raise CorruptIndex("phrase dictionary runs past the end of the "
+                           "file") from None
+    at += 8
+    if at + stream_len > len(buf):
+        raise CorruptIndex(f"phrase stream of {stream_len} bytes runs past "
+                           "the end of the file")
+    stream = buf[at:at + stream_len]
+
+    ids = dict(zip(phrases, range(count)))
+    if len(ids) != count:
+        raise CorruptIndex("phrase dictionary holds a phrase twice")
+    dictionary = PhraseDictionary(phrases=phrases, ids=ids,
+                                  codewords=codeword_table(count))
+    try:
+        encoded = rebuild_positions(dictionary, stream)
+    except SamsamiError as exc:
+        raise CorruptIndex(f"phrase stream does not decode: {exc}") from exc
+
+    sizes = np.fromiter(map(len, phrases), dtype=np.int64, count=count)
+    span = 0
+    if encoded.phrase_count:
+        span = (int(encoded.text_positions[-1]) - 1
+                + int(sizes[encoded.phrase_ids[-1]]))
+    if span != idx.n:
+        raise CorruptIndex("phrase stream does not span the text")
+    starts = np.sort(idx.sa)
+    if not len(starts) or starts[0] != 1:
+        starts = np.concatenate(([1], starts)).astype(np.uint32)
+    if not np.array_equal(encoded.text_positions, starts):
+        raise CorruptIndex("phrase starts differ from the sampled positions")
+    # offset in buf of each phrase's first byte, by id
+    first = 8 + 4 * np.arange(count, dtype=np.int64) + np.cumsum(sizes) - sizes
+    if not _spells(buf, first, sizes, encoded, idx.text):
+        raise CorruptIndex("phrases do not spell the text")
+    return dictionary, encoded
+
+
+_SPELL_BLOCK = 1 << 15  # phrases compared per step, to bound the temporaries
+
+
+def _spells(buf: bytes, first: np.ndarray, sizes: np.ndarray,
+            encoded: EncodedText, text: bytes) -> bool:
+    """Whether the phrases of encoded, gathered from buf where first
+    says each id's bytes begin, spell text byte for byte."""
+    section = np.frombuffer(buf, dtype=np.uint8)
+    target = np.frombuffer(text, dtype=np.uint8)
+    for lo in range(0, encoded.phrase_count, _SPELL_BLOCK):
+        ids = encoded.phrase_ids[lo:lo + _SPELL_BLOCK]
+        size = sizes[ids]
+        at = int(encoded.text_positions[lo]) - 1
+        stop = at + int(size.sum())
+        # text byte t of the phrase starting at text offset a comes
+        # from buf offset first + t - a
+        shift = first[ids] - encoded.text_positions[lo:lo + _SPELL_BLOCK] + 1
+        gather = np.repeat(shift, size)
+        gather += np.arange(at, stop)
+        if not np.array_equal(section[gather], target[at:stop]):
+            return False
+    return True

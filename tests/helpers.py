@@ -83,3 +83,48 @@ def brute_locate(text: bytes, pattern: bytes) -> list[int]:
     m = len(pattern)
     return [i + 1 for i in range(len(text) - m + 1)
             if text[i:i + m] == pattern]
+
+
+def reference_decode_ids(stream: bytes) -> list[int]:
+    """Reference for phrase.decode_ids: one byte at a time, accumulating
+    7 bits per byte until a byte with the high bit set ends the id.
+
+    Raises ValueError when the stream ends inside a codeword.
+    """
+    out = []
+    acc = 0
+    pending = False
+    for b in stream:
+        if b & 0x80:
+            out.append((acc << 7) | (b & 0x7F))
+            acc = 0
+            pending = False
+        else:
+            acc = (acc << 7) | b
+            pending = True
+    if pending:
+        raise ValueError("stream ends inside a codeword")
+    return out
+
+
+def reference_rebuild_positions(phrases: list[bytes], codewords: list[bytes],
+                                stream: bytes):
+    """Reference for phrase.rebuild_positions: walk the decoded ids,
+    advancing the stream offset by each id's canonical codeword length
+    and the text position by its phrase length.
+
+    Returns (stream offsets, 1-based text positions, ids) as lists;
+    raises ValueError for an id outside the dictionary.
+    """
+    ids = reference_decode_ids(stream)
+    offsets, positions = [], []
+    off = 0
+    pos = 1
+    for pid in ids:
+        if pid >= len(phrases):
+            raise ValueError(f"phrase id {pid} outside dictionary")
+        offsets.append(off)
+        positions.append(pos)
+        off += len(codewords[pid])
+        pos += len(phrases[pid])
+    return offsets, positions, ids

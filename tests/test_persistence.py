@@ -5,13 +5,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from samsami import (CorruptIndex, SamplingParams, TextMismatch,
-                     UnsupportedFormat, build_bundle, count, encoded_locate,
-                     load, locate, locate2, locate_hash, naive_locate, save)
+from samsami import (CorruptIndex, SamplingParams, SamsamiError, TextMismatch,
+                     UnsupportedFormat, build_bundle, count, decode_text,
+                     encoded_locate, load, locate, locate2, locate_hash,
+                     naive_locate, save)
 from samsami.persistence import serialized_bytes
+from samsami.phrase import encode_id
 
-from helpers import random_text
+from helpers import random_text, reference_rebuild_positions
 
 ABRA = b"abracadabra"
 P42 = SamplingParams(4, 2)
@@ -214,3 +218,129 @@ def test_overfull_hash_table_rejected():
     data[start:start + 64] = slots.astype("<u4").tobytes()
     with pytest.raises(CorruptIndex):
         load(io.BytesIO(bytes(data)), text)
+
+
+def _phrase_section_start(bundle):
+    # the phrase section follows the header and the offsets (no hash)
+    assert bundle.table is None
+    return 48 + 4 * bundle.index.n_sampled
+
+
+def _with_phrase_section(bundle, phrases, stream):
+    """bundle's file with a phrase section of phrases and stream."""
+    data = serialized_bytes(bundle)
+    section = [struct.pack("<I", len(phrases))]
+    for ph in phrases:
+        section += [struct.pack("<I", len(ph)), ph]
+    section += [struct.pack("<Q", len(stream)), stream]
+    return data[:_phrase_section_start(bundle)] + b"".join(section)
+
+
+def _phrase_bundle(seed=0x9AD, n=2000):
+    text = random_text(random.Random(seed), n, 4)
+    return text, build_bundle(text, SamplingParams(8, 2), with_phrase=True)
+
+
+def test_phrase_section_rewritten_unchanged_loads():
+    text, bundle = _phrase_bundle()
+    data = _with_phrase_section(bundle, bundle.dictionary.phrases,
+                                bundle.encoded.stream)
+    assert data == serialized_bytes(bundle)
+    back = load(io.BytesIO(data), text)
+    assert back.encoded.stream_offsets.tolist() == \
+        bundle.encoded.stream_offsets.tolist()
+
+
+def test_zero_padded_codeword_rejected():
+    # A 0x00 continuation byte in front of a one-byte codeword decodes
+    # to the same ids and text positions, so decode_text still restores
+    # the text; but offsets advanced by the canonical codeword lengths
+    # then point one byte early for every later phrase, and codeword
+    # searches answer wrongly. The loader refuses the stream.
+    text, bundle = _phrase_bundle()
+    enc = bundle.encoded
+    k = next(i for i in range(enc.phrase_count // 2, enc.phrase_count)
+             if enc.phrase_ids[i] < 128)
+    at = int(enc.stream_offsets[k])
+    padded = enc.stream[:at] + b"\x00" + enc.stream[at:]
+    # what the loader used to derive from it passes every older check
+    offsets, positions, ids = reference_rebuild_positions(
+        bundle.dictionary.phrases, bundle.dictionary.codewords, padded)
+    assert ids == enc.phrase_ids.tolist()
+    assert positions == enc.text_positions.tolist()
+    assert offsets == enc.stream_offsets.tolist()
+    with pytest.raises(CorruptIndex, match="leading zero"):
+        load(io.BytesIO(_with_phrase_section(
+            bundle, bundle.dictionary.phrases, padded)), text)
+
+
+def test_duplicate_dictionary_phrase_rejected():
+    # a second id for phrase 0, used by one of its occurrences, would
+    # hide that occurrence from codeword searches
+    text, bundle = _phrase_bundle()
+    enc, phrases = bundle.encoded, bundle.dictionary.phrases
+    k = int(np.flatnonzero(enc.phrase_ids == 0)[-1])
+    at = int(enc.stream_offsets[k])
+    stream = enc.stream[:at] + encode_id(len(phrases)) + enc.stream[at + 1:]
+    data = _with_phrase_section(bundle, phrases + [phrases[0]], stream)
+    with pytest.raises(CorruptIndex, match="twice"):
+        load(io.BytesIO(data), text)
+
+
+def test_phrases_off_the_sampled_positions_rejected():
+    # two neighbouring phrases merged into one still spell the text,
+    # but the merged phrase starts no sample
+    text, bundle = _phrase_bundle()
+    enc, phrases = bundle.encoded, bundle.dictionary.phrases
+    k = enc.phrase_count // 2
+    merged = phrases[enc.phrase_ids[k]] + phrases[enc.phrase_ids[k + 1]]
+    assert merged not in bundle.dictionary.ids
+    a, b = int(enc.stream_offsets[k]), int(enc.stream_offsets[k + 2])
+    stream = enc.stream[:a] + encode_id(len(phrases)) + enc.stream[b:]
+    data = _with_phrase_section(bundle, phrases + [merged], stream)
+    with pytest.raises(CorruptIndex, match="sampled positions"):
+        load(io.BytesIO(data), text)
+
+
+def test_misspelled_phrase_rejected():
+    text, bundle = _phrase_bundle()
+    phrases = list(bundle.dictionary.phrases)
+    i = next(i for i, ph in enumerate(phrases)
+             if ph[:-1] + b"x" not in bundle.dictionary.ids)
+    phrases[i] = phrases[i][:-1] + b"x"
+    data = _with_phrase_section(bundle, phrases, bundle.encoded.stream)
+    with pytest.raises(CorruptIndex, match="spell"):
+        load(io.BytesIO(data), text)
+
+
+def test_phrase_count_beyond_section_rejected():
+    text, bundle = _phrase_bundle()
+    data = bytearray(serialized_bytes(bundle))
+    struct.pack_into("<I", data, _phrase_section_start(bundle), 0xFFFFFFFF)
+    with pytest.raises(CorruptIndex):
+        load(io.BytesIO(bytes(data)), text)
+
+
+_FUZZ_TEXT, _FUZZ_BUNDLE = _phrase_bundle(0xF022, 400)
+_FUZZ_FILE = serialized_bytes(_FUZZ_BUNDLE)
+_FUZZ_START = _phrase_section_start(_FUZZ_BUNDLE)
+_FUZZ_PATTERNS = [_FUZZ_TEXT[i:i + m] for m in (15, 22) for i in
+                  range(0, len(_FUZZ_TEXT) - m + 1, 5)] + [b"\xff" * 16]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, len(_FUZZ_FILE) - _FUZZ_START - 1),
+                          st.integers(0, 255)), min_size=1, max_size=3))
+def test_phrase_section_mutation_rejected_or_exact(edits):
+    data = bytearray(_FUZZ_FILE)
+    for at, value in edits:
+        data[_FUZZ_START + at] = value
+    try:
+        back = load(io.BytesIO(bytes(data)), _FUZZ_TEXT)
+    except SamsamiError:
+        return
+    assert decode_text(back.dictionary, back.encoded) == _FUZZ_TEXT
+    for pattern in _FUZZ_PATTERNS:
+        assert encoded_locate(back.dictionary, back.encoded, len(_FUZZ_TEXT),
+                              pattern, _FUZZ_BUNDLE.index.params) == \
+            naive_locate(_FUZZ_TEXT, pattern)

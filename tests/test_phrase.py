@@ -1,13 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
-from samsami import (CorruptEncoding, PatternTooShort, SamplingParams,
-                     TextTooShort, decode_text, encode_text, encoded_locate,
-                     naive_locate, parse_phrases, sampled_positions)
-from samsami.phrase import decode_ids, encode_id, rebuild_positions
+from samsami import (CorruptEncoding, EncodedText, PatternTooShort,
+                     SamplingParams, TextTooShort, decode_text, encode_text,
+                     encoded_locate, naive_locate, parse_phrases,
+                     sampled_positions)
+from samsami.phrase import (PhraseDictionary, _stable_boundaries,
+                            codeword_table, decode_ids, encode_id,
+                            rebuild_positions)
 
-from helpers import random_text
+from helpers import (random_text, reference_decode_ids,
+                     reference_rebuild_positions)
 
 ABRA = b"abracadabra"
 P42 = SamplingParams(4, 2)
@@ -219,3 +224,132 @@ def test_encoded_locate_matches_naive_randomized():
             expect = naive_locate(text, pattern)
             got = encoded_locate(dictionary, encoded, n, pattern, params)
             assert got == expect, (text, pattern, q, p)
+
+
+def test_codeword_table_matches_encode_id():
+    for count in (0, 1, 127, 128, 129, 16383, 16384, 16385 + 300):
+        assert codeword_table(count) == [encode_id(i) for i in range(count)]
+
+
+def _dictionary(rng, count):
+    phrases = [bytes([i % 251]) * rng.randint(1, 6) + i.to_bytes(3, "big")
+               for i in range(count)]
+    return PhraseDictionary(phrases=phrases,
+                            ids={ph: i for i, ph in enumerate(phrases)},
+                            codewords=codeword_table(count))
+
+
+def _check_against_reference(dictionary, stream):
+    expect = reference_rebuild_positions(dictionary.phrases,
+                                         dictionary.codewords, stream)
+    assert decode_ids(stream) == reference_decode_ids(stream)
+    got = rebuild_positions(dictionary, stream)
+    assert got.stream_offsets.tolist() == expect[0]
+    assert got.text_positions.tolist() == expect[1]
+    assert got.phrase_ids.tolist() == expect[2]
+    assert got.id_view.tolist() == expect[2]
+    assert got.position_view.tolist() == expect[1]
+
+
+def test_decoder_matches_reference_on_codeword_length_edges():
+    # ids at the 1/2-byte and 2/3-byte codeword boundaries
+    rng = random.Random(0xDEC0)
+    edges = [0, 1, 126, 127, 128, 129, 16382, 16383, 16384, 16385, 20000]
+    dictionary = _dictionary(rng, 20001)
+    for _ in range(60):
+        ids = [rng.choice(edges) if rng.random() < 0.6 else
+               rng.randrange(20001) for _ in range(rng.randint(1, 300))]
+        stream = b"".join(encode_id(i) for i in ids)
+        _check_against_reference(dictionary, stream)
+        assert decode_ids(stream) == ids
+
+
+def test_decoder_matches_reference_small_dictionaries():
+    rng = random.Random(0xDEC1)
+    for count in (1, 2, 127, 128, 129, 300):
+        dictionary = _dictionary(rng, count)
+        for _ in range(10):
+            ids = [rng.randrange(count) for _ in range(rng.randint(0, 80))]
+            _check_against_reference(
+                dictionary, b"".join(encode_id(i) for i in ids))
+
+
+def test_decoder_empty_stream():
+    dictionary = _dictionary(random.Random(1), 5)
+    _check_against_reference(dictionary, b"")
+    assert decode_ids(b"") == []
+    assert decode_text(dictionary, rebuild_positions(dictionary, b"")) == b""
+
+
+@pytest.mark.parametrize("stream", [b"\x01", b"\x80\x01", b"\x85\x00\x00",
+                                    b"\x80\x81\x7f"])
+def test_decoder_truncated_stream(stream):
+    with pytest.raises(ValueError):
+        reference_decode_ids(stream)
+    with pytest.raises(CorruptEncoding):
+        decode_ids(stream)
+    with pytest.raises(CorruptEncoding):
+        rebuild_positions(_dictionary(random.Random(2), 200), stream)
+
+
+def test_decoder_rejects_zero_padded_codeword():
+    # b"\x00\x85" spells id 5 with a padding byte the reference skips
+    # over; the offsets it then derives from encode_id(5) are one byte
+    # short, so the decoder refuses the stream instead
+    dictionary = _dictionary(random.Random(3), 200)
+    stream = encode_id(7) + b"\x00\x85" + encode_id(9)
+    assert reference_decode_ids(stream) == [7, 5, 9]
+    offsets, _, _ = reference_rebuild_positions(
+        dictionary.phrases, dictionary.codewords, stream)
+    assert offsets == [0, 1, 2]
+    for bad in (stream, b"\x00\x80", b"\x00\x01\x80",
+                encode_id(5) + b"\x00\x00\x85"):
+        with pytest.raises(CorruptEncoding):
+            rebuild_positions(dictionary, bad)
+        with pytest.raises(CorruptEncoding):
+            decode_ids(bad)
+
+
+def test_decoder_rejects_overlong_codewords():
+    # a 2-byte codeword over a 128-id dictionary and a 3-byte one over
+    # a 2-byte dictionary
+    for count, stream in ((128, encode_id(128)), (200, encode_id(16384)),
+                          (200, encode_id(5) + encode_id(1 << 14))):
+        with pytest.raises(CorruptEncoding):
+            rebuild_positions(_dictionary(random.Random(4), count), stream)
+    # 6 bytes, and 10 bytes whose 70 bits would wrap to id 0 in 64
+    for stream in (encode_id(1 << 35), b"\x02" + bytes(8) + b"\x80"):
+        with pytest.raises(CorruptEncoding):
+            decode_ids(stream)
+    assert decode_ids(encode_id((1 << 32) - 1)) == [(1 << 32) - 1]
+
+
+def test_decoder_rejects_ids_outside_dictionary():
+    dictionary = _dictionary(random.Random(5), 200)
+    for stream in (encode_id(200), encode_id(3) + encode_id(16383)):
+        with pytest.raises(CorruptEncoding):
+            rebuild_positions(dictionary, stream)
+        empty = np.zeros(0, np.uint32)
+        bare = EncodedText(stream=stream, stream_offsets=empty,
+                           text_positions=empty, phrase_ids=empty)
+        with pytest.raises(CorruptEncoding):
+            decode_text(dictionary, bare)
+
+
+def _reference_stable_boundaries(pattern, params):
+    # the definition: the pattern's sampled positions up to m-q+2
+    cutoff = len(pattern) - params.q + 2
+    return [int(b) for b in sampled_positions(pattern, params).positions
+            if int(b) <= cutoff]
+
+
+def test_stable_boundaries_match_sampled_positions():
+    rng = random.Random(0xB0B0)
+    for _ in range(20000):
+        q = rng.randint(2, 20)
+        p = rng.randint(1, q)
+        m = rng.randint(2 * q - p + 1, 2 * q - p + 30)
+        pattern = random_text(rng, m, rng.choice([2, 4, 26, 256]))
+        params = SamplingParams(q, p)
+        expect = _reference_stable_boundaries(pattern, params)
+        assert _stable_boundaries(pattern, params) == expect, (pattern, q, p)
