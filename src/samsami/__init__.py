@@ -26,6 +26,7 @@ from .phrase import (EncodedText, PhraseDictionary, decode_text,
                      encode_text, encoded_locate, parse_phrases)
 from .stats import distinct_qgrams, sampling_ratio
 from .suffix_sort import FullSuffixArray, build_full_sa, extract_sampled
+from .variants import Variant, build_variants, from_bundle
 
 __version__ = "0.1.0"
 
@@ -44,6 +45,7 @@ __all__ = [
     "decode_text", "encoded_locate",
     "sampling_ratio", "distinct_qgrams",
     "IndexBundle", "build_bundle", "save", "load",
+    "Variant", "from_bundle", "build_variants",
     "SamsamiError", "InvalidParams", "TextTooShort", "PatternTooShort",
     "TextTooLargeForDeltaVariant", "UnsupportedFormat", "CorruptIndex",
     "TextMismatch", "CorruptEncoding",

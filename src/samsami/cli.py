@@ -7,12 +7,9 @@ import os
 import sys
 import time
 
-from . import baselines, core, delta, hashindex, persistence, phrase, stats
-from . import suffix_sort
+from . import persistence, stats, variants
 from .errors import PatternTooShort, SamsamiError
-from .minimizer import SamplingParams, sampled_positions
-
-HEADER_BYTES = 48  # fixed header size, used for baseline size estimates
+from .minimizer import SamplingParams
 
 # the canonical (q, p) evaluation grid for sampling-ratio reports
 DEFAULT_PAIRS = [
@@ -103,47 +100,20 @@ def cmd_phrase_build(args) -> int:
     return 0
 
 
-def _query_one(bundle: persistence.IndexBundle, pattern: bytes):
-    if bundle.table is not None:
-        return hashindex.locate_hash(bundle.index, bundle.table, pattern)
-    if bundle.delta is not None:
-        return delta.locate2(bundle.index, bundle.delta, pattern)
-    return core.locate(bundle.index, pattern)
-
-
-def cmd_locate(args, counting: bool) -> int:
+def cmd_locate(args, counting: bool = False, name: str | None = None) -> int:
     text = _read_text(args.text)
-    bundle = persistence.load(args.index, text)
+    variant = variants.from_bundle(persistence.load(args.index, text), name)
     for pattern in _collect_patterns(args):
-        name = _display(pattern)
+        shown = _display(pattern)
         try:
-            hits = _query_one(bundle, pattern)
+            if counting:
+                answer = variant.count(pattern)
+            else:
+                answer = ",".join(str(h) for h in variant.locate(pattern))
         except PatternTooShort as exc:
-            print(f"{name}\tERROR: {exc}")
+            print(f"{shown}\tERROR: {exc}")
             continue
-        if counting:
-            print(f"{name}\t{len(hits)}")
-        else:
-            print(f"{name}\t{','.join(str(h) for h in hits)}")
-    return 0
-
-
-def cmd_phrase_locate(args) -> int:
-    text = _read_text(args.text)
-    bundle = persistence.load(args.index, text)
-    if bundle.dictionary is None:
-        print("error: index has no phrase section", file=sys.stderr)
-        return 1
-    for pattern in _collect_patterns(args):
-        name = _display(pattern)
-        try:
-            hits = phrase.encoded_locate(bundle.dictionary, bundle.encoded,
-                                         bundle.index.n, pattern,
-                                         bundle.index.params)
-        except PatternTooShort as exc:
-            print(f"{name}\tERROR: {exc}")
-            continue
-        print(f"{name}\t{','.join(str(h) for h in hits)}")
+        print(f"{shown}\t{answer}")
     return 0
 
 
@@ -179,138 +149,36 @@ def cmd_stats(args) -> int:
     return 0
 
 
-class _BenchTarget:
-    """One variant wired up for timing: a name, params, counter, size."""
-
-    def __init__(self, name, count_fn, q, p, k, index_bytes):
-        self.name = name
-        self.count_fn = count_fn
-        self.q, self.p, self.k = q, p, k
-        self.index_bytes = index_bytes
-
-
-def _bench_targets(text, args) -> list[_BenchTarget]:
-    requested = args.variant.split(",") if args.variant else list(VARIANTS)
-    for name in requested:
-        if name not in VARIANTS:
-            raise SamsamiError(f"unknown variant {name!r}")
-
-    # one suffix sort and one sampling pass feed every requested variant
-    full_sa = None
-
-    def full():
-        nonlocal full_sa
-        if full_sa is None:
-            full_sa = suffix_sort.build_full_sa(text)
-        return full_sa
-
-    sam_idx = None
-
-    def sam():
-        nonlocal sam_idx
-        if sam_idx is None:
-            params = SamplingParams(args.q, args.p)
-            sampled = sampled_positions(text, params)
-            sam_idx = core.SamsamiIndex(
-                text=text, params=params,
-                sa=suffix_sort.extract_sampled(full(), sampled), n=len(text))
-        return sam_idx
-
-    def sam_size(bundle):
-        return len(persistence.serialized_bytes(bundle))
-
-    targets = []
-    for name in requested:
-        if name == "samsami":
-            idx = sam()
-            size = sam_size(persistence.IndexBundle(index=idx))
-            targets.append(_BenchTarget(
-                name, lambda pat, i=idx: core.count(i, pat),
-                args.q, args.p, 0, size))
-        elif name == "samsami2":
-            idx = sam()
-            ann = delta.annotate(idx)
-            size = sam_size(persistence.IndexBundle(index=idx, delta=ann))
-            targets.append(_BenchTarget(
-                name, lambda pat, i=idx, a=ann: delta.count2(i, a, pat),
-                args.q, args.p, 0, size))
-        elif name == "samsami-hash":
-            idx = sam()
-            table = hashindex.build_table(idx, args.k)
-            size = sam_size(persistence.IndexBundle(index=idx, table=table))
-            targets.append(_BenchTarget(
-                name, lambda pat, i=idx, t=table: hashindex.count_hash(i, t, pat),
-                args.q, args.p, args.k, size))
-        elif name == "spasa":
-            sa = full().sa
-            kept = sa[(sa.astype("int64") - 1) % args.step == 0]
-            spasa = baselines.SparseSuffixArray(
-                text=text, step=args.step, sa=kept, n=len(text))
-            size = HEADER_BYTES + 4 * len(spasa.sa)
-            targets.append(_BenchTarget(
-                name, lambda pat, s=spasa: baselines.spasa_count(s, pat),
-                args.step, 0, 0, size))
-        elif name == "sa":
-            plain = baselines.SparseSuffixArray(
-                text=text, step=1, sa=full().sa, n=len(text))
-            size = HEADER_BYTES + 4 * len(plain.sa)
-            targets.append(_BenchTarget(
-                name, lambda pat, s=plain: baselines.spasa_count(s, pat),
-                1, 0, 0, size))
-    return targets
-
-
-def _loaded_target(bundle, args) -> _BenchTarget:
-    idx = bundle.index
-    size = len(persistence.serialized_bytes(bundle))
-    if bundle.table is not None:
-        return _BenchTarget(
-            "samsami-hash",
-            lambda pat: hashindex.count_hash(idx, bundle.table, pat),
-            idx.params.q, idx.params.p, bundle.table.k, size)
-    if bundle.delta is not None:
-        return _BenchTarget(
-            "samsami2", lambda pat: delta.count2(idx, bundle.delta, pat),
-            idx.params.q, idx.params.p, 0, size)
-    return _BenchTarget("samsami", lambda pat: core.count(idx, pat),
-                        idx.params.q, idx.params.p, 0, size)
-
-
-def _time_queries(count_fn, patterns) -> tuple[float, list[int]]:
-    """Total seconds and per-pattern counts."""
-    t0 = time.perf_counter()
-    counts = [count_fn(pat) for pat in patterns]
-    return time.perf_counter() - t0, counts
-
-
 def cmd_bench(args) -> int:
+    if args.patterns < 1:
+        raise SamsamiError(f"--patterns must be at least 1, got {args.patterns}")
     text = _read_text(args.text)
     if args.index:
-        bundle = persistence.load(args.index, text)
-        targets = [_loaded_target(bundle, args)]
+        targets = [variants.from_bundle(persistence.load(args.index, text))]
     else:
-        targets = _bench_targets(text, args)
+        names = args.variant.split(",") if args.variant else list(VARIANTS)
+        for name in names:
+            if name not in VARIANTS:
+                raise SamsamiError(f"unknown variant {name!r}")
+        targets = variants.build_variants(text, names, args.q, args.p,
+                                          args.k, args.step)
 
     patterns = extract_patterns(text, args.m, args.patterns, args.seed)
     print("variant,q,p,k,m,patterns,mean_us,index_bytes,index_text_ratio,"
           "matches_total")
     all_counts = {}
     for target in targets:
-        minimum = {
-            "samsami": target.q, "samsami2": target.q,
-            "samsami-hash": max(target.q - target.p + target.k, target.q),
-            "spasa": target.q, "sa": 1,
-        }[target.name]
-        if args.m < minimum:
-            raise SamsamiError(
-                f"m={args.m} below the minimum {minimum} of {target.name}")
-        seconds, counts = _time_queries(target.count_fn, patterns)
+        if args.m < target.min_len:
+            raise SamsamiError(f"m={args.m} below the minimum "
+                               f"{target.min_len} of {target.name}")
+        t0 = time.perf_counter()
+        counts = [target.count(pat) for pat in patterns]
+        mean_us = (time.perf_counter() - t0) * 1e6 / len(patterns)
         all_counts[target.name] = counts
-        mean_us = seconds * 1e6 / len(patterns)
+        q, p, k = target.qpk
         ratio = (target.index_bytes + len(text)) / len(text)
-        print(f"{target.name},{target.q},{target.p},{target.k},{args.m},"
-              f"{len(patterns)},{mean_us:.3f},{target.index_bytes},"
-              f"{ratio:.4f},{sum(counts)}")
+        print(f"{target.name},{q},{p},{k},{args.m},{len(patterns)},"
+              f"{mean_us:.3f},{target.index_bytes},{ratio:.4f},{sum(counts)}")
 
     names = list(all_counts)
     for name in names[1:]:
@@ -386,9 +254,9 @@ def main(argv=None) -> int:
     handlers = {
         "build": cmd_build,
         "phrase-build": cmd_phrase_build,
-        "locate": lambda a: cmd_locate(a, counting=False),
+        "locate": cmd_locate,
         "count": lambda a: cmd_locate(a, counting=True),
-        "phrase-locate": cmd_phrase_locate,
+        "phrase-locate": lambda a: cmd_locate(a, name="phrase"),
         "stats": cmd_stats,
         "bench": cmd_bench,
     }

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParams, PatternTooShort, TextTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
-from .suffix_sort import build_full_sa, extract_sampled
+from .suffix_sort import FullSuffixArray, build_full_sa, extract_sampled
 
 
 class MatchRange(NamedTuple):
@@ -73,12 +73,18 @@ class SamsamiIndex:
         return len(self.sa)
 
 
-def build(text: bytes, params: SamplingParams) -> SamsamiIndex:
-    """Sample the text's minimizer positions and suffix-sort them."""
+def build(text: bytes, params: SamplingParams,
+          full: FullSuffixArray | None = None) -> SamsamiIndex:
+    """Sample the text's minimizer positions and suffix-sort them.
+
+    full, when given, must be build_full_sa(text); a caller that builds
+    several indexes over one text saves sorting it again.
+    """
     if len(text) < params.q:
         raise TextTooShort(f"text length {len(text)} < q={params.q}")
     sampled = sampled_positions(text, params)
-    full = build_full_sa(text)
+    if full is None:
+        full = build_full_sa(text)
     sa = extract_sampled(full, sampled)
     return SamsamiIndex(text=text, params=params, sa=sa, n=len(text))
 

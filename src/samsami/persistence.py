@@ -76,7 +76,13 @@ class IndexBundle:
 def build_bundle(text: bytes, params: SamplingParams, *, with_delta=False,
                  hash_k: int | None = None, with_phrase=False) -> IndexBundle:
     """Build the index and any requested annotations in one go."""
-    idx = build(text, params)
+    return annotate_index(build(text, params), with_delta=with_delta,
+                          hash_k=hash_k, with_phrase=with_phrase)
+
+
+def annotate_index(idx: SamsamiIndex, *, with_delta=False,
+                   hash_k: int | None = None, with_phrase=False) -> IndexBundle:
+    """Bundle a built index with the requested annotations of it."""
     bundle = IndexBundle(index=idx)
     if with_delta:
         bundle.delta = annotate(idx)
@@ -85,7 +91,8 @@ def build_bundle(text: bytes, params: SamplingParams, *, with_delta=False,
     if with_phrase:
         # The index holds exactly the sampled positions, in suffix order.
         sampled = SampledPositions(positions=np.sort(idx.sa), n=idx.n)
-        bundle.dictionary, bundle.encoded = encode_text(text, params, sampled)
+        bundle.dictionary, bundle.encoded = encode_text(idx.text, idx.params,
+                                                        sampled)
     return bundle
 
 

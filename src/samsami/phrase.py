@@ -263,13 +263,17 @@ def _stable_boundaries(pattern: bytes, params: SamplingParams) -> list[int]:
     return out
 
 
+def min_pattern_length(params: SamplingParams) -> int:
+    return 2 * params.q - params.p + 1
+
+
 def encoded_locate(dictionary: PhraseDictionary, encoded: EncodedText,
                    n: int, pattern: bytes, params: SamplingParams) -> list[int]:
     """All occurrences of pattern, m >= 2q-p+1, via the encoded stream."""
-    q, p = params.q, params.p
     m = len(pattern)
-    if m < 2 * q - p + 1:
-        raise PatternTooShort(f"pattern length {m} < 2q-p+1 = {2 * q - p + 1}")
+    need = min_pattern_length(params)
+    if m < need:
+        raise PatternTooShort(f"pattern length {m} < 2q-p+1 = {need}")
     stable = _stable_boundaries(pattern, params)
     j1 = stable[0]
     if len(stable) >= 2:

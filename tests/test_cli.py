@@ -226,3 +226,23 @@ def test_bench_prebuilt_index(corpus, tmp_path, capsys):
             "--patterns", "10"])
         assert code == 0
         assert stdout.strip().split("\n")[1].startswith(lead)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_bench_rejects_pattern_count_below_one(corpus, capsys, count):
+    path, _ = corpus
+    code, stdout, err = _run(capsys, [
+        "bench", "--text", str(path), "--patterns", str(count)])
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: --patterns must be at least 1, got {count}\n"
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_bench_rejects_spasa_step_outside_text(corpus, capsys, step):
+    path, _ = corpus
+    code, _, err = _run(capsys, [
+        "bench", "--text", str(path), "--variant", "spasa,sa", "--step",
+        str(step), "--m", "8", "--patterns", "20"])
+    assert code == 1
+    assert err == f"error: need 1 <= step <= 2000, got {step}\n"
