@@ -19,7 +19,9 @@ DEFAULT_PAIRS = [
     (40, 2), (40, 3), (64, 2), (64, 3), (64, 4), (80, 2), (80, 3), (80, 4),
 ]
 
-VARIANTS = ("samsami", "samsami2", "samsami-hash", "spasa", "sa")
+# bench runs the first five by default; phrase, which needs m >= 2q-p+1,
+# only when named
+VARIANTS = ("samsami", "samsami2", "samsami-hash", "spasa", "sa", "phrase")
 
 
 def _read_text(path: str) -> bytes:
@@ -154,9 +156,11 @@ def cmd_bench(args) -> int:
         raise SamsamiError(f"--patterns must be at least 1, got {args.patterns}")
     text = _read_text(args.text)
     if args.index:
-        targets = [variants.from_bundle(persistence.load(args.index, text))]
+        bundle = persistence.load(args.index, text)
+        names = args.variant.split(",") if args.variant else [None]
+        targets = [variants.from_bundle(bundle, name) for name in names]
     else:
-        names = args.variant.split(",") if args.variant else list(VARIANTS)
+        names = args.variant.split(",") if args.variant else VARIANTS[:5]
         for name in names:
             if name not in VARIANTS:
                 raise SamsamiError(f"unknown variant {name!r}")
@@ -237,7 +241,8 @@ def make_parser() -> argparse.ArgumentParser:
     be = subs.add_parser("bench", help="time count queries over random patterns")
     be.add_argument("--text", required=True)
     be.add_argument("--index", help="benchmark one prebuilt index")
-    be.add_argument("--variant", help="comma list of variants to build")
+    be.add_argument("--variant", help="comma list of variants to build, or "
+                    "to read from --index")
     be.add_argument("--q", type=int, default=8)
     be.add_argument("--p", type=int, default=2)
     be.add_argument("--k", type=int, default=4)

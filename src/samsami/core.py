@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParams, PatternTooShort, TextTooShort
+from .errors import InvalidParams, PatternTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
 from .suffix_sort import FullSuffixArray, build_full_sa, extract_sampled
 
@@ -80,9 +80,7 @@ def build(text: bytes, params: SamplingParams,
     full, when given, must be build_full_sa(text); a caller that builds
     several indexes over one text saves sorting it again.
     """
-    if len(text) < params.q:
-        raise TextTooShort(f"text length {len(text)} < q={params.q}")
-    sampled = sampled_positions(text, params)
+    sampled = sampled_positions(text, params)  # rejects a too-short text
     if full is None:
         full = build_full_sa(text)
     sa = extract_sampled(full, sampled)

@@ -98,7 +98,7 @@ def sampled_positions(text: bytes, params: SamplingParams) -> SampledPositions:
     n = len(text)
     q, p = params.q, params.p
     if n < q:
-        raise TextTooShort(f"text length {n} < window length {q}")
+        raise TextTooShort(f"text length {n} < window length q={q}")
     if n >= _VECTOR_MIN_N and p <= 8:
         positions = _sampled_vectorized(text, q, p)
     else:

@@ -1,29 +1,37 @@
 """Index file serialization.
 
-Layout (all integers little-endian):
+Layout of version 2, which the writer emits (all integers little-endian):
 
     magic   4 bytes  "SSMI"
-    version u32      1
+    version u32      2
     flags   u32      bit0 delta nibbles, bit1 hash table, bit2 phrase section
     q, p, k u32      sampling params; k = 0 when no hash table
-    n, n'   u64      text length, number of sampled suffixes
-    checksum u64     FNV-1a over the text (the text itself is not stored)
+    n       u64      text length
+    n'      u32      number of sampled suffixes
+    crc32   u32      zlib.crc32 of every file byte except these four
+    digest  u64      blake2b of the text, 8-byte digest (the text itself
+                     is not stored)
     offsets n' * u32 (delta << 28) | (position - 1); delta 0 unless bit0
     [hash]  capacity u64, then capacity * (lo u32, hi u32); empty slot
             lo = hi = 0xFFFFFFFF
     [phrase] phrase count u32, then per phrase length u32 + raw bytes in
             id order, then stream length u64 + stream bytes
 
-Loading requires the original text (checksum-verified); a rebuilt index
+Version 1 still loads. Its header is as long: n' is a u64, and the
+crc32 and digest give way to an FNV-1a of the text, the only check it
+carries. The sections are the same in both.
+
+Loading requires the original text (digest-verified); a rebuilt index
 over the same text and params serializes to identical bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
+import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -36,19 +44,28 @@ from .phrase import (EncodedText, PhraseDictionary, codeword_table,
                      encode_text, rebuild_positions)
 
 MAGIC = b"SSMI"
-VERSION = 1
+VERSION = 2
 FLAG_DELTA = 1
 FLAG_HASH = 2
 FLAG_PHRASE = 4
 
-_HEADER = struct.Struct("<4s5I3Q")
+_HEADER = struct.Struct("<4s5IQIIQ")
+_HEADER_V1 = struct.Struct("<4s5I3Q")
+_CRC_AT = 36  # offset of the crc32 field in the version-2 header
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 
-@lru_cache(maxsize=4)
 def text_checksum(text: bytes) -> int:
-    return fnv1a(text)
+    """The version-2 header's digest of the text."""
+    return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(),
+                          "little")
+
+
+def _file_crc(data) -> int:
+    """crc32 of an index file's bytes, skipping the crc32 field itself."""
+    view = memoryview(data)
+    return zlib.crc32(view[_CRC_AT + 4:], zlib.crc32(view[:_CRC_AT]))
 
 
 @dataclass(eq=False)
@@ -112,66 +129,74 @@ def serialized_bytes(bundle: IndexBundle) -> bytes:
 
 def _write(bundle: IndexBundle, fh) -> int:
     idx = bundle.index
+    n_sampled = len(idx.sa)
+    if n_sampled > 0xFFFFFFFF:
+        raise SamsamiError(f"{n_sampled} sampled suffixes overflow the "
+                           "header's u32 count")
     k = bundle.table.k if bundle.table is not None else 0
-    header = _HEADER.pack(MAGIC, VERSION, bundle.flags, idx.params.q,
-                          idx.params.p, k, idx.n, len(idx.sa),
-                          text_checksum(idx.text))
-    written = fh.write(header)
+    data = bytearray(_HEADER.pack(
+        MAGIC, VERSION, bundle.flags, idx.params.q, idx.params.p, k, idx.n,
+        n_sampled, 0, text_checksum(idx.text)))
 
     offsets = idx.sa.astype(np.uint32) - np.uint32(1)
     if bundle.delta is not None:
         offsets = offsets | (bundle.delta.delta.astype(np.uint32) << np.uint32(28))
-    written += fh.write(offsets.astype("<u4").tobytes())
+    data += offsets.astype("<u4").tobytes()
 
     if bundle.table is not None:
-        written += fh.write(struct.pack("<Q", bundle.table.capacity))
-        written += fh.write(bundle.table.slots.astype("<u4").tobytes())
+        data += _U64.pack(bundle.table.capacity)
+        data += bundle.table.slots.astype("<u4").tobytes()
 
     if bundle.dictionary is not None:
         phrases = bundle.dictionary.phrases
-        written += fh.write(struct.pack("<I", len(phrases)))
+        data += _U32.pack(len(phrases))
         for ph in phrases:
-            written += fh.write(struct.pack("<I", len(ph)))
-            written += fh.write(ph)
-        written += fh.write(struct.pack("<Q", len(bundle.encoded.stream)))
-        written += fh.write(bundle.encoded.stream)
-    return written
+            data += _U32.pack(len(ph))
+            data += ph
+        data += _U64.pack(len(bundle.encoded.stream))
+        data += bundle.encoded.stream
 
-
-class _Reader:
-    def __init__(self, fh):
-        self.fh = fh
-
-    def exactly(self, count: int) -> bytes:
-        data = self.fh.read(count)
-        if len(data) != count:
-            raise CorruptIndex(f"expected {count} bytes, file ends after {len(data)}")
-        return data
+    _U32.pack_into(data, _CRC_AT, _file_crc(data))
+    return fh.write(data)
 
 
 def load(source, text: bytes) -> IndexBundle:
     """Read an index file back, re-attaching the text it was built from."""
     if hasattr(source, "read"):
-        return _read(_Reader(source), text)
+        return _read(source.read(), text)
     with open(source, "rb") as fh:
-        return _read(_Reader(fh), text)
+        return _read(fh.read(), text)
 
 
-def _read(rd: _Reader, text: bytes) -> IndexBundle:
-    raw = rd.fh.read(_HEADER.size)
-    if len(raw) < _HEADER.size:
+def _need(data: bytes, at: int, count: int) -> None:
+    """Raise CorruptIndex unless count bytes follow offset at."""
+    if at + count > len(data):
+        raise CorruptIndex(f"expected {count} bytes, file ends after "
+                           f"{len(data) - at}")
+
+
+def _read(data: bytes, text: bytes) -> IndexBundle:
+    if len(data) < _HEADER.size:
         raise CorruptIndex("file shorter than the fixed header")
-    magic, version, flags, q, p, k, n, n_sampled, checksum = _HEADER.unpack(raw)
+    magic, version = struct.unpack_from("<4sI", data)
     if magic != MAGIC:
         raise UnsupportedFormat(f"bad magic {magic!r}")
-    if version != VERSION:
+    if version == VERSION:
+        (_, _, flags, q, p, k, n, n_sampled, crc,
+         checksum) = _HEADER.unpack_from(data)
+    elif version == 1:
+        _, _, flags, q, p, k, n, n_sampled, checksum = _HEADER_V1.unpack_from(data)
+    else:
         raise UnsupportedFormat(f"unsupported version {version}")
     if flags & ~(FLAG_DELTA | FLAG_HASH | FLAG_PHRASE):
         raise UnsupportedFormat(f"unknown flag bits in {flags:#x}")
     if n != len(text):
         raise TextMismatch(f"index built over {n} bytes, text has {len(text)}")
-    if checksum != text_checksum(text):
+    expected = text_checksum(text) if version == VERSION else fnv1a(text)
+    if checksum != expected:
         raise TextMismatch("text checksum does not match the index header")
+    if version == VERSION and crc != _file_crc(data):
+        raise CorruptIndex("file crc32 does not match the header")
     try:
         params = SamplingParams(q, p)
     except SamsamiError as exc:
@@ -179,27 +204,36 @@ def _read(rd: _Reader, text: bytes) -> IndexBundle:
     if flags & FLAG_DELTA and n > MAX_DELTA_TEXT:
         raise CorruptIndex("delta flag set but text exceeds the packed limit")
 
-    packed = np.frombuffer(rd.exactly(4 * n_sampled), dtype="<u4")
+    at = _HEADER.size
+    _need(data, at, 4 * n_sampled)
+    packed = np.frombuffer(data, dtype="<u4", count=n_sampled, offset=at)
+    at += 4 * n_sampled
     if flags & FLAG_DELTA:
         positions = (packed & np.uint32((1 << 28) - 1)) + np.uint32(1)
         nibbles = (packed >> np.uint32(28)).astype(np.uint8)
     else:
+        # offset 0xFFFFFFFF wraps to position 0
         positions = packed + np.uint32(1)
         nibbles = None
-    if len(positions) and int(positions.max()) > n:
+    if len(positions) and (int(positions.max()) > n
+                           or int(positions.min()) == 0):
         raise CorruptIndex("offset beyond the end of the text")
 
-    idx = SamsamiIndex(text=text, params=params, sa=positions.copy(), n=n)
+    idx = SamsamiIndex(text=text, params=params, sa=positions, n=n)
     bundle = IndexBundle(index=idx)
     if nibbles is not None:
-        bundle.delta = DeltaAnnotation(delta=nibbles.copy())
+        bundle.delta = DeltaAnnotation(delta=nibbles)
 
     if flags & FLAG_HASH:
-        (capacity,) = struct.unpack("<Q", rd.exactly(8))
+        _need(data, at, 8)
+        (capacity,) = _U64.unpack_from(data, at)
+        at += 8
         if capacity < 2 or capacity & (capacity - 1):
             raise CorruptIndex(f"hash capacity {capacity} not a power of two")
-        slots = np.frombuffer(rd.exactly(8 * capacity), dtype="<u4")
+        _need(data, at, 8 * capacity)
+        slots = np.frombuffer(data, dtype="<u4", count=2 * capacity, offset=at)
         slots = slots.reshape(capacity, 2).copy()
+        at += 8 * capacity
         used = slots[:, 0] != EMPTY_SLOT
         if (slots[used] > n_sampled).any():
             raise CorruptIndex("hash range beyond the sampled array")
@@ -212,8 +246,8 @@ def _read(rd: _Reader, text: bytes) -> IndexBundle:
         bundle.table = PrefixRangeTable(k=k, capacity=int(capacity), slots=slots)
 
     if flags & FLAG_PHRASE:
-        # the phrase section is the file's last: read it in one piece
-        bundle.dictionary, bundle.encoded = _read_phrases(rd.fh.read(), idx)
+        # the phrase section is the file's last: it runs to the end
+        bundle.dictionary, bundle.encoded = _read_phrases(data[at:], idx)
     return bundle
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _prefix_range
-from .errors import CorruptEncoding, PatternTooShort, TextTooShort
+from .errors import CorruptEncoding, PatternTooShort
 from .minimizer import SampledPositions, SamplingParams, sampled_positions
 from .suffix_sort import build_full_sa
 
@@ -89,8 +89,6 @@ def _phrase_starts(text: bytes, params: SamplingParams,
                    sampled: SampledPositions | None = None) -> np.ndarray:
     # 1-based phrase starts: the sampled positions, after an unsampled
     # leading piece when the first sample is not position 1
-    if len(text) < params.q:
-        raise TextTooShort(f"text length {len(text)} < q={params.q}")
     if sampled is None:
         sampled = sampled_positions(text, params)
     starts = np.asarray(sampled.positions, dtype=np.int64)

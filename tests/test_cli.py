@@ -246,3 +246,33 @@ def test_bench_rejects_spasa_step_outside_text(corpus, capsys, step):
         str(step), "--m", "8", "--patterns", "20"])
     assert code == 1
     assert err == f"error: need 1 <= step <= 2000, got {step}\n"
+
+
+def test_bench_phrase_variant(corpus, tmp_path, capsys):
+    path, _ = corpus
+    argv = ["bench", "--text", str(path), "--variant",
+            "samsami,samsami2,samsami-hash,spasa,sa,phrase", "--q", "4",
+            "--p", "2", "--k", "2", "--step", "4", "--m", "8",
+            "--patterns", "40"]
+    code, stdout, err = _run(capsys, argv)
+    assert code == 0, err
+    rows = [line.split(",") for line in stdout.strip().split("\n")[1:]]
+    assert [row[0] for row in rows][-1] == "phrase"
+    assert len({row[-1] for row in rows}) == 1  # same matches_total
+    # phrase reports the bytes of the file phrase-build writes
+    out = tmp_path / "corpus.phr"
+    _run(capsys, ["phrase-build", "--text", str(path), "--q", "4", "--p", "2",
+                  "--out", str(out)])
+    assert rows[-1][7] == str(out.stat().st_size)
+    # and --index reads the phrase variant from that file when named
+    code, stdout, _ = _run(capsys, [
+        "bench", "--text", str(path), "--index", str(out), "--variant",
+        "samsami,phrase", "--m", "8", "--patterns", "40"])
+    assert code == 0
+    loaded = [line.split(",") for line in stdout.strip().split("\n")[1:]]
+    assert [row[0] for row in loaded] == ["samsami", "phrase"]
+    assert loaded[1][7] == rows[-1][7] and loaded[1][-1] == rows[-1][-1]
+    # below 2q-p+1 = 7 the phrase variant cannot answer
+    code, _, err = _run(capsys, argv[:-4] + ["--m", "6", "--patterns", "5"])
+    assert code == 1
+    assert "below the minimum 7 of phrase" in err

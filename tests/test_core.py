@@ -6,9 +6,10 @@ import pytest
 
 from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
                      TextTooShort, annotate, build, build_full_sa,
-                     build_table, count, locate, locate2, locate_hash,
-                     naive_locate, spasa_build, spasa_locate, suffix_range,
-                     window_minimizer)
+                     build_table, count, encode_text, locate, locate2,
+                     locate_hash, naive_locate, parse_phrases,
+                     sampled_positions, spasa_build, spasa_locate,
+                     suffix_range, window_minimizer)
 from samsami import core
 
 from helpers import brute_suffix_array, random_text
@@ -40,6 +41,15 @@ def test_build_once_upon():
 def test_build_too_short():
     with pytest.raises(TextTooShort):
         build(b"abc", SamplingParams(4, 2))
+
+
+def test_too_short_text_has_one_message():
+    # the index builder, the phrase encoder and the sampler reject a
+    # text shorter than q in one place, with one message
+    for fn in (build, encode_text, parse_phrases, sampled_positions):
+        with pytest.raises(TextTooShort) as err:
+            fn(bytes(2000), SamplingParams(3000, 2))
+        assert str(err.value) == "text length 2000 < window length q=3000"
 
 
 def test_suffix_range_examples(abra_index):

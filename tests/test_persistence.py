@@ -2,6 +2,8 @@ import hashlib
 import io
 import random
 import struct
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +12,13 @@ from hypothesis import strategies as st
 
 from samsami import (CorruptIndex, SamplingParams, SamsamiError, TextMismatch,
                      UnsupportedFormat, build_bundle, count, decode_text,
-                     encoded_locate, load, locate, locate2, locate_hash,
-                     naive_locate, save)
-from samsami.persistence import serialized_bytes
+                     encoded_locate, from_bundle, load, locate, locate2,
+                     locate_hash, naive_locate, save)
+from samsami.hashindex import fnv1a
+from samsami.persistence import IndexBundle, serialized_bytes
 from samsami.phrase import encode_id
 
-from helpers import random_text, reference_rebuild_positions
+from helpers import random_text, reference_rebuild_positions, reseal
 
 ABRA = b"abracadabra"
 P42 = SamplingParams(4, 2)
@@ -41,9 +44,12 @@ def test_header_layout():
     data = serialized_bytes(build_bundle(ABRA, P42))
     assert data[:4] == b"SSMI"
     version, flags, q, p, k = struct.unpack_from("<5I", data, 4)
-    n, n_sampled, _checksum = struct.unpack_from("<3Q", data, 24)
-    assert (version, flags, q, p, k) == (1, 0, 4, 2, 0)
+    n, n_sampled, crc, digest = struct.unpack_from("<QIIQ", data, 24)
+    assert (version, flags, q, p, k) == (2, 0, 4, 2, 0)
     assert (n, n_sampled) == (11, 4)
+    assert crc == zlib.crc32(data[:36] + data[40:])
+    assert digest.to_bytes(8, "little") == \
+        hashlib.blake2b(ABRA, digest_size=8).digest()
     offsets = struct.unpack_from("<4I", data, 48)
     assert offsets == (7, 0, 3, 5)  # positions 8,1,4,6 minus one
 
@@ -89,10 +95,7 @@ def test_rebuild_is_byte_identical():
         assert first == again
 
 
-def test_bundle_bytes_golden():
-    # The digest was recorded before the suffix sort and the phrase
-    # encoder were rewritten; any change to either that alters a single
-    # byte of an index file changes it.
+def _golden_bundle():
     rng = random.Random(2718)
     words = [b"def", b"return", b"self", b"    ", b"\n", b"import", b"(", b")",
              b":", b"x", b"value", b"for", b"in", b"range", b"=", b"+", b"1", b"0"]
@@ -100,11 +103,45 @@ def test_bundle_bytes_golden():
     while len(out) < 65536:
         out += rng.choice(words) + b" "
     text = bytes(out[:65536])
-    bundle = build_bundle(text, SamplingParams(8, 2), with_delta=True,
-                          hash_k=4, with_phrase=True)
-    digest = hashlib.sha256(serialized_bytes(bundle)).hexdigest()
-    assert digest == ("198bab637fd2c174ece0231cbe86a107"
-                      "910f94231e3ada33098e531baf8107c7")
+    return text, build_bundle(text, SamplingParams(8, 2), with_delta=True,
+                              hash_k=4, with_phrase=True)
+
+
+def _as_version_1(data: bytes, text: bytes) -> bytes:
+    """The version-1 file of the same bundle: n' widened to a u64 and
+    an FNV-1a of the text in place of the crc32 and the digest."""
+    flags, q, p, k = struct.unpack_from("<4I", data, 8)
+    n, n_sampled = struct.unpack_from("<QI", data, 24)
+    return struct.pack("<4s5I3Q", b"SSMI", 1, flags, q, p, k, n, n_sampled,
+                       fnv1a(text)) + data[48:]
+
+
+def test_bundle_bytes_golden():
+    # The version-1 digest was recorded before the suffix sort and the
+    # phrase encoder were rewritten, the version-2 one when the format
+    # changed; any change that alters a single byte of an index file
+    # changes them.
+    text, bundle = _golden_bundle()
+    data = serialized_bytes(bundle)
+    assert hashlib.sha256(data).hexdigest() == (
+        "b857ba7b5867f4e689b2ace0a5c06e56"
+        "3d759836cacc5a64c591939c8785520e")
+    old = _as_version_1(data, text)
+    assert hashlib.sha256(old).hexdigest() == (
+        "198bab637fd2c174ece0231cbe86a107"
+        "910f94231e3ada33098e531baf8107c7")
+    # a version-1 file still loads, and answers as the built bundle
+    back = load(io.BytesIO(old), text)
+    rng = random.Random(0x01D)
+    patterns = [text[i:i + m] for i, m in
+                ((rng.randrange(len(text) - 40), rng.randint(15, 40))
+                 for _ in range(50))] + [b"\xff" * 20]
+    for name in ("samsami", "samsami2", "samsami-hash", "phrase"):
+        built, loaded = from_bundle(bundle, name), from_bundle(back, name)
+        for pattern in patterns:
+            assert loaded.locate(pattern) == built.locate(pattern)
+    with pytest.raises(TextMismatch):
+        load(io.BytesIO(old), text[:-1] + b"\x00")
 
 
 def test_roundtrip_preserves_queries_across_variants():
@@ -182,18 +219,22 @@ def test_truncated_file_rejected():
 
 def test_truncated_sections_rejected():
     hashed = serialized_bytes(build_bundle(ABRA, P42, hash_k=2))
-    with pytest.raises(CorruptIndex):
-        load(io.BytesIO(hashed[:-5]), ABRA)
+    with pytest.raises(CorruptIndex, match="expected"):
+        load(io.BytesIO(reseal(hashed[:-5])), ABRA)
     phrased = serialized_bytes(build_bundle(ABRA, P42, with_phrase=True))
-    with pytest.raises(CorruptIndex):
-        load(io.BytesIO(phrased[:-1]), ABRA)
+    with pytest.raises(CorruptIndex, match="phrase stream"):
+        load(io.BytesIO(reseal(phrased[:-1])), ABRA)
 
 
 def test_position_past_text_end_rejected():
     data = bytearray(serialized_bytes(build_bundle(ABRA, P42)))
     struct.pack_into("<I", data, 48, 11)  # position 12 of an 11-byte text
-    with pytest.raises(CorruptIndex):
-        load(io.BytesIO(bytes(data)), ABRA)
+    with pytest.raises(CorruptIndex, match="beyond the end"):
+        load(io.BytesIO(reseal(data)), ABRA)
+    # the largest offset wraps to position 0 in the u32 array
+    struct.pack_into("<I", data, 48, 0xFFFFFFFF)
+    with pytest.raises(CorruptIndex, match="beyond the end"):
+        load(io.BytesIO(reseal(data)), ABRA)
 
 
 def test_text_mismatch_rejected():
@@ -216,8 +257,8 @@ def test_overfull_hash_table_rejected():
     slots = slots.reshape(8, 2).copy()
     slots[slots[:, 0] == 0xFFFFFFFF] = (0, 1)
     data[start:start + 64] = slots.astype("<u4").tobytes()
-    with pytest.raises(CorruptIndex):
-        load(io.BytesIO(bytes(data)), text)
+    with pytest.raises(CorruptIndex, match="load factor"):
+        load(io.BytesIO(reseal(data)), text)
 
 
 def _phrase_section_start(bundle):
@@ -233,7 +274,7 @@ def _with_phrase_section(bundle, phrases, stream):
     for ph in phrases:
         section += [struct.pack("<I", len(ph)), ph]
     section += [struct.pack("<Q", len(stream)), stream]
-    return data[:_phrase_section_start(bundle)] + b"".join(section)
+    return reseal(data[:_phrase_section_start(bundle)] + b"".join(section))
 
 
 def _phrase_bundle(seed=0x9AD, n=2000):
@@ -317,8 +358,8 @@ def test_phrase_count_beyond_section_rejected():
     text, bundle = _phrase_bundle()
     data = bytearray(serialized_bytes(bundle))
     struct.pack_into("<I", data, _phrase_section_start(bundle), 0xFFFFFFFF)
-    with pytest.raises(CorruptIndex):
-        load(io.BytesIO(bytes(data)), text)
+    with pytest.raises(CorruptIndex, match="exceeds the section"):
+        load(io.BytesIO(reseal(data)), text)
 
 
 _FUZZ_TEXT, _FUZZ_BUNDLE = _phrase_bundle(0xF022, 400)
@@ -336,7 +377,7 @@ def test_phrase_section_mutation_rejected_or_exact(edits):
     for at, value in edits:
         data[_FUZZ_START + at] = value
     try:
-        back = load(io.BytesIO(bytes(data)), _FUZZ_TEXT)
+        back = load(io.BytesIO(reseal(data)), _FUZZ_TEXT)
     except SamsamiError:
         return
     assert decode_text(back.dictionary, back.encoded) == _FUZZ_TEXT
@@ -344,3 +385,53 @@ def test_phrase_section_mutation_rejected_or_exact(edits):
         assert encoded_locate(back.dictionary, back.encoded, len(_FUZZ_TEXT),
                               pattern, _FUZZ_BUNDLE.index.params) == \
             naive_locate(_FUZZ_TEXT, pattern)
+
+
+def test_crc_mismatch_rejected():
+    data = bytearray(serialized_bytes(build_bundle(ABRA, P42, hash_k=2)))
+    data[-1] ^= 1
+    with pytest.raises(CorruptIndex, match="crc32"):
+        load(io.BytesIO(bytes(data)), ABRA)
+    # the text digest is checked first, so a wrong text still reads as one
+    with pytest.raises(TextMismatch):
+        load(io.BytesIO(bytes(data)), b"abracadabrX")
+    assert load(io.BytesIO(reseal(data)), ABRA).table is not None
+
+
+def test_writer_rejects_sampled_count_beyond_u32():
+    class Sized:
+        def __len__(self):
+            return 1 << 32
+
+    stub = SimpleNamespace(text=b"", params=P42, n=1 << 33, sa=Sized())
+    with pytest.raises(SamsamiError, match="u32"):
+        serialized_bytes(IndexBundle(index=stub))
+
+
+_WHOLE_TEXT = random_text(random.Random(0x3A7), 400, 4)
+_WHOLE_BUNDLE = build_bundle(_WHOLE_TEXT, SamplingParams(8, 2),
+                             with_delta=True, hash_k=3, with_phrase=True)
+_WHOLE_FILE = serialized_bytes(_WHOLE_BUNDLE)
+_WHOLE_NAMES = ("samsami", "samsami2", "samsami-hash", "phrase")
+_WHOLE_PATTERNS = [_WHOLE_TEXT[i:i + m] for m in (15, 22) for i in
+                   range(0, len(_WHOLE_TEXT) - m + 1, 20)] + [b"\xff" * 16]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.integers(0, len(_WHOLE_FILE) - 1),
+                          st.integers(0, 255)), min_size=1, max_size=3))
+def test_whole_file_mutation_rejected_or_exact(edits):
+    # no reseal: a mutated file must be caught by whichever check comes
+    # first, the header's own, the digest's or the crc32's
+    data = bytearray(_WHOLE_FILE)
+    for at, value in edits:
+        data[at] = value
+    try:
+        back = load(io.BytesIO(bytes(data)), _WHOLE_TEXT)
+    except SamsamiError:
+        return
+    for name in _WHOLE_NAMES:
+        variant = from_bundle(back, name)
+        for pattern in _WHOLE_PATTERNS:
+            assert variant.locate(pattern) == naive_locate(_WHOLE_TEXT,
+                                                           pattern)
