@@ -9,15 +9,11 @@ built on. All positions are 1-based; comparisons are unsigned bytewise.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParams, PatternTooShort, TextTooShort
-
-# Below this size the plain deque is faster than setting up numpy arrays.
-_VECTOR_MIN_N = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,53 +95,12 @@ def sampled_positions(text: bytes, params: SamplingParams) -> SampledPositions:
     q, p = params.q, params.p
     if n < q:
         raise TextTooShort(f"text length {n} < window length q={q}")
-    if n >= _VECTOR_MIN_N and p <= 8:
-        positions = _sampled_vectorized(text, q, p)
-    else:
-        positions = np.asarray(_sampled_deque(text, q, p), dtype=np.uint32)
-    return SampledPositions(positions=positions, n=n)
-
-
-def _sampled_deque(text: bytes, q: int, p: int) -> list[int]:
-    # Monotone candidate list: p-grams non-decreasing front to back, so the
-    # front is always the leftmost minimum of the live window. Equal grams
-    # are kept to preserve the leftmost tie-break.
-    out: list[int] = []
-    cand: deque[tuple[int, bytes]] = deque()
-    width = q - p
-    for g in range(1, len(text) - p + 2):
-        gram = text[g - 1:g - 1 + p]
-        while cand and cand[-1][1] > gram:
-            cand.pop()
-        cand.append((g, gram))
-        w = g - width
-        if w >= 1:
-            while cand[0][0] < w:
-                cand.popleft()
-            m = cand[0][0]
-            # minimizer positions are non-decreasing window to window
-            if not out or out[-1] != m:
-                out.append(m)
-    return out
-
-
-def _sampled_vectorized(text: bytes, q: int, p: int) -> np.ndarray:
-    # Pack each p-gram and its position into one uint64 so that the sliding
-    # minimum picks the leftmost smallest gram; block prefix/suffix minima
-    # give every window minimum in O(n) vectorized work.
+    # Pack each p-gram's rank and its position into one uint64 so that the
+    # sliding minimum picks the leftmost smallest gram; block prefix/suffix
+    # minima give every window minimum in O(n) vectorized work.
     arr = np.frombuffer(text, dtype=np.uint8).astype(np.uint64)
-    ngrams = len(text) - p + 1
-    if p <= 4:
-        keys = np.zeros(ngrams, dtype=np.uint64)
-        for t in range(p):
-            keys = (keys << np.uint64(8)) | arr[t:t + ngrams]
-    else:
-        raw = np.zeros(ngrams, dtype=np.uint64)
-        for t in range(p):
-            raw = (raw << np.uint64(8)) | arr[t:t + ngrams]
-        # p-grams of 5..8 bytes fill the word; rank-compress to make room
-        _, keys = np.unique(raw, return_inverse=True)
-        keys = keys.astype(np.uint64)
+    ngrams = n - p + 1
+    keys = _gram_keys(arr, p, ngrams)
     packed = (keys << np.uint64(32)) | np.arange(ngrams, dtype=np.uint64)
 
     window = q - p + 1
@@ -159,7 +114,29 @@ def _sampled_vectorized(text: bytes, q: int, p: int) -> np.ndarray:
     nwin = ngrams - window + 1
     mins = np.minimum(right[:nwin], left[window - 1:window - 1 + nwin])
     positions = np.unique(mins & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    return positions + np.uint32(1)
+    return SampledPositions(positions=positions + np.uint32(1), n=n)
+
+
+def _gram_keys(arr: np.ndarray, p: int, count: int) -> np.ndarray:
+    # Keys below 2**32, ordered as the p-grams that start at arr[0..count)
+    # compare bytewise. Each 8-byte chunk of a gram is packed into one
+    # word, last chunk first; a chunk's key is its packed bytes when the
+    # whole gram fits 4 bytes, else the rank of its word combined with
+    # the key of the chunks after it, which np.unique ranks again.
+    keys = None
+    for at in reversed(range(0, p, 8)):
+        chunk = np.zeros(count, dtype=np.uint64)
+        for t in range(at, min(at + 8, p)):
+            chunk = (chunk << np.uint64(8)) | arr[t:t + count]
+        if keys is not None:
+            chunk = (_ranks(chunk) << np.uint64(32)) | keys
+        keys = chunk if p <= 4 else _ranks(chunk)
+    return keys
+
+
+def _ranks(words: np.ndarray) -> np.ndarray:
+    # dense 0-based rank of each word among the distinct words
+    return np.unique(words, return_inverse=True)[1].astype(np.uint64)
 
 
 def prune_mask(pattern: bytes, params: SamplingParams,

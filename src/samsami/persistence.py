@@ -1,6 +1,7 @@
 """Index file serialization.
 
-Layout of version 2, which the writer emits (all integers little-endian):
+Layout of version 2, the one version written and read (all integers
+little-endian):
 
     magic   4 bytes  "SSMI"
     version u32      2
@@ -17,9 +18,9 @@ Layout of version 2, which the writer emits (all integers little-endian):
     [phrase] phrase count u32, then per phrase length u32 + raw bytes in
             id order, then stream length u64 + stream bytes
 
-Version 1 still loads. Its header is as long: n' is a u64, and the
-crc32 and digest give way to an FNV-1a of the text, the only check it
-carries. The sections are the same in both.
+Version 1, whose only check was an FNV-1a of the text, is rejected
+with UnsupportedFormat: since loading needs the text, rebuilding the
+index from it replaces such a file.
 
 Loading requires the original text (digest-verified); a rebuilt index
 over the same text and params serializes to identical bytes.
@@ -38,7 +39,7 @@ import numpy as np
 from .core import SamsamiIndex, build
 from .delta import MAX_DELTA_TEXT, DeltaAnnotation, annotate
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
-from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table, fnv1a
+from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table
 from .minimizer import SampledPositions, SamplingParams
 from .phrase import (EncodedText, PhraseDictionary, codeword_table,
                      encode_text, rebuild_positions)
@@ -50,14 +51,13 @@ FLAG_HASH = 2
 FLAG_PHRASE = 4
 
 _HEADER = struct.Struct("<4s5IQIIQ")
-_HEADER_V1 = struct.Struct("<4s5I3Q")
-_CRC_AT = 36  # offset of the crc32 field in the version-2 header
+_CRC_AT = 36  # offset of the crc32 field in the header
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 
 def text_checksum(text: bytes) -> int:
-    """The version-2 header's digest of the text."""
+    """The header's digest of the text."""
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(),
                           "little")
 
@@ -181,21 +181,18 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
     magic, version = struct.unpack_from("<4sI", data)
     if magic != MAGIC:
         raise UnsupportedFormat(f"bad magic {magic!r}")
-    if version == VERSION:
-        (_, _, flags, q, p, k, n, n_sampled, crc,
-         checksum) = _HEADER.unpack_from(data)
-    elif version == 1:
-        _, _, flags, q, p, k, n, n_sampled, checksum = _HEADER_V1.unpack_from(data)
-    else:
-        raise UnsupportedFormat(f"unsupported version {version}")
+    if version != VERSION:
+        raise UnsupportedFormat(f"unsupported version {version}; rebuild "
+                                "the index from its text")
+    (_, _, flags, q, p, k, n, n_sampled, crc,
+     checksum) = _HEADER.unpack_from(data)
     if flags & ~(FLAG_DELTA | FLAG_HASH | FLAG_PHRASE):
         raise UnsupportedFormat(f"unknown flag bits in {flags:#x}")
     if n != len(text):
         raise TextMismatch(f"index built over {n} bytes, text has {len(text)}")
-    expected = text_checksum(text) if version == VERSION else fnv1a(text)
-    if checksum != expected:
+    if checksum != text_checksum(text):
         raise TextMismatch("text checksum does not match the index header")
-    if version == VERSION and crc != _file_crc(data):
+    if crc != _file_crc(data):
         raise CorruptIndex("file crc32 does not match the header")
     try:
         params = SamplingParams(q, p)

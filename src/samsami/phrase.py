@@ -8,10 +8,13 @@ byte), which is prefix-free, so a concatenation of codewords matched at
 a phrase-aligned stream offset pins down the underlying phrase sequence
 exactly.
 
-Searching parses the pattern the same way, encodes the phrases that are
-guaranteed stable under any text alignment, binary searches the codeword
-string over phrase-aligned stream suffixes, and verifies the uncovered
-pattern prefix and tail by decoding the neighboring phrases.
+Searching parses the pattern the same way and keeps the boundaries that
+are guaranteed stable under any text alignment. With two or more, the
+phrases between them give one codeword string; with one, each phrase
+the text could place at it gives a codeword of its own. Each string is
+binary searched over phrase-aligned stream suffixes, and the uncovered
+pattern prefix and tail are verified by decoding the neighboring
+phrases. No query walks every phrase.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _prefix_range
+from .core import QueryStats, _prefix_range
 from .errors import CorruptEncoding, PatternTooShort
-from .minimizer import SampledPositions, SamplingParams, sampled_positions
+from .minimizer import (SampledPositions, SamplingParams, sampled_positions,
+                        window_minimizer)
 from .suffix_sort import build_full_sa
 
 
@@ -235,9 +239,9 @@ def _stable_boundaries(pattern: bytes, params: SamplingParams) -> list[int]:
     # the same way only left of m-q+2: beyond that, text windows hanging
     # over the occurrence's right edge may insert extra cuts the pattern
     # cannot see. These are the pattern's sampled positions up to that
-    # cutoff, found with the sliding-window minimum of _sampled_deque
-    # over p-grams sliced up front; since window minimizers never move
-    # left, the scan stops at the first one past the cutoff.
+    # cutoff, found with a monotone-stack sliding-window minimum over
+    # p-grams sliced up front; since window minimizers never move left,
+    # the scan stops at the first one past the cutoff.
     q, p = params.q, params.p
     m = len(pattern)
     cutoff = m - q + 2
@@ -266,8 +270,14 @@ def min_pattern_length(params: SamplingParams) -> int:
 
 
 def encoded_locate(dictionary: PhraseDictionary, encoded: EncodedText,
-                   n: int, pattern: bytes, params: SamplingParams) -> list[int]:
-    """All occurrences of pattern, m >= 2q-p+1, via the encoded stream."""
+                   n: int, pattern: bytes, params: SamplingParams,
+                   stats: QueryStats | None = None) -> list[int]:
+    """All occurrences of pattern, m >= 2q-p+1, via the encoded stream.
+
+    stats, when given, gains the size of the codeword ranges searched
+    (candidates) and the candidates checked by decoding
+    (text_verifications).
+    """
     m = len(pattern)
     need = min_pattern_length(params)
     if m < need:
@@ -275,47 +285,59 @@ def encoded_locate(dictionary: PhraseDictionary, encoded: EncodedText,
     stable = _stable_boundaries(pattern, params)
     j1 = stable[0]
     if len(stable) >= 2:
-        return _locate_by_codewords(dictionary, encoded, n, pattern, stable)
-    # No complete stable phrase: every sampled position is a candidate
-    # alignment for the single boundary, verified purely by decoding.
-    phrases, ids = dictionary.phrases, encoded.id_view
-    out = []
-    for pi, pos in enumerate(encoded.position_view):
-        start = pos - j1 + 1
-        if start < 1 or start + m - 1 > n:
-            continue
-        if _match_backward(phrases, ids, pi, pattern, j1 - 1) and \
-           _match_forward(phrases, ids, pi, pattern, j1 - 1):
-            out.append(start)
-    return out
+        codewords = bytearray()
+        for a, b in zip(stable, stable[1:]):
+            pid = dictionary.ids.get(pattern[a - 1:b - 1])
+            if pid is None:
+                return []  # a phrase absent from the text cannot occur in it
+            codewords += dictionary.codewords[pid]
+        searches = [(bytes(codewords), len(stable) - 1, stable[-1])]
+    else:
+        # One stable boundary. Inside an occurrence the text samples
+        # nothing in (j1, m-q+2] either, and it samples the minimizer
+        # of the pattern window that starts after j1. So the text
+        # phrase at j1 is pattern[j1-1:e-1] for an e between the two,
+        # and each such phrase the dictionary holds is one codeword
+        # string to search.
+        q, p = params.q, params.p
+        last = j1 + window_minimizer(pattern[j1:j1 + q], p)
+        searches = []
+        for e in range(m - q + 3, last + 1):
+            pid = dictionary.ids.get(pattern[j1 - 1:e - 1])
+            if pid is not None:
+                searches.append((dictionary.codewords[pid], 1, e))
+    return _locate_by_codewords(dictionary, encoded, n, pattern, j1,
+                                searches, stats)
 
 
-def _locate_by_codewords(dictionary, encoded, n, pattern, stable):
+def _locate_by_codewords(dictionary, encoded, n, pattern, j1, searches,
+                         stats):
+    # Each search is (codeword string, phrases it covers, the 1-based
+    # pattern offset the last of them ends before); its hits are
+    # phrase-aligned stream suffixes that the string prefixes, with the
+    # first of its phrases placed at pattern offset j1.
     m = len(pattern)
-    j1, jend = stable[0], stable[-1]
-    codeword_str = bytearray()
-    for a, b in zip(stable, stable[1:]):
-        pid = dictionary.ids.get(pattern[a - 1:b - 1])
-        if pid is None:
-            return []  # a phrase absent from the text cannot occur in it
-        codeword_str += dictionary.codewords[pid]
-    codeword_str = bytes(codeword_str)
-    k_phrases = len(stable) - 1
-
     order = encoded.suffix_order()
-    lo, hi = _prefix_range(encoded.stream, encoded._ordered_starts, 0,
-                           len(order), codeword_str)
-
     phrases, ids, positions = (dictionary.phrases, encoded.id_view,
                                encoded.position_view)
     out = []
-    for pi in order[lo:hi].tolist():
-        start = positions[pi] - j1 + 1
-        if start < 1 or start + m - 1 > n:
-            continue
-        if _match_backward(phrases, ids, pi, pattern, j1 - 1) and \
-           _match_forward(phrases, ids, pi + k_phrases, pattern, jend - 1):
-            out.append(start)
+    total = skipped = 0
+    for codewords, covered, reached in searches:
+        lo, hi = _prefix_range(encoded.stream, encoded._ordered_starts, 0,
+                               len(order), codewords)
+        total += hi - lo
+        for pi in order[lo:hi].tolist():
+            start = positions[pi] - j1 + 1
+            if start < 1 or start + m - 1 > n:
+                skipped += 1
+                continue
+            if _match_backward(phrases, ids, pi, pattern, j1 - 1) and \
+               _match_forward(phrases, ids, pi + covered, pattern,
+                              reached - 1):
+                out.append(start)
+    if stats is not None:
+        stats.candidates += total
+        stats.text_verifications += total - skipped
     out.sort()
     return out
 

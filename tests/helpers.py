@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 import struct
 import zlib
+from collections import deque
 
 import numpy as np
 
@@ -48,6 +49,33 @@ def brute_sampled(text: bytes, q: int, p: int) -> list[int]:
                 best = g
         picked.add(best)
     return sorted(picked)
+
+
+def reference_sampled(text: bytes, q: int, p: int) -> list[int]:
+    """Reference for minimizer.sampled_positions: a sliding-window
+    minimum over the p-grams with a monotone deque, O(n*p).
+
+    The deque keeps p-grams non-decreasing front to back, so its front
+    is the leftmost minimum of the live window; equal grams are kept to
+    preserve the leftmost tie-break.
+    """
+    out: list[int] = []
+    cand: deque[tuple[int, bytes]] = deque()
+    width = q - p
+    for g in range(1, len(text) - p + 2):
+        gram = text[g - 1:g - 1 + p]
+        while cand and cand[-1][1] > gram:
+            cand.pop()
+        cand.append((g, gram))
+        w = g - width
+        if w >= 1:
+            while cand[0][0] < w:
+                cand.popleft()
+            m = cand[0][0]
+            # minimizer positions are non-decreasing window to window
+            if not out or out[-1] != m:
+                out.append(m)
+    return out
 
 
 def brute_suffix_array(text: bytes) -> list[int]:

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from samsami import (InvalidParams, PatternTooShort, SamplingParams,
                      TextTooShort, prune_mask, sampled_positions,
                      window_minimizer)
-from samsami.minimizer import _sampled_deque, _sampled_vectorized
 
 from helpers import (brute_minimizer, brute_sampled, random_text,
-                     reference_window_minimizer)
+                     reference_sampled, reference_window_minimizer)
 
 
 def test_params_validation():
@@ -139,21 +138,35 @@ def test_sampled_positions_determinism_across_equal_windows():
 
 def test_vectorized_path_agrees_with_deque():
     rng = random.Random(123)
-    for alphabet, p in [(2, 1), (4, 2), (26, 3), (256, 5), (4, 8)]:
+    # past p = 8 grams are ranked by 8-byte chunks; the unary and binary
+    # texts make many grams share their first chunk
+    for alphabet, p in [(2, 1), (4, 2), (26, 3), (256, 5), (4, 8), (1, 12),
+                        (2, 9), (4, 16), (26, 17)]:
         text = random_text(rng, 20000, alphabet)
-        for q in (p, p + 3, 12):
+        for q in (p, p + 3, 12, 2 * p + 5):
             if q < p:
                 continue
-            fast = _sampled_vectorized(text, q, p)
-            slow = _sampled_deque(text, q, p)
-            assert list(fast) == slow
+            fast = sampled_positions(text, SamplingParams(q, p)).positions
+            assert list(fast) == reference_sampled(text, q, p)
 
 
 def test_vectorized_path_is_used_for_large_text():
     rng = random.Random(5)
     text = random_text(rng, 20000, 4)
     got = sampled_positions(text, SamplingParams(8, 2))
-    assert list(got.positions) == _sampled_deque(text, 8, 2)
+    assert list(got.positions) == reference_sampled(text, 8, 2)
+
+
+def test_sampled_positions_text_of_one_window():
+    # n = q: one window, one sample, at every p including p > 8
+    rng = random.Random(0x0E1)
+    for _ in range(200):
+        q = rng.randint(1, 24)
+        p = rng.randint(1, q)
+        text = random_text(rng, q, rng.choice([1, 2, 4, 256]))
+        got = sampled_positions(text, SamplingParams(q, p))
+        assert list(got.positions) == reference_sampled(text, q, p)
+        assert len(got) == 1
 
 
 def test_prune_mask_paper_example():

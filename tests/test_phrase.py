@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from samsami import (CorruptEncoding, EncodedText, PatternTooShort,
-                     SamplingParams, TextTooShort, decode_text, encode_text,
-                     encoded_locate, naive_locate, parse_phrases,
-                     sampled_positions)
+                     QueryStats, SamplingParams, TextTooShort, decode_text,
+                     encode_text, encoded_locate, naive_locate,
+                     parse_phrases, sampled_positions)
 from samsami.phrase import (PhraseDictionary, _stable_boundaries,
                             codeword_table, decode_ids, encode_id,
                             rebuild_positions)
@@ -176,7 +176,8 @@ def test_encoded_locate_too_short():
 
 def test_encoded_locate_sparse_boundary_fallback():
     # "dcbadcba" parses to boundaries {4, 8}; only 4 is stable at m = 8,
-    # leaving no complete phrase to encode
+    # leaving no complete phrase to encode: the phrase at 4 is searched
+    # under each length it can have
     params = SamplingParams(4, 1)
     text = b"xxdcbadcbaxx"
     dictionary, encoded = encode_text(text, params)
@@ -224,6 +225,75 @@ def test_encoded_locate_matches_naive_randomized():
             expect = naive_locate(text, pattern)
             got = encoded_locate(dictionary, encoded, n, pattern, params)
             assert got == expect, (text, pattern, q, p)
+            stats = QueryStats()
+            assert encoded_locate(dictionary, encoded, n, pattern, params,
+                                  stats) == expect
+            assert len(expect) <= stats.text_verifications <= stats.candidates
+
+
+def _one_boundary_cases(rng, text, params, tries):
+    # patterns of 2q-p+1 <= m < 3q-2p with a single stable boundary:
+    # cut from the text (at its first and last start among others), cut
+    # and altered, or random over 4 letters, which unary texts lack
+    q, p = params.q, params.p
+    n = len(text)
+    out = []
+    for t in range(tries):
+        m = rng.randint(2 * q - p + 1, min(n, 3 * q - 2 * p - 1))
+        i = (1, n - m + 1, rng.randint(1, n - m + 1))[t % 3]
+        pattern = bytearray(text[i - 1:i - 1 + m])
+        if t % 5 == 3:
+            pattern[rng.randrange(m)] = rng.randrange(4)
+        elif t % 5 == 4:
+            pattern = random_text(rng, m, 4)
+        pattern = bytes(pattern)
+        if len(_stable_boundaries(pattern, params)) == 1:
+            out.append(pattern)
+    return out
+
+
+def test_one_boundary_patterns_match_naive():
+    rng = random.Random(0x1B0D)
+    seen = {"first": 0, "last": 0, "absent": 0}
+    cases = 0
+    for _ in range(300):
+        alphabet = rng.choice([1, 2, 4, 26])
+        q = rng.randint(3, 11)
+        p = rng.randint(1, q - 2)  # one boundary needs 2q-p+1 < 3q-2p
+        n = rng.randint(3 * q, 300)
+        text = random_text(rng, n, alphabet)
+        params = SamplingParams(q, p)
+        dictionary, encoded = encode_text(text, params)
+        for pattern in _one_boundary_cases(rng, text, params, 24):
+            expect = naive_locate(text, pattern)
+            got = encoded_locate(dictionary, encoded, n, pattern, params)
+            assert got == expect, (text, pattern, q, p)
+            cases += 1
+            seen["first"] += expect[:1] == [1]
+            seen["last"] += expect[-1:] == [n - len(pattern) + 1]
+            seen["absent"] += not expect
+    assert cases > 300 and min(seen.values()) > 20, (cases, seen)
+
+
+def test_one_boundary_search_reads_no_scan():
+    # the one-boundary path searches a few codewords: its candidate
+    # ranges stay far below the phrase count a scan would walk
+    rng = random.Random(0x5CA)
+    text = random_text(rng, 40000, 4)
+    params = SamplingParams(12, 2)
+    dictionary, encoded = encode_text(text, params)
+    patterns = _one_boundary_cases(rng, text, params, 600)
+    assert len(patterns) > 30
+    worst = 0
+    for pattern in patterns:
+        stats = QueryStats()
+        got = encoded_locate(dictionary, encoded, len(text), pattern, params,
+                             stats)
+        assert got == naive_locate(text, pattern)
+        assert len(got) <= stats.text_verifications <= stats.candidates
+        assert stats.pruned == 0
+        worst = max(worst, stats.candidates)
+    assert worst * 20 < encoded.phrase_count, (worst, encoded.phrase_count)
 
 
 def test_codeword_table_matches_encode_id():
