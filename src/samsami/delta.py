@@ -18,8 +18,9 @@ from .core import QueryStats, SamsamiIndex, _anchor_range, _verify_candidates
 from .errors import TextTooLargeForDeltaVariant
 from .minimizer import prune_mask
 
-MAX_DELTA_TEXT = 1 << 28
-_POS_MASK = (1 << 28) - 1
+DELTA_SHIFT = 28  # the nibble sits above this many position bits
+MAX_DELTA_TEXT = 1 << DELTA_SHIFT
+POS_MASK = MAX_DELTA_TEXT - 1
 
 
 @dataclass(eq=False)
@@ -52,12 +53,12 @@ def pack(position: int, delta: int) -> int:
         raise ValueError(f"position {position} out of packed range")
     if not 0 <= delta <= 15:
         raise ValueError(f"delta {delta} does not fit 4 bits")
-    return (delta << 28) | (position - 1)
+    return (delta << DELTA_SHIFT) | (position - 1)
 
 
 def unpack(offset: int) -> tuple[int, int]:
     """Inverse of pack: (position, delta)."""
-    return (offset & _POS_MASK) + 1, offset >> 28
+    return (offset & POS_MASK) + 1, offset >> DELTA_SHIFT
 
 
 def locate2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,

@@ -18,7 +18,7 @@ import numpy as np
 from .core import (MatchRange, QueryStats, SamsamiIndex, _prefix_range,
                    _verify_candidates)
 from .errors import InvalidParams, PatternTooShort
-from .minimizer import window_minimizer
+from .minimizer import _gram_keys, window_minimizer
 
 FNV_OFFSET = 14695981039346656037
 FNV_PRIME = 1099511628211
@@ -60,36 +60,32 @@ def build_table(idx: SamsamiIndex, k: int) -> PrefixRangeTable:
     if k < 1:
         raise InvalidParams(f"prefix length k must be >= 1, got {k}")
     text, sa, n = idx.text, idx.sa, idx.n
-    groups: list[tuple[bytes, int, int]] = []
-    run_key = None
-    run_lo = 0
-    for r in range(len(sa)):
-        pos = int(sa[r])
-        if n - pos + 1 < k:
-            if run_key is not None:
-                groups.append((run_key, run_lo, r))
-                run_key = None
-            continue
-        key = text[pos - 1:pos - 1 + k]
-        if key != run_key:
-            if run_key is not None:
-                groups.append((run_key, run_lo, r))
-            run_key = key
-            run_lo = r
-    if run_key is not None:
-        groups.append((run_key, run_lo, len(sa)))
+    # ranks of the sampled suffixes with at least k bytes, and the rank of
+    # each one's k-byte prefix among all k-grams of the text
+    ranks = np.flatnonzero(sa <= n - k + 1)
+    head = np.ones(len(ranks), dtype=bool)
+    if len(ranks):
+        keys = _gram_keys(text, k, n - k + 1)[sa[ranks] - 1]
+        # a group starts where the prefix changes; no shorter suffix lies
+        # inside a group, since one between two suffixes that share k
+        # bytes would share them too
+        head[1:] = keys[1:] != keys[:-1]
+    los = ranks[head]
+    # each group ends just before the next head, the last at the last rank
+    his = ranks[np.roll(head, -1)] + 1
 
     capacity = 2
-    while capacity < 2 * len(groups):
+    while capacity < 2 * len(los):
         capacity *= 2
-    slots = np.full((capacity, 2), EMPTY_SLOT, dtype=np.uint32)
     mask = capacity - 1
-    for key, lo, hi in groups:
-        slot = fnv1a(key) & mask
-        while slots[slot, 0] != EMPTY_SLOT:
+    flat = [EMPTY_SLOT] * (2 * capacity)  # lo of slot i at 2i, hi at 2i+1
+    for lo, hi, at in zip(los.tolist(), his.tolist(), (sa[los] - 1).tolist()):
+        slot = fnv1a(text[at:at + k]) & mask
+        while flat[2 * slot] != EMPTY_SLOT:
             slot = (slot + 1) & mask
-        slots[slot, 0] = lo
-        slots[slot, 1] = hi
+        flat[2 * slot] = lo
+        flat[2 * slot + 1] = hi
+    slots = np.array(flat, dtype=np.uint32).reshape(capacity, 2)
     return PrefixRangeTable(k=k, capacity=capacity, slots=slots)
 
 

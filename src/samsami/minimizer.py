@@ -98,9 +98,8 @@ def sampled_positions(text: bytes, params: SamplingParams) -> SampledPositions:
     # Pack each p-gram's rank and its position into one uint64 so that the
     # sliding minimum picks the leftmost smallest gram; block prefix/suffix
     # minima give every window minimum in O(n) vectorized work.
-    arr = np.frombuffer(text, dtype=np.uint8).astype(np.uint64)
     ngrams = n - p + 1
-    keys = _gram_keys(arr, p, ngrams)
+    keys = _gram_keys(text, p, ngrams)
     packed = (keys << np.uint64(32)) | np.arange(ngrams, dtype=np.uint64)
 
     window = q - p + 1
@@ -117,20 +116,27 @@ def sampled_positions(text: bytes, params: SamplingParams) -> SampledPositions:
     return SampledPositions(positions=positions + np.uint32(1), n=n)
 
 
-def _gram_keys(arr: np.ndarray, p: int, count: int) -> np.ndarray:
-    # Keys below 2**32, ordered as the p-grams that start at arr[0..count)
-    # compare bytewise. Each 8-byte chunk of a gram is packed into one
-    # word, last chunk first; a chunk's key is its packed bytes when the
-    # whole gram fits 4 bytes, else the rank of its word combined with
-    # the key of the chunks after it, which np.unique ranks again.
-    keys = None
-    for at in reversed(range(0, p, 8)):
-        chunk = np.zeros(count, dtype=np.uint64)
-        for t in range(at, min(at + 8, p)):
-            chunk = (chunk << np.uint64(8)) | arr[t:t + count]
-        if keys is not None:
-            chunk = (_ranks(chunk) << np.uint64(32)) | keys
-        keys = chunk if p <= 4 else _ranks(chunk)
+def _gram_keys(text: bytes, p: int, count: int) -> np.ndarray:
+    # Keys below 2**32, ordered and tied as the p-grams that start at
+    # text[0..count) compare bytewise (count + p - 1 <= len(text)). The
+    # first min(p, 8) bytes of each gram are packed into one word: the
+    # packed bytes are the key when p <= 4, else their dense rank. Longer
+    # grams are ranked by doubling (Karp, Miller and Rosenberg): for
+    # s <= h the h-grams at i and i+s cover the (h+s)-gram at i, so the
+    # rank of their pair of keys orders it.
+    arr = np.frombuffer(text, dtype=np.uint8).astype(np.uint64)
+    h = min(p, 8)
+    total = count + p - h  # h-grams whose keys the doubling reads
+    keys = np.zeros(total, dtype=np.uint64)
+    for t in range(h):
+        keys = (keys << np.uint64(8)) | arr[t:t + total]
+    if p > 4:
+        keys = _ranks(keys)
+    while h < p:
+        s = min(h, p - h)
+        total -= s
+        keys = _ranks((keys[:total] << np.uint64(32)) | keys[s:s + total])
+        h += s
     return keys
 
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SamsamiIndex, build
-from .delta import MAX_DELTA_TEXT, DeltaAnnotation, annotate
+from .delta import (DELTA_SHIFT, MAX_DELTA_TEXT, POS_MASK, DeltaAnnotation,
+                    annotate)
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table
 from .minimizer import SampledPositions, SamplingParams
@@ -140,7 +141,8 @@ def _write(bundle: IndexBundle, fh) -> int:
 
     offsets = idx.sa.astype(np.uint32) - np.uint32(1)
     if bundle.delta is not None:
-        offsets = offsets | (bundle.delta.delta.astype(np.uint32) << np.uint32(28))
+        nibbles = bundle.delta.delta.astype(np.uint32)
+        offsets = offsets | (nibbles << np.uint32(DELTA_SHIFT))
     data += offsets.astype("<u4").tobytes()
 
     if bundle.table is not None:
@@ -200,14 +202,18 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         raise CorruptIndex(f"invalid sampling params in header: {exc}") from exc
     if flags & FLAG_DELTA and n > MAX_DELTA_TEXT:
         raise CorruptIndex("delta flag set but text exceeds the packed limit")
+    if flags & FLAG_HASH and k < 1:
+        raise CorruptIndex(f"hash flag set but prefix length k={k}")
+    if not flags & FLAG_HASH and k:
+        raise CorruptIndex(f"prefix length k={k} but no hash flag")
 
     at = _HEADER.size
     _need(data, at, 4 * n_sampled)
     packed = np.frombuffer(data, dtype="<u4", count=n_sampled, offset=at)
     at += 4 * n_sampled
     if flags & FLAG_DELTA:
-        positions = (packed & np.uint32((1 << 28) - 1)) + np.uint32(1)
-        nibbles = (packed >> np.uint32(28)).astype(np.uint8)
+        positions = (packed & np.uint32(POS_MASK)) + np.uint32(1)
+        nibbles = (packed >> np.uint32(DELTA_SHIFT)).astype(np.uint8)
     else:
         # offset 0xFFFFFFFF wraps to position 0
         positions = packed + np.uint32(1)
@@ -232,8 +238,11 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         slots = slots.reshape(capacity, 2).copy()
         at += 8 * capacity
         used = slots[:, 0] != EMPTY_SLOT
-        if (slots[used] > n_sampled).any():
+        lo, hi = slots[used].T
+        if (hi > n_sampled).any():
             raise CorruptIndex("hash range beyond the sampled array")
+        if (lo >= hi).any():
+            raise CorruptIndex("hash range with lo >= hi")
         # linear probing ends only at an empty slot; the builder keeps
         # the load factor at or below one half
         occupied = int(np.count_nonzero(used))

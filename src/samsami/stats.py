@@ -7,8 +7,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InvalidParams
-from .minimizer import SamplingParams, sampled_positions
-from .suffix_sort import build_full_sa
+from .minimizer import SamplingParams, _gram_keys, sampled_positions
 
 
 def sampling_ratio(text: bytes, params: SamplingParams) -> float:
@@ -22,26 +21,9 @@ def distinct_qgrams(text: bytes, q: int) -> int:
     n = len(text)
     if not 1 <= q <= n:
         raise InvalidParams(f"need 1 <= q <= {n}, got {q}")
-    if q <= 8:
-        # pack each gram into a uint64; sorting those is far cheaper than
-        # a suffix array at corpus scale
-        arr = np.frombuffer(text, dtype=np.uint8).astype(np.uint64)
-        keys = np.zeros(n - q + 1, dtype=np.uint64)
-        for t in range(q):
-            keys = (keys << np.uint64(8)) | arr[t:t + n - q + 1]
-        return int(np.unique(keys).size)
-    sa = build_full_sa(text).sa
-    total = 0
-    prev = None
-    for pos in sa:
-        pos = int(pos)
-        if pos > n - q + 1:
-            continue
-        gram = text[pos - 1:pos - 1 + q]
-        if gram != prev:
-            total += 1
-            prev = gram
-    return total
+    keys = _gram_keys(text, q, n - q + 1)
+    # up to 4 bytes the keys are the packed grams, beyond that dense ranks
+    return int(np.unique(keys).size if q <= 4 else keys.max() + 1)
 
 
 def sampling_report(text: bytes, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple]:

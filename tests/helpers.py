@@ -78,6 +78,63 @@ def reference_sampled(text: bytes, q: int, p: int) -> list[int]:
     return out
 
 
+def reference_gram_keys(text: bytes, p: int, count: int) -> np.ndarray:
+    """Reference for minimizer._gram_keys: 8-byte chunks, last first.
+
+    Each chunk of a gram is packed into one word; its key is the packed
+    bytes when the whole gram fits 4 bytes, else the dense rank of its
+    word combined with the key of the chunks after it, ranked again.
+    """
+    def ranks(words):
+        return np.unique(words, return_inverse=True)[1].astype(np.uint64)
+
+    arr = np.frombuffer(text, dtype=np.uint8).astype(np.uint64)
+    keys = None
+    for at in reversed(range(0, p, 8)):
+        chunk = np.zeros(count, dtype=np.uint64)
+        for t in range(at, min(at + 8, p)):
+            chunk = (chunk << np.uint64(8)) | arr[t:t + count]
+        if keys is not None:
+            chunk = (ranks(chunk) << np.uint64(32)) | keys
+        keys = chunk if p <= 4 else ranks(chunk)
+    return keys
+
+
+def reference_build_table(text: bytes, sa, k: int) -> np.ndarray:
+    """Reference for hashindex.build_table's slots: one pass over the
+    sampled suffixes in rank order, cutting a group wherever the k-byte
+    prefix changes or a suffix shorter than k bytes intervenes, then
+    each group hashed (64-bit FNV-1a) and linearly probed into a table
+    of the smallest power-of-two capacity >= 2 with load factor <= 0.5.
+    """
+    n = len(text)
+    groups = []
+    run_key = None
+    run_lo = 0
+    for r, pos in enumerate(int(v) for v in sa):
+        key = text[pos - 1:pos - 1 + k] if n - pos + 1 >= k else None
+        if key != run_key:
+            if run_key is not None:
+                groups.append((run_key, run_lo, r))
+            run_key, run_lo = key, r
+    if run_key is not None:
+        groups.append((run_key, run_lo, len(sa)))
+
+    capacity = 2
+    while capacity < 2 * len(groups):
+        capacity *= 2
+    slots = np.full((capacity, 2), 0xFFFFFFFF, dtype=np.uint32)
+    for key, lo, hi in groups:
+        h = 14695981039346656037
+        for b in key:
+            h = ((h ^ b) * 1099511628211) % (1 << 64)
+        slot = h % capacity
+        while slots[slot, 0] != 0xFFFFFFFF:
+            slot = (slot + 1) % capacity
+        slots[slot] = lo, hi
+    return slots
+
+
 def brute_suffix_array(text: bytes) -> list[int]:
     """Comparison sort of all suffixes (implicit smallest sentinel)."""
     return sorted(range(1, len(text) + 1), key=lambda i: text[i - 1:])

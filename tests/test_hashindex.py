@@ -7,7 +7,7 @@ from samsami import (InvalidParams, PatternTooShort, SamplingParams, build,
                      min_pattern_length, naive_locate)
 from samsami.hashindex import EMPTY_SLOT, fnv1a
 
-from helpers import random_text
+from helpers import random_text, reference_build_table
 
 
 def _slow_fnv1a(data):
@@ -140,3 +140,23 @@ def test_locate_hash_equals_locate_randomized():
             expect = naive_locate(text, pattern)
             assert locate_hash(idx, table, pattern) == expect
             assert locate(idx, pattern) == expect
+
+
+def test_build_table_matches_reference_loop():
+    # the numpy grouping must give the per-suffix loop's slots byte for
+    # byte, over every alphabet size (0x00 included), k from 1 to 17,
+    # k = n, and k beyond the text
+    rng = random.Random(0x7AB1)
+    for alphabet in (1, 2, 4, 26, 256):
+        for _ in range(10):
+            n = rng.randint(1, 300)
+            q = rng.randint(1, min(n, 12))
+            p = rng.randint(1, q)
+            text = random_text(rng, n, alphabet)
+            idx = build(text, SamplingParams(q, p))
+            for k in (*range(1, 10), 12, 17, n, n + 1):
+                table = build_table(idx, k)
+                expect = reference_build_table(text, idx.sa, k)
+                assert table.capacity == len(expect), (text, q, p, k)
+                assert table.slots.tobytes() == expect.tobytes(), (
+                    text, q, p, k)

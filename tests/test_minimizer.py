@@ -9,8 +9,11 @@ from samsami import (InvalidParams, PatternTooShort, SamplingParams,
                      TextTooShort, prune_mask, sampled_positions,
                      window_minimizer)
 
+from samsami.minimizer import _gram_keys
+
 from helpers import (brute_minimizer, brute_sampled, random_text,
-                     reference_sampled, reference_window_minimizer)
+                     reference_gram_keys, reference_sampled,
+                     reference_window_minimizer)
 
 
 def test_params_validation():
@@ -269,3 +272,33 @@ def test_prune_mask_matches_window_reference():
         assert list(given_j.allowed) == list(mask.allowed)
         assert list(mask.allowed) == [mask.possible.get(d, True)
                                       for d in range(16)]
+
+
+def _repetitive_text(rng: random.Random, n: int, alphabet: int) -> bytes:
+    """A short random block repeated to length n with a few bytes changed,
+    so that long grams recur and tie."""
+    block = random_text(rng, rng.randint(1, 12), alphabet)
+    text = bytearray((block * (n // len(block) + 1))[:n])
+    for _ in range(rng.randint(0, 3)):
+        text[rng.randrange(n)] = rng.randrange(alphabet)
+    return bytes(text)
+
+
+def test_gram_keys_order_and_tie_as_the_grams():
+    # packed keys up to 4 bytes, dense ranks beyond, and ranks by
+    # doubling past 8 bytes: each must order and tie as the bytes do
+    rng = random.Random(0x6AA5)
+    for p in range(1, 41):
+        for alphabet in (1, 2, 4, 256):
+            for make in (random_text, _repetitive_text):
+                text = make(rng, rng.randint(p, p + 150), alphabet)
+                for count in (1, len(text) - p + 1):
+                    keys = _gram_keys(text, p, count)
+                    assert len(keys) == count and int(keys.max()) < 1 << 32
+                    grams = [text[i:i + p] for i in range(count)]
+                    order = sorted(range(count), key=grams.__getitem__)
+                    for a, b in zip(order, order[1:]):
+                        assert keys[a] <= keys[b], (p, text)
+                        assert (keys[a] == keys[b]) == (grams[a] == grams[b])
+                    assert np.array_equal(
+                        keys, reference_gram_keys(text, p, count)), (p, text)

@@ -262,6 +262,50 @@ def test_overfull_hash_table_rejected():
         load(io.BytesIO(reseal(data)), text)
 
 
+_HASHED_TEXT = (b"abracadabra " * 55)[:660]
+
+
+def _hashed_file(k_in_header: int | None = None, **build) -> bytearray:
+    """A saved q=6, p=2 bundle over a 660-byte text, its header's k
+    optionally rewritten."""
+    bundle = build_bundle(_HASHED_TEXT, SamplingParams(6, 2), **build)
+    data = bytearray(serialized_bytes(bundle))
+    if k_in_header is not None:
+        struct.pack_into("<I", data, 20, k_in_header)
+    return data
+
+
+def test_hash_flag_with_k_zero_rejected():
+    # with k = 0 every hash probe would miss: 0 answers where 55 are due
+    assert load(io.BytesIO(bytes(_hashed_file(hash_k=3))), _HASHED_TEXT)
+    with pytest.raises(CorruptIndex, match="hash flag set but prefix length"):
+        load(io.BytesIO(reseal(_hashed_file(0, hash_k=3))), _HASHED_TEXT)
+
+
+def test_k_without_hash_flag_rejected():
+    with pytest.raises(CorruptIndex, match="k=3 but no hash flag"):
+        load(io.BytesIO(reseal(_hashed_file(3))), _HASHED_TEXT)
+    with pytest.raises(CorruptIndex, match="k=3 but no hash flag"):
+        load(io.BytesIO(reseal(_hashed_file(3, with_delta=True))),
+             _HASHED_TEXT)
+
+
+@pytest.mark.parametrize("shift", [0, -1])
+def test_hash_slot_with_empty_range_rejected(shift):
+    # every group the builder hashes holds at least one suffix; rewrite
+    # the hi of the slot with the largest lo to lo, then to lo - 1
+    bundle = build_bundle(_HASHED_TEXT, SamplingParams(6, 2), hash_k=3)
+    data = bytearray(serialized_bytes(bundle))
+    start = 48 + 4 * bundle.index.n_sampled + 8
+    los = bundle.table.slots[:, 0].astype(np.int64)
+    slot = int(np.argmax(np.where(los != 0xFFFFFFFF, los, -1)))
+    lo = int(los[slot])
+    assert lo > 0
+    struct.pack_into("<I", data, start + 8 * slot + 4, lo + shift)
+    with pytest.raises(CorruptIndex, match="lo >= hi"):
+        load(io.BytesIO(reseal(data)), _HASHED_TEXT)
+
+
 def _phrase_section_start(bundle):
     # the phrase section follows the header and the offsets (no hash)
     assert bundle.table is None

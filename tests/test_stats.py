@@ -49,12 +49,28 @@ def test_distinct_qgrams_matches_hash_set():
         assert distinct_qgrams(text, q) == len(grams)
 
 
-def test_distinct_qgrams_long_grams_use_sa_path():
+def test_distinct_qgrams_long_grams():
     rng = random.Random(0x06A8)
     text = random_text(rng, 400, 3)
     for q in (9, 12, 30):
         grams = {text[i:i + q] for i in range(len(text) - q + 1)}
         assert distinct_qgrams(text, q) == len(grams)
+
+
+def test_distinct_qgrams_equals_set_of_slices():
+    # packed keys (q <= 4), one ranking (q <= 8) and doubling (q > 8),
+    # on random and on repetitive texts, where long grams recur
+    rng = random.Random(0x06A9)
+    for alphabet in (1, 2, 4, 26, 256):
+        for _ in range(6):
+            n = rng.randint(1, 400)
+            text = random_text(rng, n, alphabet)
+            if rng.random() < 0.5:
+                text = (text[:rng.randint(1, 12)] * n)[:n]
+            for q in (1, 4, 5, 8, 9, 12, 16, 33, n):
+                if q <= n:
+                    grams = {text[i:i + q] for i in range(n - q + 1)}
+                    assert distinct_qgrams(text, q) == len(grams), (text, q)
 
 
 def test_sampling_report_rows():
