@@ -19,21 +19,21 @@ from .errors import (CorruptEncoding, CorruptIndex, InvalidParams,
                      UnsupportedFormat)
 from .hashindex import (PrefixRangeTable, build_table, count_hash,
                         locate_hash, min_pattern_length)
-from .minimizer import (PruneMask, SampledPositions, SamplingParams,
-                        prune_mask, sampled_positions, window_minimizer)
+from .minimizer import (PruneMask, SamplingParams, prune_mask,
+                        sampled_positions, window_minimizer)
 from .persistence import IndexBundle, build_bundle, load, save
 from .phrase import (EncodedText, PhraseDictionary, decode_text,
                      encode_text, encoded_locate, parse_phrases)
 from .stats import distinct_qgrams, sampling_ratio
-from .suffix_sort import FullSuffixArray, build_full_sa, extract_sampled
+from .suffix_sort import build_full_sa, extract_sampled
 from .variants import Variant, build_variants, from_bundle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SamplingParams", "SampledPositions", "PruneMask",
+    "SamplingParams", "PruneMask",
     "window_minimizer", "sampled_positions", "prune_mask",
-    "FullSuffixArray", "build_full_sa", "extract_sampled",
+    "build_full_sa", "extract_sampled",
     "SamsamiIndex", "MatchRange", "QueryStats", "build", "suffix_range",
     "locate", "count",
     "DeltaAnnotation", "annotate", "locate2", "count2", "pack", "unpack",

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import QueryStats, _prefix_range, _verify_candidates
 from .errors import InvalidParams, PatternTooShort
-from .suffix_sort import FullSuffixArray, build_full_sa
+from .suffix_sort import build_full_sa
 
 
 def naive_locate(text: bytes, pattern: bytes) -> list[int]:
@@ -48,14 +48,14 @@ class SparseSuffixArray:
 
 
 def spasa_build(text: bytes, step: int,
-                full: FullSuffixArray | None = None) -> SparseSuffixArray:
+                full: np.ndarray | None = None) -> SparseSuffixArray:
     """Keep every step-th suffix; full, when given, is build_full_sa(text)."""
     n = len(text)
     if not 1 <= step <= n:
         raise InvalidParams(f"need 1 <= step <= {n}, got {step}")
     if full is None:
         full = build_full_sa(text)
-    sa = full.sa[(full.sa.astype(np.int64) - 1) % step == 0]
+    sa = full[(full.astype(np.int64) - 1) % step == 0]
     return SparseSuffixArray(text=text, step=step, sa=sa, n=n)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParams, PatternTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
-from .suffix_sort import FullSuffixArray, build_full_sa, extract_sampled
+from .suffix_sort import build_full_sa, extract_sampled
 
 
 class MatchRange(NamedTuple):
@@ -74,7 +74,7 @@ class SamsamiIndex:
 
 
 def build(text: bytes, params: SamplingParams,
-          full: FullSuffixArray | None = None) -> SamsamiIndex:
+          full: np.ndarray | None = None) -> SamsamiIndex:
     """Sample the text's minimizer positions and suffix-sort them.
 
     full, when given, must be build_full_sa(text); a caller that builds

@@ -29,17 +29,6 @@ class SamplingParams:
 
 
 @dataclass
-class SampledPositions:
-    """Strictly increasing 1-based minimizer positions of a length-n text."""
-
-    positions: np.ndarray
-    n: int
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-
-@dataclass
 class PruneMask:
     """Per-pattern verification filter for the delta-annotated variant.
 
@@ -84,36 +73,39 @@ def _leftmost_smallest(s: bytes, p: int, starts: int) -> int:
     return best
 
 
-def sampled_positions(text: bytes, params: SamplingParams) -> SampledPositions:
+def sampled_positions(text: bytes, params: SamplingParams) -> np.ndarray:
     """Collect the minimizer positions of every length-q window of text.
 
-    The result is an ascending set of positions: a window whose minimizer
-    string recurred at a new position contributes a new sample, while
-    re-selecting the same position does not.
+    The result is an ascending uint32 array of 1-based positions: a
+    window whose minimizer string recurred at a new position contributes
+    a new sample, while re-selecting the same position does not.
     """
     n = len(text)
     q, p = params.q, params.p
     if n < q:
         raise TextTooShort(f"text length {n} < window length q={q}")
     # Pack each p-gram's rank and its position into one uint64 so that the
-    # sliding minimum picks the leftmost smallest gram; block prefix/suffix
-    # minima give every window minimum in O(n) vectorized work.
+    # minimum of the words is the leftmost smallest gram. Doubling leaves
+    # mins[i] the minimum of the h words from i on, for the largest power
+    # of two h <= w; a window of w grams is covered by the two such spans
+    # at its start and ending at its end.
     ngrams = n - p + 1
     keys = _gram_keys(text, p, ngrams)
-    packed = (keys << np.uint64(32)) | np.arange(ngrams, dtype=np.uint64)
-
-    window = q - p + 1
-    pad = (-ngrams) % window
-    if pad:
-        packed = np.concatenate(
-            [packed, np.full(pad, np.uint64(0xFFFFFFFFFFFFFFFF))])
-    blocks = packed.reshape(-1, window)
-    left = np.minimum.accumulate(blocks, axis=1).ravel()
-    right = np.minimum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    nwin = ngrams - window + 1
-    mins = np.minimum(right[:nwin], left[window - 1:window - 1 + nwin])
-    positions = np.unique(mins & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-    return SampledPositions(positions=positions + np.uint32(1), n=n)
+    mins = (keys << np.uint64(32)) | np.arange(ngrams, dtype=np.uint64)
+    del keys
+    w = q - p + 1
+    h = 1
+    while 2 * h <= w:
+        mins = np.minimum(mins[:-h], mins[h:])
+        h *= 2
+    nwin = ngrams - w + 1
+    win = np.minimum(mins[:nwin], mins[w - h:w - h + nwin])
+    del mins
+    # window minimizers never move left, so a repeat is the one before
+    keep = np.empty(nwin, dtype=bool)
+    keep[0] = True
+    np.not_equal(win[1:], win[:-1], out=keep[1:])
+    return (win[keep] & np.uint64(0xFFFFFFFF)).astype(np.uint32) + np.uint32(1)
 
 
 def _gram_keys(text: bytes, p: int, count: int) -> np.ndarray:

@@ -41,9 +41,10 @@ from .delta import (DELTA_SHIFT, MAX_DELTA_TEXT, POS_MASK, DeltaAnnotation,
                     annotate)
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table
-from .minimizer import SampledPositions, SamplingParams
-from .phrase import (EncodedText, PhraseDictionary, codeword_table,
-                     encode_text, rebuild_positions)
+from .minimizer import SamplingParams
+from .phrase import (EncodedText, PhraseDictionary, _phrase_starts,
+                     codeword_table, encode_text, gather_pieces,
+                     rebuild_positions)
 
 MAGIC = b"SSMI"
 VERSION = 2
@@ -108,9 +109,8 @@ def annotate_index(idx: SamsamiIndex, *, with_delta=False,
         bundle.table = build_table(idx, hash_k)
     if with_phrase:
         # The index holds exactly the sampled positions, in suffix order.
-        sampled = SampledPositions(positions=np.sort(idx.sa), n=idx.n)
         bundle.dictionary, bundle.encoded = encode_text(idx.text, idx.params,
-                                                        sampled)
+                                                        np.sort(idx.sa))
     return bundle
 
 
@@ -308,10 +308,8 @@ def _read_phrases(buf: bytes, idx: SamsamiIndex,
                 + int(sizes[encoded.phrase_ids[-1]]))
     if span != idx.n:
         raise CorruptIndex("phrase stream does not span the text")
-    starts = np.sort(idx.sa)
-    if not len(starts) or starts[0] != 1:
-        starts = np.concatenate(([1], starts)).astype(np.uint32)
-    if not np.array_equal(encoded.text_positions, starts):
+    if not np.array_equal(encoded.text_positions,
+                          _phrase_starts(np.sort(idx.sa))):
         raise CorruptIndex("phrase starts differ from the sampled positions")
     # offset in buf of each phrase's first byte, by id
     first = 8 + 4 * np.arange(count, dtype=np.int64) + np.cumsum(sizes) - sizes
@@ -331,14 +329,9 @@ def _spells(buf: bytes, first: np.ndarray, sizes: np.ndarray,
     target = np.frombuffer(text, dtype=np.uint8)
     for lo in range(0, encoded.phrase_count, _SPELL_BLOCK):
         ids = encoded.phrase_ids[lo:lo + _SPELL_BLOCK]
-        size = sizes[ids]
-        at = int(encoded.text_positions[lo]) - 1
-        stop = at + int(size.sum())
-        # text byte t of the phrase starting at text offset a comes
-        # from buf offset first + t - a
-        shift = first[ids] - encoded.text_positions[lo:lo + _SPELL_BLOCK] + 1
-        gather = np.repeat(shift, size)
-        gather += np.arange(at, stop)
-        if not np.array_equal(section[gather], target[at:stop]):
+        starts = encoded.text_positions[lo:lo + _SPELL_BLOCK]
+        spelled = gather_pieces(section, first[ids], sizes[ids], starts)
+        at = int(starts[0]) - 1
+        if not np.array_equal(spelled, target[at:at + len(spelled)]):
             return False
     return True

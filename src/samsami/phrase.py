@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import QueryStats, _prefix_range
 from .errors import CorruptEncoding, PatternTooShort
-from .minimizer import (SampledPositions, SamplingParams, sampled_positions,
-                        window_minimizer)
+from .minimizer import SamplingParams, sampled_positions, window_minimizer
 from .suffix_sort import build_full_sa
 
 
@@ -71,7 +70,7 @@ class EncodedText:
     def suffix_order(self) -> np.ndarray:
         """Phrase indexes ordered by bytewise rank of their stream suffix."""
         if self._suffix_order is None:
-            full = build_full_sa(self.stream).sa.astype(np.int64) - 1
+            full = build_full_sa(self.stream).astype(np.int64) - 1
             starts = np.zeros(len(self.stream), dtype=bool)
             starts[self.stream_offsets.astype(np.int64)] = True
             aligned = full[starts[full]]
@@ -84,21 +83,33 @@ class EncodedText:
 
 def parse_phrases(text: bytes, params: SamplingParams) -> list[tuple[int, int]]:
     """Cut text at each sampled position; returns (start, length) pairs."""
-    starts = _phrase_starts(text, params)
+    starts = _phrase_starts(sampled_positions(text, params))
     lengths = np.diff(starts, append=len(text) + 1)
     return list(zip(starts.tolist(), lengths.tolist()))
 
 
-def _phrase_starts(text: bytes, params: SamplingParams,
-                   sampled: SampledPositions | None = None) -> np.ndarray:
-    # 1-based phrase starts: the sampled positions, after an unsampled
-    # leading piece when the first sample is not position 1
-    if sampled is None:
-        sampled = sampled_positions(text, params)
-    starts = np.asarray(sampled.positions, dtype=np.int64)
-    if starts[0] > 1:
-        starts = np.concatenate(([1], starts))
-    return starts
+def _phrase_starts(positions: np.ndarray) -> np.ndarray:
+    # 1-based phrase starts: the ascending sampled positions, after an
+    # unsampled leading piece when no sample is position 1
+    if len(positions) and positions[0] == 1:
+        return positions
+    return np.concatenate((np.ones(1, positions.dtype), positions))
+
+
+def gather_pieces(source: np.ndarray, first: np.ndarray, sizes: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """source[first[j]:first[j] + sizes[j]] for every j, end to end.
+
+    starts[j] is where piece j begins, counted from any origin, so
+    starts[j + 1] = starts[j] + sizes[j]. One index per output byte:
+    bytes.join would instead hold an 80-byte buffer record per piece.
+    """
+    # output byte t, counted from the same origin as starts, lies in
+    # some piece j and is source[first[j] + t - starts[j]]
+    at = int(starts[0])
+    gather = np.repeat(first - starts, sizes)
+    gather += np.arange(at, at + len(gather))
+    return source[gather]
 
 
 def encode_id(phrase_id: int) -> bytes:
@@ -129,14 +140,16 @@ def codeword_table(count: int) -> list[bytes]:
 
 
 def encode_text(text: bytes, params: SamplingParams,
-                sampled: SampledPositions | None = None,
+                sampled: np.ndarray | None = None,
                 ) -> tuple[PhraseDictionary, EncodedText]:
     """Parse, rank phrases by frequency, and emit the codeword stream.
 
     sampled, when given, must be sampled_positions(text, params); a
     caller that already has it saves sampling the text a second time.
     """
-    starts = _phrase_starts(text, params, sampled)
+    if sampled is None:
+        sampled = sampled_positions(text, params)
+    starts = _phrase_starts(sampled)
     cuts = (starts - 1).tolist() + [len(text)]
     raw = [text[a:b] for a, b in zip(cuts, cuts[1:])]
     # Counter keeps first-seen order and the sort is stable, so equally
@@ -146,14 +159,18 @@ def encode_text(text: bytes, params: SamplingParams,
     ids = {ph: i for i, ph in enumerate(ranked)}
     words = codeword_table(len(ranked))
 
-    phrase_ids = [ids[ph] for ph in raw]
-    ids_arr = np.array(phrase_ids, dtype=np.uint32)
-    sizes = np.array([len(c) for c in words], dtype=np.int64)[ids_arr]
-    offsets = np.zeros(len(raw), dtype=np.uint32)
+    ids_arr = np.array([ids[ph] for ph in raw], dtype=np.uint32)
+    del raw, freq  # one bytes object per phrase
+    word_sizes = np.array([len(c) for c in words], dtype=np.int64)
+    sizes = word_sizes[ids_arr]
+    offsets = np.zeros(len(ids_arr), dtype=np.uint32)
     offsets[1:] = np.cumsum(sizes[:-1])
+    table = np.frombuffer(b"".join(words), dtype=np.uint8)
+    first = np.cumsum(word_sizes) - word_sizes
+    stream = gather_pieces(table, first[ids_arr], sizes, offsets).tobytes()
     dictionary = PhraseDictionary(phrases=ranked, ids=ids, codewords=words)
     encoded = EncodedText(
-        stream=b"".join([words[i] for i in phrase_ids]),
+        stream=stream,
         stream_offsets=offsets,
         text_positions=starts.astype(np.uint32),
         phrase_ids=ids_arr,

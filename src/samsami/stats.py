@@ -21,9 +21,8 @@ def distinct_qgrams(text: bytes, q: int) -> int:
     n = len(text)
     if not 1 <= q <= n:
         raise InvalidParams(f"need 1 <= q <= {n}, got {q}")
-    keys = _gram_keys(text, q, n - q + 1)
-    # up to 4 bytes the keys are the packed grams, beyond that dense ranks
-    return int(np.unique(keys).size if q <= 4 else keys.max() + 1)
+    keys = np.sort(_gram_keys(text, q, n - q + 1))
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def sampling_report(text: bytes, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple]:

@@ -19,27 +19,18 @@ suffixes tied for many of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TextTooShort
-from .minimizer import SampledPositions
 
 
-@dataclass
-class FullSuffixArray:
-    """Lexicographic permutation of all 1-based suffix start positions."""
-
-    sa: np.ndarray
-
-
-def build_full_sa(text: bytes) -> FullSuffixArray:
-    """Sort all suffixes of text (packed keys, then tied groups only)."""
+def build_full_sa(text: bytes) -> np.ndarray:
+    """All 1-based suffix starts of text in suffix order, as uint32
+    (packed keys, then tied groups only)."""
     if len(text) == 0:
         raise TextTooShort("cannot build a suffix array of an empty text")
     order = _doubling_sort(text)
-    return FullSuffixArray(sa=(order + 1).astype(np.uint32))
+    return (order + 1).astype(np.uint32)
 
 
 def _group_heads(sorted_keys: np.ndarray) -> np.ndarray:
@@ -112,8 +103,9 @@ def _resort(sa: np.ndarray, rank: np.ndarray, idx: np.ndarray,
     return _group_heads(key[order])
 
 
-def extract_sampled(full: FullSuffixArray, sampled: SampledPositions) -> np.ndarray:
-    """Keep only sampled positions, preserving suffix order."""
-    keep = np.zeros(sampled.n + 1, dtype=bool)
-    keep[np.asarray(sampled.positions, dtype=np.int64)] = True
-    return full.sa[keep[full.sa]]
+def extract_sampled(full: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Keep the suffixes of full whose start is in positions, in suffix
+    order; full is build_full_sa(text), positions 1-based starts."""
+    keep = np.zeros(len(full) + 1, dtype=bool)
+    keep[positions] = True
+    return full[keep[full]]

@@ -30,7 +30,7 @@ def test_build_example(abra_index):
 
 def test_build_q1_p1_keeps_every_suffix():
     idx = build(ABRA, SamplingParams(1, 1))
-    assert list(idx.sa) == list(build_full_sa(ABRA).sa)
+    assert list(idx.sa) == list(build_full_sa(ABRA))
 
 
 def test_build_once_upon():

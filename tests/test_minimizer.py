@@ -67,25 +67,25 @@ def test_window_minimizer_matches_reference_loop():
 
 def test_sampled_positions_paper_example():
     got = sampled_positions(b"Once upon a time", SamplingParams(5, 1))
-    assert list(got.positions) == [5, 10, 12]  # both blanks, then the third
-    assert got.n == 16
+    assert list(got) == [5, 10, 12]  # both blanks, then the third
+    assert got.dtype == np.uint32
 
 
 def test_sampled_positions_small_examples():
     assert brute_sampled(b"abracadabra", 4, 2) == [1, 4, 6, 8]
     got = sampled_positions(b"abracadabra", SamplingParams(4, 2))
-    assert list(got.positions) == [1, 4, 6, 8]
+    assert list(got) == [1, 4, 6, 8]
 
 
 def test_sampled_positions_q_equals_p():
     text = b"mississippi"
     got = sampled_positions(text, SamplingParams(3, 3))
-    assert list(got.positions) == list(range(1, len(text) - 3 + 2))
+    assert list(got) == list(range(1, len(text) - 3 + 2))
 
 
 def test_sampled_positions_single_window():
     got = sampled_positions(b"ctgcc", SamplingParams(5, 2))
-    assert list(got.positions) == [4]
+    assert list(got) == [4]
 
 
 def test_sampled_positions_too_short():
@@ -102,7 +102,7 @@ def test_sampled_positions_matches_oracle_randomized():
         n = rng.randint(q, 300)
         text = random_text(rng, n, alphabet)
         got = sampled_positions(text, SamplingParams(q, p))
-        assert list(got.positions) == brute_sampled(text, q, p)
+        assert list(got) == brute_sampled(text, q, p)
 
 
 def test_sampled_positions_coverage():
@@ -114,7 +114,7 @@ def test_sampled_positions_coverage():
         p = rng.randint(1, q)
         n = rng.randint(q, 4096)
         text = random_text(rng, n, alphabet)
-        pos = sampled_positions(text, SamplingParams(q, p)).positions
+        pos = sampled_positions(text, SamplingParams(q, p))
         lo = np.searchsorted(pos, np.arange(1, n - q + 2), side="left")
         hi = np.searchsorted(pos, np.arange(1, n - q + 2) + (q - p), side="right")
         assert (hi > lo).all()
@@ -127,7 +127,7 @@ def test_sampled_positions_determinism_across_equal_windows():
     text = random_text(rng, 700, 3)  # tiny alphabet forces repeats
     q, p = 6, 2
     pos = set(int(v) for v in
-              sampled_positions(text, SamplingParams(q, p)).positions)
+              sampled_positions(text, SamplingParams(q, p)))
     offsets = {}
     for w in range(1, len(text) - q + 2):
         window = text[w - 1:w - 1 + q]
@@ -149,7 +149,7 @@ def test_vectorized_path_agrees_with_deque():
         for q in (p, p + 3, 12, 2 * p + 5):
             if q < p:
                 continue
-            fast = sampled_positions(text, SamplingParams(q, p)).positions
+            fast = sampled_positions(text, SamplingParams(q, p))
             assert list(fast) == reference_sampled(text, q, p)
 
 
@@ -157,7 +157,7 @@ def test_vectorized_path_is_used_for_large_text():
     rng = random.Random(5)
     text = random_text(rng, 20000, 4)
     got = sampled_positions(text, SamplingParams(8, 2))
-    assert list(got.positions) == reference_sampled(text, 8, 2)
+    assert list(got) == reference_sampled(text, 8, 2)
 
 
 def test_sampled_positions_text_of_one_window():
@@ -168,8 +168,21 @@ def test_sampled_positions_text_of_one_window():
         p = rng.randint(1, q)
         text = random_text(rng, q, rng.choice([1, 2, 4, 256]))
         got = sampled_positions(text, SamplingParams(q, p))
-        assert list(got.positions) == reference_sampled(text, q, p)
+        assert list(got) == reference_sampled(text, q, p)
         assert len(got) == 1
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 9])
+def test_sampled_positions_every_window_width(p):
+    # a window of w grams is covered by two spans of the largest power of
+    # two h <= w, so an off-by-one would show at widths next to one
+    rng = random.Random(0x5A + p)
+    for w in [*range(1, 34), 63, 64, 65]:
+        q = w + p - 1
+        for make in (random_text, _repetitive_text):
+            text = make(rng, rng.randint(q, q + 200), rng.choice([2, 4, 256]))
+            got = sampled_positions(text, SamplingParams(q, p))
+            assert list(got) == reference_sampled(text, q, p), (w, text)
 
 
 def test_prune_mask_paper_example():
@@ -203,7 +216,7 @@ def test_prune_mask_is_sound():
         n = rng.randint(q + 4, 160)
         text = random_text(rng, n, alphabet)
         pos = [int(v) for v in
-               sampled_positions(text, SamplingParams(q, p)).positions]
+               sampled_positions(text, SamplingParams(q, p))]
         m = rng.randint(q, min(n, q + 12))
         i = rng.randint(1, n - m + 1)
         pattern = text[i - 1:i - 1 + m]

@@ -388,6 +388,17 @@ def test_phrases_off_the_sampled_positions_rejected():
         load(io.BytesIO(data), text)
 
 
+def test_phrase_file_without_samples_rejected():
+    # n' = 0 and no offsets: the phrase starts are checked against an
+    # empty sampled set, which must reject the file, not raise IndexError
+    text, bundle = _phrase_bundle()
+    data = bytearray(serialized_bytes(bundle))
+    del data[48:_phrase_section_start(bundle)]
+    struct.pack_into("<I", data, 32, 0)
+    with pytest.raises(CorruptIndex, match="sampled positions"):
+        load(io.BytesIO(reseal(data)), text)
+
+
 def test_misspelled_phrase_rejected():
     text, bundle = _phrase_bundle()
     phrases = list(bundle.dictionary.phrases)

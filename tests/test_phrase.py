@@ -197,9 +197,9 @@ def test_stable_boundaries_map_to_sampled_text_positions():
         i = rng.randint(1, n - m + 1)
         pattern = text[i - 1:i - 1 + m]
         text_samples = set(
-            int(v) for v in sampled_positions(text, SamplingParams(q, p)).positions)
+            int(v) for v in sampled_positions(text, SamplingParams(q, p)))
         cutoff = m - q + 2
-        for b in sampled_positions(pattern, SamplingParams(q, p)).positions:
+        for b in sampled_positions(pattern, SamplingParams(q, p)):
             if int(b) <= cutoff:
                 assert i + int(b) - 1 in text_samples
 
@@ -409,7 +409,7 @@ def test_decoder_rejects_ids_outside_dictionary():
 def _reference_stable_boundaries(pattern, params):
     # the definition: the pattern's sampled positions up to m-q+2
     cutoff = len(pattern) - params.q + 2
-    return [int(b) for b in sampled_positions(pattern, params).positions
+    return [int(b) for b in sampled_positions(pattern, params)
             if int(b) <= cutoff]
 
 

@@ -16,15 +16,15 @@ from helpers import brute_suffix_array, random_text, reference_suffix_sort
 
 def test_abracadabra():
     assert brute_suffix_array(b"abracadabra") == [11, 8, 1, 4, 6, 9, 2, 5, 7, 10, 3]
-    assert list(build_full_sa(b"abracadabra").sa) == [11, 8, 1, 4, 6, 9, 2, 5, 7, 10, 3]
+    assert list(build_full_sa(b"abracadabra")) == [11, 8, 1, 4, 6, 9, 2, 5, 7, 10, 3]
 
 
 def test_shorter_suffix_sorts_first():
-    assert list(build_full_sa(b"aaa").sa) == [3, 2, 1]
+    assert list(build_full_sa(b"aaa")) == [3, 2, 1]
 
 
 def test_single_byte():
-    assert list(build_full_sa(b"b").sa) == [1]
+    assert list(build_full_sa(b"b")) == [1]
 
 
 def test_empty_text_rejected():
@@ -38,14 +38,14 @@ def test_matches_comparison_sort_randomized():
         alphabet = rng.choice([1, 2, 4, 26, 256])
         n = rng.randint(1, 500)
         text = random_text(rng, n, alphabet)
-        assert list(build_full_sa(text).sa) == brute_suffix_array(text)
+        assert list(build_full_sa(text)) == brute_suffix_array(text)
 
 
 def test_matches_comparison_sort_larger():
     rng = random.Random(99)
     for alphabet in (2, 26):
         text = random_text(rng, 4096, alphabet)
-        assert list(build_full_sa(text).sa) == brute_suffix_array(text)
+        assert list(build_full_sa(text)) == brute_suffix_array(text)
 
 
 def _same_as_reference(text):
@@ -100,7 +100,7 @@ def test_matches_reference_256k_dna():
 @settings(max_examples=200)
 @given(st.binary(min_size=1, max_size=300))
 def test_matches_comparison_sort_property(text):
-    assert list(build_full_sa(text).sa) == brute_suffix_array(text)
+    assert list(build_full_sa(text)) == brute_suffix_array(text)
 
 
 def test_extract_sampled_example():
@@ -113,7 +113,7 @@ def test_extract_all_positions_is_identity():
     text = b"mississippi"
     full = build_full_sa(text)
     sampled = sampled_positions(text, SamplingParams(1, 1))
-    assert list(extract_sampled(full, sampled)) == list(full.sa)
+    assert list(extract_sampled(full, sampled)) == list(full)
 
 
 def test_extract_singleton():
@@ -138,4 +138,4 @@ def test_extracted_subsequence_stays_sorted():
         got = [int(v) for v in extract_sampled(full, sampled)]
         suffixes = [text[s - 1:] for s in got]
         assert suffixes == sorted(suffixes)
-        assert sorted(got) == [int(v) for v in sampled.positions]
+        assert sorted(got) == [int(v) for v in sampled]
