@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import QueryStats, _prefix_range, _verify_candidates
 from .errors import InvalidParams, PatternTooShort
-from .suffix_sort import build_full_sa
+from .suffix_sort import build_full_sa, sort_starts
 
 
 def naive_locate(text: bytes, pattern: bytes) -> list[int]:
@@ -47,15 +47,17 @@ class SparseSuffixArray:
         self.sa_view = memoryview(self.sa)  # items read as Python ints
 
 
-def spasa_build(text: bytes, step: int,
-                full: np.ndarray | None = None) -> SparseSuffixArray:
-    """Keep every step-th suffix; full, when given, is build_full_sa(text)."""
+def spasa_build(text: bytes, step: int) -> SparseSuffixArray:
+    """Suffix-sort only every step-th suffix; step 1 is the plain suffix
+    array."""
     n = len(text)
     if not 1 <= step <= n:
         raise InvalidParams(f"need 1 <= step <= {n}, got {step}")
-    if full is None:
-        full = build_full_sa(text)
-    sa = full[(full.astype(np.int64) - 1) % step == 0]
+    if step == 1:
+        sa = build_full_sa(text)
+    else:
+        starts = np.arange(1, n + 1, step, dtype=np.uint32)
+        sa = sort_starts(text, starts, 0, 0, step)
     return SparseSuffixArray(text=text, step=step, sa=sa, n=n)
 
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import InvalidParams, PatternTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
-from .suffix_sort import build_full_sa, extract_sampled
+# build_full_sa is never called here: benchmark tracing wraps it by name
+from .suffix_sort import build_full_sa, extract_sampled  # noqa: F401
 
 
 class MatchRange(NamedTuple):
@@ -73,17 +74,10 @@ class SamsamiIndex:
         return len(self.sa)
 
 
-def build(text: bytes, params: SamplingParams,
-          full: np.ndarray | None = None) -> SamsamiIndex:
-    """Sample the text's minimizer positions and suffix-sort them.
-
-    full, when given, must be build_full_sa(text); a caller that builds
-    several indexes over one text saves sorting it again.
-    """
+def build(text: bytes, params: SamplingParams) -> SamsamiIndex:
+    """Sample the text's minimizer positions and suffix-sort only them."""
     sampled = sampled_positions(text, params)  # rejects a too-short text
-    if full is None:
-        full = build_full_sa(text)
-    sa = extract_sampled(full, sampled)
+    sa = extract_sampled(text, sampled, params)
     return SamsamiIndex(text=text, params=params, sa=sa, n=len(text))
 
 

@@ -133,8 +133,17 @@ def _gram_keys(text: bytes, p: int, count: int) -> np.ndarray:
 
 
 def _ranks(words: np.ndarray) -> np.ndarray:
-    # dense 0-based rank of each word among the distinct words
-    return np.unique(words, return_inverse=True)[1].astype(np.uint64)
+    # dense 0-based rank of each word among the distinct words: one sort,
+    # then the number of changes between neighbours up to each word
+    order = np.argsort(words)
+    ordered = words[order]
+    rank = np.zeros(len(words), dtype=np.uint64)
+    np.not_equal(ordered[1:], ordered[:-1], out=rank[1:])
+    del ordered
+    np.cumsum(rank, out=rank)
+    out = np.empty_like(rank)
+    out[order] = rank
+    return out
 
 
 def prune_mask(pattern: bytes, params: SamplingParams,

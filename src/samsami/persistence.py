@@ -41,7 +41,7 @@ from .delta import (DELTA_SHIFT, MAX_DELTA_TEXT, POS_MASK, DeltaAnnotation,
                     annotate)
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table
-from .minimizer import SamplingParams
+from .minimizer import SamplingParams, window_minimizer
 from .phrase import (EncodedText, PhraseDictionary, _phrase_starts,
                      codeword_table, encode_text, gather_pieces,
                      rebuild_positions)
@@ -200,6 +200,8 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         params = SamplingParams(q, p)
     except SamsamiError as exc:
         raise CorruptIndex(f"invalid sampling params in header: {exc}") from exc
+    if q > n:
+        raise CorruptIndex(f"window length q={q} exceeds the {n}-byte text")
     if flags & FLAG_DELTA and n > MAX_DELTA_TEXT:
         raise CorruptIndex("delta flag set but text exceeds the packed limit")
     if flags & FLAG_HASH and k < 1:
@@ -221,6 +223,11 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
     if len(positions) and (int(positions.max()) > n
                            or int(positions.min()) == 0):
         raise CorruptIndex("offset beyond the end of the text")
+    # Only the first window can select position 1, and no later check
+    # sees it: the phrase starts are the same with or without it.
+    if bool((positions == 1).any()) != (window_minimizer(text[:q], p) == 1):
+        raise CorruptIndex("offsets disagree with the first window on "
+                           "whether position 1 is sampled")
 
     idx = SamsamiIndex(text=text, params=params, sa=positions, n=n)
     bundle = IndexBundle(index=idx)

@@ -1,8 +1,8 @@
 """One record per index variant, the way every variant is queried.
 
 A Variant is built from an IndexBundle, which implies its variant from
-the sections it holds, or from a text by name, sorting the text once for
-all the names asked for. Its locate and count are the variant's own
+the sections it holds, or from a text by name, each index sorting only
+the suffixes it keeps. Its locate and count are the variant's own
 query functions with the index bound to them, so the CLI's locate,
 count, phrase-locate and bench all dispatch through this one table.
 """
@@ -16,7 +16,6 @@ from typing import Callable
 from . import baselines, core, delta, hashindex, persistence, phrase
 from .errors import SamsamiError
 from .minimizer import SamplingParams
-from .suffix_sort import build_full_sa
 
 
 @dataclass(frozen=True)
@@ -75,20 +74,18 @@ def from_bundle(bundle: persistence.IndexBundle,
 
 def build_variants(text: bytes, names, q: int, p: int, k: int,
                    step: int) -> list[Variant]:
-    """One variant per name, built over text with one suffix sort.
+    """One variant per name, built over text.
 
     The samsami variants share one index sampled with (q, p), the hash
     table keys k bytes, and spasa keeps every step-th suffix; each value
-    is read only by the variants that use it. from_bundle rejects an
-    unknown name.
+    is read only by the variants that use it, and only sa sorts every
+    suffix. from_bundle rejects an unknown name.
     """
-    full = build_full_sa(text)
     idx = None
     out = []
     for name in names:
         if name in ("spasa", "sa"):
-            sa = baselines.spasa_build(text, step if name == "spasa" else 1,
-                                       full)
+            sa = baselines.spasa_build(text, step if name == "spasa" else 1)
             # never saved: sized as an index file header plus a u32 per suffix
             out.append(Variant(
                 name, (sa.step, 0, 0), sa.step,
@@ -97,7 +94,7 @@ def build_variants(text: bytes, names, q: int, p: int, k: int,
                 persistence._HEADER.size + 4 * len(sa.sa)))
             continue
         if idx is None:
-            idx = core.build(text, SamplingParams(q, p), full)
+            idx = core.build(text, SamplingParams(q, p))
         out.append(from_bundle(persistence.annotate_index(
             idx, with_delta=name == "samsami2",
             hash_k=k if name == "samsami-hash" else None,

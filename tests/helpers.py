@@ -141,7 +141,7 @@ def brute_suffix_array(text: bytes) -> list[int]:
 
 
 def reference_suffix_sort(text: bytes) -> np.ndarray:
-    """Reference for suffix_sort._doubling_sort: plain prefix doubling.
+    """Reference for suffix_sort.build_full_sa: plain prefix doubling.
 
     One full lexsort of all suffixes per round; returns 0-based suffix
     starts in suffix order.

@@ -421,7 +421,8 @@ def test_criterion_9_performance_directional():
     plain = SparseSuffixArray(text=text, step=1, sa=full, n=len(text))
     sampled = sampled_positions(text, params)
     idx = SamsamiIndex(text=text, params=params,
-                       sa=extract_sampled(full, sampled), n=len(text))
+                       sa=extract_sampled(text, sampled, params),
+                       n=len(text))
 
     retention = idx.n_sampled / len(full)
     assert retention <= 0.12, f"retained {retention:.2%} of the offsets"

@@ -238,6 +238,50 @@ def test_position_past_text_end_rejected():
         load(io.BytesIO(reseal(data)), ABRA)
 
 
+def _offsets_edited(text, params, edit, **build):
+    """A saved bundle whose offsets section edit(list) rewrote, with n'
+    and the crc32 to match."""
+    bundle = build_bundle(text, params, **build)
+    data = serialized_bytes(bundle)
+    n_sampled = bundle.index.n_sampled
+    offsets = np.frombuffer(data, dtype="<u4", count=n_sampled,
+                            offset=48).tolist()
+    edit(offsets)
+    head = bytearray(data[:48])
+    struct.pack_into("<I", head, 32, len(offsets))
+    body = np.array(offsets, dtype="<u4").tobytes()
+    return reseal(bytes(head) + body + data[48 + 4 * n_sampled:])
+
+
+@pytest.mark.parametrize("build", [{}, {"with_phrase": True}])
+def test_dropped_position_one_rejected(build):
+    # without the check the first file answers [4] for b"abca", where
+    # the scan finds [1, 4]; the second, left with no offsets, counts 0
+    for text, params in [(b"abcabcab", SamplingParams(4, 2)),
+                         (b"abcab", SamplingParams(5, 1))]:
+        assert 1 in build_bundle(text, params).index.sa
+        data = _offsets_edited(text, params,
+                               lambda offsets: offsets.remove(0), **build)
+        with pytest.raises(CorruptIndex,
+                           match="whether position 1 is sampled"):
+            load(io.BytesIO(data), text)
+
+
+def test_added_position_one_rejected():
+    text = b"cabcabca"  # the first window, b"cabc", selects position 2
+    params = SamplingParams(4, 2)
+    data = _offsets_edited(text, params, lambda offsets: offsets.append(0))
+    with pytest.raises(CorruptIndex, match="whether position 1 is sampled"):
+        load(io.BytesIO(data), text)
+
+
+def test_window_longer_than_text_rejected():
+    data = bytearray(serialized_bytes(build_bundle(ABRA, P42)))
+    struct.pack_into("<I", data, 12, 12)  # q = 12 over an 11-byte text
+    with pytest.raises(CorruptIndex, match="exceeds the 11-byte text"):
+        load(io.BytesIO(reseal(data)), ABRA)
+
+
 def test_text_mismatch_rejected():
     data = serialized_bytes(build_bundle(ABRA, P42))
     with pytest.raises(TextMismatch):
