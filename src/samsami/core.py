@@ -16,7 +16,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParams, PatternTooShort
-from .minimizer import SamplingParams, sampled_positions, window_minimizer
+from .minimizer import (AllowedDistances, SamplingParams, sampled_positions,
+                        window_minimizer)
 # build_full_sa is never called here: benchmark tracing wraps it by name
 from .suffix_sort import build_full_sa, extract_sampled  # noqa: F401
 
@@ -127,7 +128,7 @@ _VECTOR_MIN_CANDIDATES = 48
 
 def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
                        ranks: MatchRange, deltas: np.ndarray | None = None,
-                       allowed: tuple[bool, ...] | None = None,
+                       allowed: AllowedDistances | None = None,
                        stats: QueryStats | None = None,
                        left: np.ndarray | None = None) -> list[int]:
     """Occurrence starts of pattern among the suffixes at ranks [lo, hi).
@@ -136,12 +137,13 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     _prefix_range. The suffix at sa[r] matches pattern[j-1:]; the
     occurrence it stands for starts j-1 bytes earlier, which must lie
     inside the text and agree with the skipped prefix pattern[:j-1].
-    With delta nibbles and a prune mask's 16-entry allowed tuple, a
-    candidate whose recorded predecessor distance d has allowed[d]
-    false is dropped without touching the text. left, an index's
-    left-context column in sa order, lets large ranges check the
-    prefix's last 4 bytes without touching the text either; it counts
-    as the text verification it replaces. The result is in rank order.
+    With delta nibbles and a prune mask's allowed map, a candidate
+    whose recorded predecessor distance d has allowed[d] false is
+    dropped without touching the text; a short range reads allowed
+    once per distinct nibble, a long one fills its whole table. left,
+    an index's left-context column in sa order, lets large ranges check
+    the prefix's last 4 bytes without touching the text either; it
+    counts as the text verification it replaces. The result is in rank order.
     """
     lo, hi = ranks
     if lo == hi:
@@ -153,14 +155,17 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     else:
         shift = j - 1
         prefix = pattern[:shift]
-        ds = deltas[lo:hi].tolist() if deltas is not None else None
+        ds = ok = None
+        if deltas is not None:
+            ds = deltas[lo:hi].tolist()
+            ok = {d: allowed[d] for d in set(ds)}
         out = []
         pruned = checked = 0
         for i, s in enumerate(sa[lo:hi]):
             start = s - shift
             if start < 1:
                 continue
-            if ds is not None and not allowed[ds[i]]:
+            if ok is not None and not ok[ds[i]]:
                 pruned += 1
                 continue
             if shift:
@@ -181,12 +186,13 @@ def _verify_vector(text, sa, pattern, j, lo, hi, deltas, allowed, left,
     anchors = np.asarray(sa[lo:hi])
     if deltas is not None:
         deltas = deltas[lo:hi]
+        table = allowed.table()
     pruned = checked = 0
     if counting:  # whole-range passes that only the statistics need
         inside = anchors >= j
         allowed_inside = inside
         if deltas is not None:
-            allowed_inside = inside & np.take(allowed, deltas)
+            allowed_inside = inside & table[deltas]
             pruned = int(np.count_nonzero(inside)
                          - np.count_nonzero(allowed_inside))
         checked = int(np.count_nonzero(allowed_inside)) if shift else 0
@@ -216,7 +222,7 @@ def _verify_vector(text, sa, pattern, j, lo, hi, deltas, allowed, left,
         rest -= tail
     keep = anchors >= j  # the occurrence starts inside the text
     if deltas is not None:
-        keep &= np.take(allowed, deltas)
+        keep &= table[deltas]
     begin = anchors[keep].astype(np.int64) - j  # 0-based starts
     symbols = np.frombuffer(text, dtype=np.uint8)
     if rest and left is None:

@@ -9,7 +9,7 @@ built on. All positions are 1-based; comparisons are unsigned bytewise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,21 +28,90 @@ class SamplingParams:
             raise InvalidParams(f"need 1 <= p <= q, got q={self.q} p={self.p}")
 
 
-@dataclass
+class AllowedDistances:
+    """The delta nibbles a pattern's candidates may carry: allowed[d] for
+    d in 0..15, decided per distance on first read.
+
+    allowed[d] is True for d = 0 (no recorded predecessor) and for
+    d >= j (no pattern offset to test). Otherwise it is True exactly
+    when the p-gram at pattern offset g = j-d is strictly smaller than
+    every p-gram before it, i.e. when g is the leftmost smallest of the
+    first g p-grams (see prune_mask). Each decision is one
+    leftmost-smallest scan, kept for the later reads of this map only;
+    table() settles all 16 with one running minimum instead.
+    """
+
+    __slots__ = ("_pattern", "_p", "_j", "_known")
+
+    def __init__(self, pattern: bytes, p: int, j: int):
+        self._pattern, self._p, self._j = pattern, p, j
+        self._known: list[bool | None] = [None] * 16
+
+    def __len__(self) -> int:
+        return 16
+
+    def __getitem__(self, d: int) -> bool:
+        if not 0 <= d <= 15:
+            raise IndexError(f"delta {d} outside 0..15")
+        known = self._known[d]
+        if known is None:
+            g = self._j - d
+            known = self._known[d] = (
+                d == 0 or g < 1
+                or _leftmost_smallest(self._pattern, self._p, g) == g - 1)
+        return known
+
+    def table(self) -> np.ndarray:
+        """All 16 decisions as a bool array indexed by the delta nibble."""
+        pattern, p, j = self._pattern, self._p, self._j
+        known = self._known
+        # Only offsets within 15 of j fit a delta nibble; the p-grams
+        # left of them matter only through their minimum.
+        first = max(1, j - 15)
+        low = None
+        if first > 1:
+            at = _leftmost_smallest(pattern, p, first - 1)
+            low = pattern[at:at + p]
+        for g in range(first, j):
+            gram = pattern[g - 1:g - 1 + p]
+            feasible = low is None or gram < low
+            if feasible:
+                low = gram
+            known[j - g] = feasible
+        # entries still None are d = 0 and d >= j, which are True
+        return np.array([v is not False for v in known])
+
+
 class PruneMask:
     """Per-pattern verification filter for the delta-annotated variant.
 
-    j is the minimizer offset in the pattern's q-prefix. possible[d] tells,
-    for each distance d in 1..min(15, j-1), whether some text alignment
-    admits a sampled position at pattern offset j-d. False entries are
-    proven mismatches; absent distances carry no information. allowed is
-    the same map as a 16-entry tuple of bools indexed by the delta
-    nibble, true wherever possible has no false entry.
+    j is the minimizer offset in the pattern's q-prefix. allowed, an
+    AllowedDistances, tells for each delta nibble whether a candidate
+    carrying it may match; it is decided lazily, so a query pays only
+    for the distances its candidates carry. possible is the same
+    information as a dict over the informative distances d in
+    1..min(15, j-1): whether some text alignment admits a sampled
+    position at pattern offset j-d. False entries are proven
+    mismatches. Two masks are equal when their j and possible are.
     """
 
-    j: int
-    possible: dict[int, bool]
-    allowed: tuple[bool, ...] = field(repr=False, compare=False)
+    __slots__ = ("j", "allowed")
+
+    def __init__(self, pattern: bytes, p: int, j: int):
+        self.j = j
+        self.allowed = AllowedDistances(pattern, p, j)
+
+    @property
+    def possible(self) -> dict[int, bool]:
+        return {d: self.allowed[d] for d in range(1, min(15, self.j - 1) + 1)}
+
+    def __eq__(self, other):
+        if not isinstance(other, PruneMask):
+            return NotImplemented
+        return (self.j, self.possible) == (other.j, other.possible)
+
+    def __repr__(self) -> str:
+        return f"PruneMask(j={self.j}, possible={self.possible})"
 
 
 def window_minimizer(s: bytes, p: int) -> int:
@@ -148,7 +217,8 @@ def _ranks(words: np.ndarray) -> np.ndarray:
 
 def prune_mask(pattern: bytes, params: SamplingParams,
                j: int | None = None) -> PruneMask:
-    """Precompute which predecessor distances are feasible for a pattern.
+    """The pattern's prune mask; no p-gram is compared until a distance
+    is read.
 
     With the pattern's q-prefix minimizer at offset j, a candidate text
     alignment may show a sampled position d places earlier, at pattern
@@ -158,8 +228,10 @@ def prune_mask(pattern: bytes, params: SamplingParams,
     g+p-1 and j+p-2, so it starts at or before offset 0 (j <= q-p+1) and
     covers every fully-known p-gram left of g; the shortest one covers
     none right of g. g's p-gram therefore survives exactly when it is
-    smaller than every p-gram before it (ties go to the leftmost), and
-    one running minimum from the left settles every distance.
+    smaller than every p-gram before it (ties go to the leftmost): when
+    the leftmost smallest of the first j-d p-grams is the (j-d)-th. So
+    each distance is settled by one scan of the pattern's first j-d
+    p-grams, independently of the others.
 
     A caller that has already computed j, the q-prefix minimizer, may
     pass it to skip the second computation.
@@ -169,19 +241,4 @@ def prune_mask(pattern: bytes, params: SamplingParams,
         raise PatternTooShort(f"pattern length {len(pattern)} < q={q}")
     if j is None:
         j = window_minimizer(pattern[:q], p)
-    possible: dict[int, bool] = {}
-    allowed = [True] * 16
-    # Only offsets within 15 of j fit a delta nibble; the p-grams left of
-    # them matter only through their minimum.
-    first = max(1, j - 15)
-    low = None
-    if first > 1:
-        at = _leftmost_smallest(pattern, p, first - 1)
-        low = pattern[at:at + p]
-    for g in range(first, j):
-        gram = pattern[g - 1:g - 1 + p]
-        feasible = low is None or gram < low
-        if feasible:
-            low = gram
-        possible[j - g] = allowed[j - g] = feasible
-    return PruneMask(j=j, possible=possible, allowed=tuple(allowed))
+    return PruneMask(pattern, p, j)

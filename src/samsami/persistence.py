@@ -220,12 +220,16 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         # offset 0xFFFFFFFF wraps to position 0
         positions = packed + np.uint32(1)
         nibbles = None
-    if len(positions) and (int(positions.max()) > n
-                           or int(positions.min()) == 0):
+    ascending = np.sort(positions)
+    if len(ascending) and (int(ascending[-1]) > n or int(ascending[0]) == 0):
         raise CorruptIndex("offset beyond the end of the text")
+    # a position named twice would count its occurrences twice
+    if (ascending[1:] == ascending[:-1]).any():
+        raise CorruptIndex("offsets name a position more than once")
     # Only the first window can select position 1, and no later check
     # sees it: the phrase starts are the same with or without it.
-    if bool((positions == 1).any()) != (window_minimizer(text[:q], p) == 1):
+    if ((len(ascending) > 0 and int(ascending[0]) == 1)
+            != (window_minimizer(text[:q], p) == 1)):
         raise CorruptIndex("offsets disagree with the first window on "
                            "whether position 1 is sampled")
 
@@ -256,17 +260,54 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         if occupied > capacity // 2:
             raise CorruptIndex(f"hash table has {occupied} of {capacity} "
                                "slots occupied, above the 0.5 load factor")
+        if not _one_prefix_each(text, positions, lo, hi, k):
+            raise CorruptIndex(f"hash ranges are not the groups of "
+                               f"{k}-byte suffix prefixes")
         bundle.table = PrefixRangeTable(k=k, capacity=int(capacity), slots=slots)
 
     if flags & FLAG_PHRASE:
         # the phrase section is the file's last: it runs to the end
-        bundle.dictionary, bundle.encoded = _read_phrases(data[at:], idx)
+        bundle.dictionary, bundle.encoded = _read_phrases(data[at:], idx,
+                                                          ascending)
     return bundle
 
 
-def _read_phrases(buf: bytes, idx: SamsamiIndex,
+def _one_prefix_each(text: bytes, sa: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray, k: int) -> bool:
+    """Whether each rank range [lo, hi) of the sorted suffix positions sa
+    is exactly the ranks whose suffixes start with one k-byte string.
+
+    The suffixes at lo and hi-1 must have k bytes and agree on them, and
+    the neighbours at lo-1 and hi, where they exist, must be shorter
+    than k or differ from them within k bytes. One byte gather per
+    prefix offset checks every range at once.
+    """
+    if not len(lo):  # nothing to check, and k may be anything
+        return True
+    last = len(text) - k + 1  # the last start of a suffix with k bytes
+    padded = np.append(sa, 0).astype(np.int64)  # rank -1 and n' read 0
+    lo = lo.astype(np.int64)
+    hi = hi.astype(np.int64)
+    # per range: its first and last suffix, then the two neighbours
+    rows = padded[np.stack([lo, hi - 1, lo - 1, hi])]
+    if (rows[:2] > last).any():
+        return False
+    # a missing or shorter neighbour cannot share the prefix: it reads
+    # the range's first suffix instead and is excused
+    short = (rows < 1) | (rows > last)
+    starts = np.where(short, rows[:1], rows) - 1
+    same = np.ones(rows.shape, dtype=bool)
+    symbols = np.frombuffer(text, dtype=np.uint8)
+    for t in range(k):
+        heads = symbols[starts + t]
+        same &= heads == heads[0]
+    return bool((same[1] & (short[2:] | ~same[2:]).all(axis=0)).all())
+
+
+def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,
                   ) -> tuple[PhraseDictionary, EncodedText]:
-    """Parse a phrase section and check it against the loaded index.
+    """Parse a phrase section and check it against the loaded index,
+    whose sampled positions in ascending order are ascending.
 
     Besides decoding, the section must name each phrase once, start its
     phrases exactly at the index's sampled positions (after an unsampled
@@ -316,7 +357,7 @@ def _read_phrases(buf: bytes, idx: SamsamiIndex,
     if span != idx.n:
         raise CorruptIndex("phrase stream does not span the text")
     if not np.array_equal(encoded.text_positions,
-                          _phrase_starts(np.sort(idx.sa))):
+                          _phrase_starts(ascending)):
         raise CorruptIndex("phrase starts differ from the sampled positions")
     # offset in buf of each phrase's first byte, by id
     first = 8 + 4 * np.arange(count, dtype=np.int64) + np.cumsum(sizes) - sizes

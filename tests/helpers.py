@@ -225,3 +225,50 @@ def reseal(data: bytes) -> bytes:
     struct.pack_into("<I", out, 36,
                      zlib.crc32(bytes(out[40:]), zlib.crc32(bytes(out[:36]))))
     return bytes(out)
+
+
+def reference_prune_table(pattern: bytes, p: int, j: int) -> list[bool]:
+    """Eager 16-entry prune table indexed by delta nibble: a running
+    minimum over every p-gram left of offset j, marking the offsets
+    whose p-gram is strictly smaller than all before it; distances with
+    no pattern offset (0 and >= j) stay True."""
+    table = [True] * 16
+    low = None
+    for g in range(1, j):
+        gram = pattern[g - 1:g - 1 + p]
+        smaller = low is None or gram < low
+        if smaller:
+            low = gram
+        if j - g <= 15:
+            table[j - g] = smaller
+    return table
+
+
+def reference_locate2(text: bytes, sa, deltas, pattern: bytes, q: int,
+                      p: int) -> tuple[list[int], int, int, int]:
+    """Reference for delta.locate2 with its query statistics: (hits,
+    candidates, pruned, text_verifications). Every sampled suffix that
+    starts with the pattern's part from its q-prefix minimizer on is a
+    candidate; one inside the text whose delta the eager table rejects
+    is pruned, any other with a non-empty skipped prefix is compared
+    with the text."""
+    j = reference_window_minimizer(pattern[:q], p)
+    table = reference_prune_table(pattern, p, j)
+    anchor = pattern[j - 1:]
+    hits = []
+    candidates = pruned = verified = 0
+    for s, d in zip((int(v) for v in sa), (int(v) for v in deltas)):
+        if text[s - 1:s - 1 + len(anchor)] != anchor:
+            continue
+        candidates += 1
+        start = s - (j - 1)
+        if start < 1:
+            continue
+        if not table[d]:
+            pruned += 1
+            continue
+        if j > 1:
+            verified += 1
+        if text[start - 1:start - 1 + len(pattern)] == pattern:
+            hits.append(start)
+    return sorted(hits), candidates, pruned, verified

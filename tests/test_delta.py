@@ -9,10 +9,10 @@ from samsami import (QueryStats, SamplingParams, TextTooLargeForDeltaVariant,
                      annotate, build, count2, locate, locate2, naive_locate,
                      pack, unpack)
 from samsami import delta
-from samsami.core import SamsamiIndex
+from samsami.core import _VECTOR_MIN_CANDIDATES, SamsamiIndex
 from samsami.delta import MAX_DELTA_TEXT
 
-from helpers import random_text
+from helpers import random_text, reference_locate2
 
 
 def _index_with_positions(positions, n):
@@ -148,3 +148,42 @@ def test_prune_mask_only_for_nonempty_ranges(monkeypatch):
                 assert len(calls) == before + 1
                 assert pruned.candidates == plain.candidates
     assert absent > 20 and present > 20
+
+
+def test_locate2_stats_match_eager_reference_on_both_paths():
+    # repeated blocks give ranges on both sides of the vector kernel's
+    # threshold; answers and statistics must be those of the eager
+    # one-pass prune table on either side
+    rng = random.Random(0x5CA1)
+    sides = set()
+    for _ in range(40):
+        alphabet = rng.choice([2, 4, 26])
+        block = random_text(rng, rng.randint(3, 40), alphabet)
+        text = bytearray((block * (2000 // len(block) + 1))[:2000])
+        for _ in range(rng.randint(0, 40)):
+            text[rng.randrange(len(text))] = rng.randrange(alphabet)
+        text = bytes(text)
+        q = rng.randint(4, 16)
+        p = rng.randint(1, min(4, q))
+        idx = build(text, SamplingParams(q, p))
+        ann = annotate(idx)
+        for _ in range(8):
+            m = rng.randint(q, q + 10)
+            i = rng.randint(0, len(text) - m)
+            pattern = text[i:i + m]
+            if rng.random() < 0.3:
+                at = rng.randrange(m)
+                pattern = (pattern[:at] + bytes([rng.randrange(alphabet)])
+                           + pattern[at + 1:])
+            hits, candidates, pruned, verified = reference_locate2(
+                text, idx.sa, ann.delta, pattern, q, p)
+            expect = QueryStats(candidates, verified, pruned)
+            for query in (locate2, count2):
+                stats = QueryStats()
+                got = query(idx, ann, pattern, stats)
+                assert got == (hits if query is locate2 else len(hits))
+                assert stats == expect, (text, pattern, q, p)
+            assert hits == naive_locate(text, pattern)
+            if pruned:
+                sides.add(candidates >= _VECTOR_MIN_CANDIDATES)
+    assert sides == {False, True}  # pruning seen on both paths

@@ -9,11 +9,12 @@ from samsami import (InvalidParams, PatternTooShort, SamplingParams,
                      TextTooShort, prune_mask, sampled_positions,
                      window_minimizer)
 
+from samsami import minimizer
 from samsami.minimizer import _gram_keys
 
 from helpers import (brute_minimizer, brute_sampled, random_text,
-                     reference_gram_keys, reference_sampled,
-                     reference_window_minimizer)
+                     reference_gram_keys, reference_prune_table,
+                     reference_sampled, reference_window_minimizer)
 
 
 def test_params_validation():
@@ -285,6 +286,57 @@ def test_prune_mask_matches_window_reference():
         assert list(given_j.allowed) == list(mask.allowed)
         assert list(mask.allowed) == [mask.possible.get(d, True)
                                       for d in range(16)]
+
+
+def test_prune_mask_distances_decided_one_at_a_time():
+    # each read of a fresh mask decides one distance on its own; it must
+    # agree with the one-pass table, the eager reference and the direct
+    # statement, whichever distances were read before it
+    rng = random.Random(0x1A2F)
+    for q in range(2, 46):
+        for p in range(1, min(4, q) + 1):
+            for alphabet in (2, 3, 4, 26, 256):
+                pattern = random_text(rng, q + rng.randint(0, 6), alphabet)
+                params = SamplingParams(q, p)
+                table = prune_mask(pattern, params).allowed.table()
+                j = window_minimizer(pattern[:q], p)
+                expect = reference_prune_table(pattern, p, j)
+                assert table.tolist() == expect, (pattern, q, p)
+                reference = _prune_possible_reference(pattern, q, p)
+                order = list(range(16))
+                rng.shuffle(order)
+                shared = prune_mask(pattern, params).allowed
+                for d in order:
+                    fresh = prune_mask(pattern, params, j).allowed[d]
+                    assert fresh == shared[d] == expect[d] == \
+                        reference.get(d, True), (pattern, q, p, d)
+
+
+def test_prune_mask_decides_nothing_until_read(monkeypatch):
+    calls = []
+    original = minimizer._leftmost_smallest
+
+    def counted(s, p, starts):
+        calls.append(starts)
+        return original(s, p, starts)
+
+    monkeypatch.setattr(minimizer, "_leftmost_smallest", counted)
+    pattern = b"ctgccact"
+    mask = prune_mask(pattern, SamplingParams(5, 2), 4)
+    assert calls == []
+    assert mask.allowed[0] and mask.allowed[4] and mask.allowed[15]
+    assert calls == []  # d = 0 and d >= j need no p-gram
+    assert mask.allowed[2] is False
+    assert mask.allowed[2] is False  # decided once, then remembered
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("d", [-1, 16, 1 << 40])
+def test_prune_mask_reads_outside_the_nibble_raise(d):
+    allowed = prune_mask(b"ctgccact", SamplingParams(5, 2)).allowed
+    with pytest.raises(IndexError):
+        allowed[d]
+    assert len(list(allowed)) == len(allowed) == 16
 
 
 def _repetitive_text(rng: random.Random, n: int, alphabet: int) -> bytes:

@@ -275,6 +275,19 @@ def test_added_position_one_rejected():
         load(io.BytesIO(data), text)
 
 
+def test_duplicated_offset_rejected():
+    # sa 8, 5, 2 read as 8, 8, 2 would make count(b"ippi") answer 2
+    # where the scan finds 1
+    text = b"mississippi"
+
+    def repeat_first(offsets):
+        offsets[1] = offsets[0]
+
+    data = _offsets_edited(text, P42, repeat_first)
+    with pytest.raises(CorruptIndex, match="more than once"):
+        load(io.BytesIO(data), text)
+
+
 def test_window_longer_than_text_rejected():
     data = bytearray(serialized_bytes(build_bundle(ABRA, P42)))
     struct.pack_into("<I", data, 12, 12)  # q = 12 over an 11-byte text
@@ -332,6 +345,23 @@ def test_k_without_hash_flag_rejected():
     with pytest.raises(CorruptIndex, match="k=3 but no hash flag"):
         load(io.BytesIO(reseal(_hashed_file(3, with_delta=True))),
              _HASHED_TEXT)
+
+
+_RANDOM_HASHED_TEXT = random_text(random.Random(0x3A7), 400, 4)
+
+
+@pytest.mark.parametrize("text, params, header_k", [
+    # the rewritten k made count_hash(b"abracadabra") answer 0, not 55
+    (_HASHED_TEXT, SamplingParams(6, 2), 2),
+    (_RANDOM_HASHED_TEXT, SamplingParams(8, 2), 4),
+], ids=["lowered", "raised"])
+def test_hash_k_rewritten_rejected(text, params, header_k):
+    data = bytearray(serialized_bytes(build_bundle(text, params, hash_k=3)))
+    assert load(io.BytesIO(bytes(data)), text).table.k == 3
+    struct.pack_into("<I", data, 20, header_k)
+    with pytest.raises(CorruptIndex,
+                       match=f"groups of {header_k}-byte suffix prefixes"):
+        load(io.BytesIO(reseal(data)), text)
 
 
 @pytest.mark.parametrize("shift", [0, -1])
