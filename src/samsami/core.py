@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParams, PatternTooShort
-from .minimizer import (AllowedDistances, SamplingParams, sampled_positions,
+from .minimizer import (PruneMask, SamplingParams, sampled_positions,
                         window_minimizer)
 # build_full_sa is never called here: benchmark tracing wraps it by name
 from .suffix_sort import build_full_sa, extract_sampled  # noqa: F401
@@ -128,7 +128,7 @@ _VECTOR_MIN_CANDIDATES = 48
 
 def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
                        ranks: MatchRange, deltas: np.ndarray | None = None,
-                       allowed: AllowedDistances | None = None,
+                       mask: PruneMask | None = None,
                        stats: QueryStats | None = None,
                        left: np.ndarray | None = None) -> list[int]:
     """Occurrence starts of pattern among the suffixes at ranks [lo, hi).
@@ -137,10 +137,10 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     _prefix_range. The suffix at sa[r] matches pattern[j-1:]; the
     occurrence it stands for starts j-1 bytes earlier, which must lie
     inside the text and agree with the skipped prefix pattern[:j-1].
-    With delta nibbles and a prune mask's allowed map, a candidate
-    whose recorded predecessor distance d has allowed[d] false is
-    dropped without touching the text; a short range reads allowed
-    once per distinct nibble, a long one fills its whole table. left,
+    With delta nibbles and a prune mask, a candidate whose recorded
+    predecessor distance d has mask[d] false is dropped without
+    touching the text; a short range reads the mask once per distinct
+    nibble, a long one takes its whole table. left,
     an index's left-context column in sa order, lets large ranges check
     the prefix's last 4 bytes without touching the text either; it
     counts as the text verification it replaces. The result is in rank order.
@@ -150,7 +150,7 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
         return []
     if hi - lo >= _VECTOR_MIN_CANDIDATES:
         out, pruned, checked = _verify_vector(text, sa, pattern, j, lo, hi,
-                                              deltas, allowed, left,
+                                              deltas, mask, left,
                                               stats is not None)
     else:
         shift = j - 1
@@ -158,7 +158,7 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
         ds = ok = None
         if deltas is not None:
             ds = deltas[lo:hi].tolist()
-            ok = {d: allowed[d] for d in set(ds)}
+            ok = {d: mask[d] for d in set(ds)}
         out = []
         pruned = checked = 0
         for i, s in enumerate(sa[lo:hi]):
@@ -180,13 +180,13 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     return out
 
 
-def _verify_vector(text, sa, pattern, j, lo, hi, deltas, allowed, left,
+def _verify_vector(text, sa, pattern, j, lo, hi, deltas, mask, left,
                    counting):
     shift = j - 1
     anchors = np.asarray(sa[lo:hi])
     if deltas is not None:
         deltas = deltas[lo:hi]
-        table = allowed.table()
+        table = mask.table()
     pruned = checked = 0
     if counting:  # whole-range passes that only the statistics need
         inside = anchors >= j

@@ -4,8 +4,8 @@ Each index entry gains 4 bits holding the distance to the previous
 sampled position in text order (0 when there is none or it exceeds 15).
 At query time the pattern's prune mask rejects candidates whose recorded
 distance is infeasible, saving the text lookup the verification would
-otherwise need. Packed form keeps the 4 bits in the top nibble of a
-32-bit offset, which caps texts at 2^28 bytes.
+otherwise need. An index file keeps the 4 bits in the top nibble of
+each 32-bit offset, which caps texts at 2^28 bytes.
 """
 
 from __future__ import annotations
@@ -47,20 +47,6 @@ def annotate(idx: SamsamiIndex) -> DeltaAnnotation:
     return DeltaAnnotation(delta=delta)
 
 
-def pack(position: int, delta: int) -> int:
-    """Pack a 1-based position and 4-bit delta into one 32-bit offset."""
-    if not 1 <= position <= MAX_DELTA_TEXT:
-        raise ValueError(f"position {position} out of packed range")
-    if not 0 <= delta <= 15:
-        raise ValueError(f"delta {delta} does not fit 4 bits")
-    return (delta << DELTA_SHIFT) | (position - 1)
-
-
-def unpack(offset: int) -> tuple[int, int]:
-    """Inverse of pack: (position, delta)."""
-    return (offset & POS_MASK) + 1, offset >> DELTA_SHIFT
-
-
 def locate2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,
             stats: QueryStats | None = None) -> list[int]:
     """Same result set as core.locate, with delta-based pruning."""
@@ -78,4 +64,4 @@ def _pruned_hits(idx, ann, pattern, stats):
         return []
     mask = prune_mask(pattern, idx.params, j)
     return _verify_candidates(idx.text, idx.sa_view, pattern, j, ranks,
-                              ann.delta, mask.allowed, stats, idx.left)
+                              ann.delta, mask, stats, idx.left)

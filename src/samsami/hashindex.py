@@ -32,6 +32,17 @@ def fnv1a(data: bytes) -> int:
     return h
 
 
+def fnv1a_at(text: bytes, starts: np.ndarray, k: int) -> np.ndarray:
+    """fnv1a(text[s:s + k]) for each 0-based start s, as uint64; every
+    key must lie inside text. Array products wrap modulo 2**64."""
+    symbols = np.frombuffer(text, dtype=np.uint8)
+    h = np.full(len(starts), FNV_OFFSET, dtype=np.uint64)
+    for t in range(k):
+        h ^= symbols[starts + t]
+        h *= np.uint64(FNV_PRIME)
+    return h
+
+
 @dataclass(eq=False)
 class PrefixRangeTable:
     """Open-addressing map from k-byte prefixes to sa rank ranges."""
@@ -78,9 +89,9 @@ def build_table(idx: SamsamiIndex, k: int) -> PrefixRangeTable:
     while capacity < 2 * len(los):
         capacity *= 2
     mask = capacity - 1
+    homes = fnv1a_at(text, sa[los].astype(np.int64) - 1, k) & np.uint64(mask)
     flat = [EMPTY_SLOT] * (2 * capacity)  # lo of slot i at 2i, hi at 2i+1
-    for lo, hi, at in zip(los.tolist(), his.tolist(), (sa[los] - 1).tolist()):
-        slot = fnv1a(text[at:at + k]) & mask
+    for lo, hi, slot in zip(los.tolist(), his.tolist(), homes.tolist()):
         while flat[2 * slot] != EMPTY_SLOT:
             slot = (slot + 1) & mask
         flat[2 * slot] = lo

@@ -28,90 +28,47 @@ class SamplingParams:
             raise InvalidParams(f"need 1 <= p <= q, got q={self.q} p={self.p}")
 
 
-class AllowedDistances:
-    """The delta nibbles a pattern's candidates may carry: allowed[d] for
-    d in 0..15, decided per distance on first read.
+class PruneMask:
+    """Per-pattern verification filter for the delta-annotated variant:
+    mask[d] is False when a candidate carrying delta nibble d (0..15)
+    is a proven mismatch (see prune_mask).
 
-    allowed[d] is True for d = 0 (no recorded predecessor) and for
-    d >= j (no pattern offset to test). Otherwise it is True exactly
-    when the p-gram at pattern offset g = j-d is strictly smaller than
-    every p-gram before it, i.e. when g is the leftmost smallest of the
-    first g p-grams (see prune_mask). Each decision is one
-    leftmost-smallest scan, kept for the later reads of this map only;
-    table() settles all 16 with one running minimum instead.
+    mask[d] is True for d = 0 (no recorded predecessor) and for d >= j
+    (no pattern offset to test). Otherwise it is True exactly when the
+    p-gram at pattern offset g = j-d is a prefix-minimum record: the
+    leftmost smallest of the first g p-grams. Each read is one
+    leftmost-smallest scan; table() decides all 16 at once.
     """
 
-    __slots__ = ("_pattern", "_p", "_j", "_known")
+    __slots__ = ("pattern", "p", "j")
 
     def __init__(self, pattern: bytes, p: int, j: int):
-        self._pattern, self._p, self._j = pattern, p, j
-        self._known: list[bool | None] = [None] * 16
-
-    def __len__(self) -> int:
-        return 16
+        self.pattern, self.p, self.j = pattern, p, j
 
     def __getitem__(self, d: int) -> bool:
         if not 0 <= d <= 15:
             raise IndexError(f"delta {d} outside 0..15")
-        known = self._known[d]
-        if known is None:
-            g = self._j - d
-            known = self._known[d] = (
-                d == 0 or g < 1
-                or _leftmost_smallest(self._pattern, self._p, g) == g - 1)
-        return known
+        g = self.j - d
+        return (d == 0 or g < 1
+                or _leftmost_smallest(self.pattern, self.p, g) == g - 1)
 
     def table(self) -> np.ndarray:
         """All 16 decisions as a bool array indexed by the delta nibble."""
-        pattern, p, j = self._pattern, self._p, self._j
-        known = self._known
-        # Only offsets within 15 of j fit a delta nibble; the p-grams
-        # left of them matter only through their minimum.
-        first = max(1, j - 15)
-        low = None
-        if first > 1:
-            at = _leftmost_smallest(pattern, p, first - 1)
-            low = pattern[at:at + p]
-        for g in range(first, j):
-            gram = pattern[g - 1:g - 1 + p]
-            feasible = low is None or gram < low
-            if feasible:
-                low = gram
-            known[j - g] = feasible
-        # entries still None are d = 0 and d >= j, which are True
-        return np.array([v is not False for v in known])
-
-
-class PruneMask:
-    """Per-pattern verification filter for the delta-annotated variant.
-
-    j is the minimizer offset in the pattern's q-prefix. allowed, an
-    AllowedDistances, tells for each delta nibble whether a candidate
-    carrying it may match; it is decided lazily, so a query pays only
-    for the distances its candidates carry. possible is the same
-    information as a dict over the informative distances d in
-    1..min(15, j-1): whether some text alignment admits a sampled
-    position at pattern offset j-d. False entries are proven
-    mismatches. Two masks are equal when their j and possible are.
-    """
-
-    __slots__ = ("j", "allowed")
-
-    def __init__(self, pattern: bytes, p: int, j: int):
-        self.j = j
-        self.allowed = AllowedDistances(pattern, p, j)
-
-    @property
-    def possible(self) -> dict[int, bool]:
-        return {d: self.allowed[d] for d in range(1, min(15, self.j - 1) + 1)}
-
-    def __eq__(self, other):
-        if not isinstance(other, PruneMask):
-            return NotImplemented
-        return (self.j, self.possible) == (other.j, other.possible)
-
-    def __repr__(self) -> str:
-        return f"PruneMask(j={self.j}, possible={self.possible})"
+        pattern, p, j = self.pattern, self.p, self.j
+        out = np.ones(16, dtype=bool)
+        out[1:j] = False
+        # The leftmost smallest of the first j-1 p-grams is the nearest
+        # record left of j, and the leftmost smallest of the grams
+        # before a record is the next one; only records within 15 of j
+        # fit a nibble.
+        starts = j - 1
+        while starts:
+            g = _leftmost_smallest(pattern, p, starts) + 1
+            if j - g > 15:
+                break
+            out[j - g] = True
+            starts = g - 1
+        return out
 
 
 def window_minimizer(s: bytes, p: int) -> int:

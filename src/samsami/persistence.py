@@ -40,7 +40,7 @@ from .core import SamsamiIndex, build
 from .delta import (DELTA_SHIFT, MAX_DELTA_TEXT, POS_MASK, DeltaAnnotation,
                     annotate)
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
-from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table
+from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table, fnv1a_at
 from .minimizer import SamplingParams, window_minimizer
 from .phrase import (EncodedText, PhraseDictionary, _phrase_starts,
                      codeword_table, encode_text, gather_pieces,
@@ -263,6 +263,14 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         if not _one_prefix_each(text, positions, lo, hi, k):
             raise CorruptIndex(f"hash ranges are not the groups of "
                                f"{k}-byte suffix prefixes")
+        # exact groups with distinct starts are distinct groups; missing
+        # none, they hold every suffix of k bytes or more
+        if ((np.diff(np.sort(lo)) == 0).any() or int((hi - lo).sum())
+                != int(np.count_nonzero(positions <= n - k + 1))):
+            raise CorruptIndex(f"hash table does not hold each {k}-byte "
+                               "prefix group once")
+        if not _on_probe_chains(text, positions, used, lo, k):
+            raise CorruptIndex("a hash slot lies off its key's probe chain")
         bundle.table = PrefixRangeTable(k=k, capacity=int(capacity), slots=slots)
 
     if flags & FLAG_PHRASE:
@@ -302,6 +310,27 @@ def _one_prefix_each(text: bytes, sa: np.ndarray, lo: np.ndarray,
         heads = symbols[starts + t]
         same &= heads == heads[0]
     return bool((same[1] & (short[2:] | ~same[2:]).all(axis=0)).all())
+
+
+def _on_probe_chains(text: bytes, sa: np.ndarray, used: np.ndarray,
+                     lo: np.ndarray, k: int) -> bool:
+    """Whether each occupied slot lies on its key's linear-probe chain:
+    no empty slot from the key's FNV-1a home up to it, wrapping around.
+
+    used marks the occupied slots and lo holds their range starts, in
+    slot order; a slot's key is the first k bytes of the suffix at lo,
+    which _one_prefix_each has checked to exist.
+    """
+    capacity = len(used)
+    at = np.flatnonzero(used)
+    homes = fnv1a_at(text, sa[lo].astype(np.int64) - 1, k)
+    homes = (homes & np.uint64(capacity - 1)).astype(np.int64)
+    # empties[x]: the empty slots before slot x
+    empties = np.zeros(capacity + 1, dtype=np.int64)
+    np.cumsum(~used, out=empties[1:])
+    between = empties[at] - empties[homes]
+    between[homes > at] += empties[capacity]  # the chain wraps around
+    return not between.any()
 
 
 def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,

@@ -27,7 +27,8 @@ import numpy as np
 from .core import QueryStats, _prefix_range
 from .errors import CorruptEncoding, PatternTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
-from .suffix_sort import build_full_sa
+# build_full_sa is never called here: benchmark tracing wraps it by name
+from .suffix_sort import _suffix_order, build_full_sa  # noqa: F401
 
 
 @dataclass(eq=False)
@@ -68,16 +69,20 @@ class EncodedText:
         return len(self.phrase_ids)
 
     def suffix_order(self) -> np.ndarray:
-        """Phrase indexes ordered by bytewise rank of their stream suffix."""
+        """Phrase indexes ordered by bytewise rank of their stream suffix.
+
+        Only the codeword starts are sorted. They are the cover (1, 0,
+        longest codeword) of suffix_sort: for a start s, s+d is a start
+        exactly when byte s+d-1 has its high bit set, and no run of
+        codeword-length positions misses one.
+        """
         if self._suffix_order is None:
-            full = build_full_sa(self.stream).astype(np.int64) - 1
-            starts = np.zeros(len(self.stream), dtype=bool)
-            starts[self.stream_offsets.astype(np.int64)] = True
-            aligned = full[starts[full]]
+            starts = self.stream_offsets.astype(np.int32)
+            longest = int(np.diff(starts, append=len(self.stream)).max())
+            order = _suffix_order(self.stream, starts, 1, 0, longest)
             self._ordered_starts = memoryview(
-                (aligned + 1).astype(np.uint32))
-            self._suffix_order = np.searchsorted(
-                self.stream_offsets, aligned).astype(np.uint32)
+                (starts[order] + 1).astype(np.uint32))
+            self._suffix_order = order.astype(np.uint32)
         return self._suffix_order
 
 

@@ -4,15 +4,17 @@ Suffix order uses an implicit end-of-text sentinel smaller than every
 byte, so a suffix that is a prefix of another sorts first. The same
 convention drives the binary-search comparators in the index modules.
 
-One routine, sort_starts, sorts any ascending set of starts, and only
-those: the full suffix array, a sparse array's every step-th suffix and
-the minimizer samples of an index are three covers of it. It is prefix
-doubling that re-sorts only tied groups, after Larsson and Sadakane
-("Faster suffix sorting"). Bytes are ranked 1..σ (0 stands for past the
-end) and as many ranked symbols as fit 63 bits are packed into one key
-per start, so a single argsort orders the starts by their first
-63 // σ.bit_length() symbols: 9 on source text, 21 on DNA. Groups that
-split into singletons are final and drop out of later rounds.
+One routine, _suffix_order (sort_starts on 1-based starts), sorts any
+ascending set of starts, and only those: the full suffix array, a
+sparse array's every step-th suffix, the minimizer samples of an index
+and the codeword starts of a phrase stream are four covers of it. It is
+prefix doubling that re-sorts only tied groups, after Larsson and
+Sadakane ("Faster suffix sorting"). Bytes are ranked 1..σ (0 stands
+for past the end) and as many ranked symbols as fit 63 bits are packed
+into one key per start, so a single argsort orders the starts by their
+first 63 // σ.bit_length() symbols: 9 on source text, 21 on DNA.
+Groups that split into singletons are final and drop out of later
+rounds.
 
 Plain doubling keys a tied suffix s, whose first h symbols are known,
 by the rank of s+h; that needs s+h to be sorted too, so it sorts every
@@ -32,7 +34,10 @@ sorts. Minimizer samples with windows of q bytes and p-grams are the
 cover (w-1, q, w), w = q-p+1, which extract_sampled(text, positions,
 params) sorts: every window of w gram starts holds a sample, and a
 position d >= w-1 places into s is selected only by windows that start
-inside s, which end within h when d <= h-q.
+inside s, which end within h when d <= h-q. The codeword starts of a
+phrase stream are the cover (1, 0, longest codeword), which
+phrase.EncodedText.suffix_order sorts: s+d is a start exactly when
+byte s+d-1 ends a codeword, which its high bit shows.
 
 Once h reaches h0 = max(lead, 1) + margin + gap - 1, the run of gap
 positions ending at s+h-margin lies in s's determined range, so the

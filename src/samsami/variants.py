@@ -9,8 +9,8 @@ count, phrase-locate and bench all dispatch through this one table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable
 
 from . import baselines, core, delta, hashindex, persistence, phrase
@@ -22,14 +22,19 @@ from .minimizer import SamplingParams
 class Variant:
     """A ready-to-query index: its name, the (q, p, k) it was built with
     (the suffix arrays report (step, 0, 0)), the shortest pattern it
-    answers, its locate and count, and the bytes of its index file."""
+    answers, its locate and count, and the bytes of its index file,
+    which size computes on the first read of index_bytes."""
 
     name: str
     qpk: tuple[int, int, int]
     min_len: int
     locate: Callable[[bytes], list[int]]
     count: Callable[[bytes], int]
-    index_bytes: int
+    size: Callable[[], int] = field(repr=False, compare=False)
+
+    @cached_property
+    def index_bytes(self) -> int:
+        return self.size()
 
 
 def from_bundle(bundle: persistence.IndexBundle,
@@ -69,7 +74,7 @@ def from_bundle(bundle: persistence.IndexBundle,
                            else f"unknown variant {name!r}")
     k = table.k if table is not None else 0
     return Variant(name, (params.q, params.p, k), min_len, locate, count,
-                   len(persistence.serialized_bytes(bundle)))
+                   lambda: len(persistence.serialized_bytes(bundle)))
 
 
 def build_variants(text: bytes, names, q: int, p: int, k: int,
@@ -91,7 +96,7 @@ def build_variants(text: bytes, names, q: int, p: int, k: int,
                 name, (sa.step, 0, 0), sa.step,
                 partial(baselines.spasa_locate, sa),
                 partial(baselines.spasa_count, sa),
-                persistence._HEADER.size + 4 * len(sa.sa)))
+                partial(int, persistence._HEADER.size + 4 * len(sa.sa))))
             continue
         if idx is None:
             idx = core.build(text, SamplingParams(q, p))

@@ -260,9 +260,9 @@ def test_criterion_3_worked_examples():
     assert list(annotate(stub).delta) == [0, 7, 2, 3, 5]
     mask = prune_mask(b"ctgccact", SamplingParams(5, 2))
     assert mask.j == 4
-    assert mask.possible[1] is False
-    assert mask.possible[2] is False
-    assert mask.possible[3] is True
+    assert mask[1] is False
+    assert mask[2] is False
+    assert mask[3] is True
     print("\nACCEPTANCE 3 PASS: delta list 0,7,2,3,5 and prune mask "
           "(j=4, 1/2 impossible, 3 possible) reproduced")
 

@@ -2,12 +2,9 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from samsami import (QueryStats, SamplingParams, TextTooLargeForDeltaVariant,
-                     annotate, build, count2, locate, locate2, naive_locate,
-                     pack, unpack)
+                     annotate, build, count2, locate, locate2, naive_locate)
 from samsami import delta
 from samsami.core import _VECTOR_MIN_CANDIDATES, SamsamiIndex
 from samsami.delta import MAX_DELTA_TEXT
@@ -51,22 +48,6 @@ def test_annotate_text_size_limit():
     idx = _index_with_positions([1], MAX_DELTA_TEXT + 1)
     with pytest.raises(TextTooLargeForDeltaVariant):
         annotate(idx)
-
-
-@given(st.integers(1, MAX_DELTA_TEXT), st.integers(0, 15))
-def test_pack_unpack_roundtrip(position, delta):
-    assert unpack(pack(position, delta)) == (position, delta)
-
-
-def test_pack_bounds():
-    assert pack(MAX_DELTA_TEXT, 15) == 0xFFFFFFFF
-    assert pack(1, 0) == 0
-    with pytest.raises(ValueError):
-        pack(0, 0)
-    with pytest.raises(ValueError):
-        pack(MAX_DELTA_TEXT + 1, 0)
-    with pytest.raises(ValueError):
-        pack(1, 16)
 
 
 def test_locate2_equals_locate_randomized():

@@ -1,11 +1,13 @@
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from samsami import (InvalidParams, PatternTooShort, SamplingParams, build,
                      build_table, count_hash, locate, locate_hash,
                      min_pattern_length, naive_locate)
-from samsami.hashindex import EMPTY_SLOT, fnv1a
+from samsami.hashindex import EMPTY_SLOT, fnv1a, fnv1a_at
 
 from helpers import random_text, reference_build_table
 
@@ -23,6 +25,20 @@ def test_fnv1a_pinned():
     assert fnv1a(b"") == 14695981039346656037
     for key in (b"a", b"ab", b"abc", bytes(range(16))):
         assert fnv1a(key) == _slow_fnv1a(key)
+
+
+def test_fnv1a_at_equals_fnv1a():
+    # the array hash places and checks table slots; it must agree with
+    # the scalar one that queries probe with, and wrap without warning
+    rng = random.Random(0xF17)
+    for k in (1, 2, 3, 8, 17):
+        text = random_text(rng, 300, rng.choice([2, 4, 256]))
+        starts = np.array(rng.sample(range(len(text) - k + 1), 50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fnv1a_at(text, starts, k)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [fnv1a(text[s:s + k]) for s in starts]
 
 
 @pytest.fixture(scope="module")

@@ -189,15 +189,16 @@ def test_sampled_positions_every_window_width(p):
 def test_prune_mask_paper_example():
     mask = prune_mask(b"ctgccact", SamplingParams(5, 2))
     assert mask.j == 4
-    assert mask.possible[1] is False   # "gc" can never be a minimizer here
-    assert mask.possible[2] is False   # neither can "tg"
-    assert mask.possible[3] is True    # "ct" at the pattern start may be
+    assert mask[1] is False   # "gc" can never be a minimizer here
+    assert mask[2] is False   # neither can "tg"
+    assert mask[3] is True    # "ct" at the pattern start may be
 
 
 def test_prune_mask_minimizer_at_front():
     mask = prune_mask(b"aazzzzzz", SamplingParams(4, 2))
     assert mask.j == 1
-    assert mask.possible == {}
+    assert list(mask) == [True] * 16  # no offset left of j to test
+    assert mask.table().all()
 
 
 def test_prune_mask_errors():
@@ -229,7 +230,7 @@ def test_prune_mask_is_sound():
             continue
         d = s - pos[at - 1]
         if 1 <= d <= min(15, mask.j - 1):
-            assert mask.possible[d], (text, pattern, q, p, d)
+            assert mask[d], (text, pattern, q, p, d)
             checked += 1
     assert checked > 20
 
@@ -242,7 +243,9 @@ def test_prune_mask_distances_within_cap(seed, q, p):
     rng = random.Random(seed)
     pattern = random_text(rng, q + 4, 4)
     mask = prune_mask(pattern, SamplingParams(q, p))
-    assert set(mask.possible) == set(range(1, min(15, mask.j - 1) + 1))
+    # only d in 1..min(15, j-1) has a pattern offset to test
+    assert all(mask[d] for d in range(16) if d == 0 or d >= mask.j)
+    assert list(mask) == mask.table().tolist()
 
 
 def _prune_possible_reference(pattern, q, p):
@@ -279,13 +282,12 @@ def test_prune_mask_matches_window_reference():
         alphabet = rng.choice([2, 3, 4, 26, 256])
         pattern = random_text(rng, q + rng.randint(0, 10), alphabet)
         mask = prune_mask(pattern, SamplingParams(q, p))
-        assert mask.possible == _prune_possible_reference(pattern, q, p), (
+        reference = _prune_possible_reference(pattern, q, p)
+        assert list(mask) == [reference.get(d, True) for d in range(16)], (
             pattern, q, p)
         given_j = prune_mask(pattern, SamplingParams(q, p), mask.j)
-        assert given_j == mask
-        assert list(given_j.allowed) == list(mask.allowed)
-        assert list(mask.allowed) == [mask.possible.get(d, True)
-                                      for d in range(16)]
+        assert given_j.j == mask.j
+        assert list(given_j) == list(mask) == mask.table().tolist()
 
 
 def test_prune_mask_distances_decided_one_at_a_time():
@@ -298,16 +300,16 @@ def test_prune_mask_distances_decided_one_at_a_time():
             for alphabet in (2, 3, 4, 26, 256):
                 pattern = random_text(rng, q + rng.randint(0, 6), alphabet)
                 params = SamplingParams(q, p)
-                table = prune_mask(pattern, params).allowed.table()
+                table = prune_mask(pattern, params).table()
                 j = window_minimizer(pattern[:q], p)
                 expect = reference_prune_table(pattern, p, j)
                 assert table.tolist() == expect, (pattern, q, p)
                 reference = _prune_possible_reference(pattern, q, p)
                 order = list(range(16))
                 rng.shuffle(order)
-                shared = prune_mask(pattern, params).allowed
+                shared = prune_mask(pattern, params)
                 for d in order:
-                    fresh = prune_mask(pattern, params, j).allowed[d]
+                    fresh = prune_mask(pattern, params, j)[d]
                     assert fresh == shared[d] == expect[d] == \
                         reference.get(d, True), (pattern, q, p, d)
 
@@ -324,19 +326,23 @@ def test_prune_mask_decides_nothing_until_read(monkeypatch):
     pattern = b"ctgccact"
     mask = prune_mask(pattern, SamplingParams(5, 2), 4)
     assert calls == []
-    assert mask.allowed[0] and mask.allowed[4] and mask.allowed[15]
+    assert mask[0] and mask[4] and mask[15]
     assert calls == []  # d = 0 and d >= j need no p-gram
-    assert mask.allowed[2] is False
-    assert mask.allowed[2] is False  # decided once, then remembered
-    assert calls == [2]
+    assert mask[2] is False
+    assert calls == [2]  # one scan of the first j-2 p-grams
+    calls.clear()
+    # "ct" is the only record among "ct", "tg", "gc": the table walks to
+    # it with one scan, and no scan is left once it reaches offset 1
+    assert mask.table().tolist() == [True, False, False] + [True] * 13
+    assert calls == [3]
 
 
 @pytest.mark.parametrize("d", [-1, 16, 1 << 40])
 def test_prune_mask_reads_outside_the_nibble_raise(d):
-    allowed = prune_mask(b"ctgccact", SamplingParams(5, 2)).allowed
+    mask = prune_mask(b"ctgccact", SamplingParams(5, 2))
     with pytest.raises(IndexError):
-        allowed[d]
-    assert len(list(allowed)) == len(allowed) == 16
+        mask[d]
+    assert len(list(mask)) == 16  # iteration stops at the first raise
 
 
 def _repetitive_text(rng: random.Random, n: int, alphabet: int) -> bytes:

@@ -364,6 +364,62 @@ def test_hash_k_rewritten_rejected(text, params, header_k):
         load(io.BytesIO(reseal(data)), text)
 
 
+def _with_slots(bundle, slots) -> bytes:
+    # the file of bundle with its hash slots replaced, resealed
+    data = bytearray(serialized_bytes(bundle))
+    start = 48 + 4 * bundle.index.n_sampled + 8
+    data[start:start + slots.nbytes] = slots.astype("<u4").tobytes()
+    return reseal(data)
+
+
+def test_hash_k_raised_off_probe_chains_rejected():
+    # The 3-byte groups of this text are also its 4-byte groups, so a k
+    # raised to 4 passes the group check; count_hash(b"abracadabra")
+    # then answered 0, not 55, since each slot sits where the 3-byte
+    # hash put it, off the chain the 4-byte hash probes.
+    params = SamplingParams(6, 2)
+    data = bytearray(serialized_bytes(build_bundle(_HASHED_TEXT, params,
+                                                   hash_k=3)))
+    struct.pack_into("<I", data, 20, 4)
+    with pytest.raises(CorruptIndex, match="off its key's probe chain"):
+        load(io.BytesIO(reseal(data)), _HASHED_TEXT)
+
+
+def test_hash_slot_moved_off_its_probe_chain_rejected():
+    # move one entry to the next empty slot: the slot it leaves empty
+    # ends the entry's probe chain before the entry
+    bundle = build_bundle(_HASHED_TEXT, SamplingParams(6, 2), hash_k=3)
+    slots = bundle.table.slots.copy()
+    capacity = len(slots)
+    src = int(np.flatnonzero(slots[:, 0] != 0xFFFFFFFF)[0])
+    dst = next(x % capacity for x in range(src + 1, src + capacity)
+               if slots[x % capacity, 0] == 0xFFFFFFFF)
+    slots[dst], slots[src] = slots[src], 0xFFFFFFFF
+    with pytest.raises(CorruptIndex, match="off its key's probe chain"):
+        load(io.BytesIO(_with_slots(bundle, slots)), _HASHED_TEXT)
+
+
+@pytest.mark.parametrize("change", ["emptied", "doubled"])
+def test_hash_group_missing_or_doubled_rejected(change):
+    # Emptying the last slot of a probe chain leaves every chain intact;
+    # the loaded table then answered 0 for patterns anchored on that
+    # group. Doubling a group into an empty slot on its chain misses no
+    # answer, but the file is not one build_table writes.
+    text = random_text(random.Random(0x3A8), 3000, 4)
+    bundle = build_bundle(text, SamplingParams(8, 2), hash_k=3)
+    slots = bundle.table.slots.copy()
+    used = slots[:, 0] != 0xFFFFFFFF
+    capacity = len(slots)
+    last = next(int(x) for x in np.flatnonzero(used)
+                if not used[(x + 1) % capacity])
+    if change == "emptied":
+        slots[last] = 0xFFFFFFFF
+    else:
+        slots[(last + 1) % capacity] = slots[last]
+    with pytest.raises(CorruptIndex, match="each 3-byte prefix group once"):
+        load(io.BytesIO(_with_slots(bundle, slots)), text)
+
+
 @pytest.mark.parametrize("shift", [0, -1])
 def test_hash_slot_with_empty_range_rejected(shift):
     # every group the builder hashes holds at least one suffix; rewrite

@@ -5,8 +5,8 @@ import pytest
 
 from samsami import (CorruptEncoding, EncodedText, PatternTooShort,
                      QueryStats, SamplingParams, TextTooShort, decode_text,
-                     encode_text, encoded_locate, naive_locate,
-                     parse_phrases, sampled_positions)
+                     build_full_sa, encode_text, encoded_locate,
+                     naive_locate, parse_phrases, sampled_positions)
 from samsami.phrase import (PhraseDictionary, _stable_boundaries,
                             codeword_table, decode_ids, encode_id,
                             rebuild_positions)
@@ -149,6 +149,29 @@ def test_rebuild_positions_matches_encoder():
     assert list(rebuilt.stream_offsets) == list(encoded.stream_offsets)
     assert list(rebuilt.text_positions) == list(encoded.text_positions)
     assert list(rebuilt.phrase_ids) == list(encoded.phrase_ids)
+
+
+def test_suffix_order_equals_filtered_full_sort():
+    # only the codeword starts are sorted; they must come out in the
+    # order the full stream suffix array gives them, with 1-, 2- and
+    # 3-byte codewords and repeated runs of phrases that tie for long
+    rng = random.Random(0x50F7)
+    for count in (3, 129, 300, 16385, 20000):
+        dictionary = _dictionary(rng, count)
+        for _ in range(4):
+            block = [rng.randrange(count) for _ in range(rng.randint(1, 12))]
+            ids = []
+            while len(ids) < 400:
+                ids += block if rng.random() < 0.7 else [rng.randrange(count)]
+            stream = b"".join(dictionary.codewords[i] for i in ids)
+            encoded = rebuild_positions(dictionary, stream)
+            full = build_full_sa(stream).astype(np.int64) - 1
+            is_start = np.zeros(len(stream), dtype=bool)
+            is_start[encoded.stream_offsets] = True
+            expect = full[is_start[full]]
+            order = encoded.suffix_order()
+            assert encoded.stream_offsets[order].tolist() == expect.tolist()
+            assert encoded._ordered_starts.tolist() == (expect + 1).tolist()
 
 
 def test_encoded_locate_example():

@@ -9,7 +9,7 @@ import pytest
 from samsami import (PatternTooShort, SamplingParams, SamsamiError,
                      build_bundle, build_variants, from_bundle, load,
                      naive_locate, save)
-from samsami import baselines, core
+from samsami import baselines, core, persistence
 
 from helpers import random_text
 
@@ -109,3 +109,28 @@ def test_build_variants_sorts_the_text_once(monkeypatch):
     built = build_variants(text, NAMES, 5, 2, 3, 4)
     assert [v.name for v in built] == list(NAMES)
     assert sorted_texts == [text]
+
+
+@pytest.mark.parametrize("name", SAVED)
+def test_index_bytes_serialized_on_first_read(name, monkeypatch):
+    # locate and count never print a size, so they must not pay for one
+    text = random_text(random.Random(f"size/{name}"), 400, 4)
+    bundle = build_bundle(text, SamplingParams(6, 2),
+                          with_delta=name == "samsami2",
+                          hash_k=3 if name == "samsami-hash" else None,
+                          with_phrase=name == "phrase")
+    expect = len(persistence.serialized_bytes(bundle))
+    calls = []
+    real = persistence.serialized_bytes
+
+    def counting(b):
+        calls.append(b)
+        return real(b)
+
+    monkeypatch.setattr(persistence, "serialized_bytes", counting)
+    variant = from_bundle(bundle, name)
+    variant.count(text[:20])
+    assert calls == []
+    assert variant.index_bytes == expect
+    assert variant.index_bytes == expect
+    assert calls == [bundle]
