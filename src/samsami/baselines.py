@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QueryStats, _prefix_range, _verify_candidates
+from .core import QueryStats, _fences, _prefix_range, _verify_candidates
 from .errors import InvalidParams, PatternTooShort
 from .suffix_sort import build_full_sa, sort_starts
 
@@ -42,6 +42,8 @@ class SparseSuffixArray:
     sa: np.ndarray = field(repr=False)
     n: int = 0
     sa_view: memoryview = field(init=False, repr=False)
+    # filled in by the first search, as SamsamiIndex.fences
+    fences: list[bytes] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.sa_view = memoryview(self.sa)  # items read as Python ints
@@ -73,9 +75,12 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
     if m < spasa.step:
         raise PatternTooShort(f"pattern length {m} < step {spasa.step}")
     text, sa = spasa.text, spasa.sa_view
+    if spasa.fences is None:
+        spasa.fences = _fences(text, sa)
     out = []
     for off in range(1, spasa.step + 1):
-        ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:])
+        ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:],
+                              spasa.fences)
         out += _verify_candidates(text, sa, pattern, off, ranks, stats=stats)
     out.sort()
     return out

@@ -141,6 +141,7 @@ def _locate_hash_impl(idx, table, pattern, stats):
     ranged = _probe(idx, table, pattern[j - 1:j - 1 + k])
     if ranged is None:
         return []
+    # no fences: the k-byte group already bounds the search
     narrowed = _prefix_range(idx.text, idx.sa_view, ranged.lo, ranged.hi,
                              pattern[j - 1:])
     return _verify_candidates(idx.text, idx.sa_view, pattern, j, narrowed,

@@ -216,16 +216,29 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
     if flags & FLAG_DELTA:
         positions = (packed & np.uint32(POS_MASK)) + np.uint32(1)
         nibbles = (packed >> np.uint32(DELTA_SHIFT)).astype(np.uint8)
+        # one sort gives the positions and, in the low 4 bits of
+        # (offset << 4) | nibble, their nibbles in text order
+        keyed = np.sort((packed << np.uint32(32 - DELTA_SHIFT))
+                        | (packed >> np.uint32(DELTA_SHIFT)))
+        ascending = (keyed >> np.uint32(32 - DELTA_SHIFT)) + np.uint32(1)
     else:
         # offset 0xFFFFFFFF wraps to position 0
         positions = packed + np.uint32(1)
         nibbles = None
-    ascending = np.sort(positions)
+        ascending = np.sort(positions)
     if len(ascending) and (int(ascending[-1]) > n or int(ascending[0]) == 0):
         raise CorruptIndex("offset beyond the end of the text")
     # a position named twice would count its occurrences twice
     if (ascending[1:] == ascending[:-1]).any():
         raise CorruptIndex("offsets name a position more than once")
+    if nibbles is not None:
+        # a wrong nibble prunes an occurrence that is there
+        gaps = np.zeros(len(ascending), dtype=np.uint32)
+        np.subtract(ascending[1:], ascending[:-1], out=gaps[1:])
+        gaps[gaps > 15] = 0
+        if (gaps != (keyed & np.uint32(15))).any():
+            raise CorruptIndex("delta nibbles differ from the gaps between "
+                               "sampled positions")
     # Only the first window can select position 1, and no later check
     # sees it: the phrase starts are the same with or without it.
     if ((len(ascending) > 0 and int(ascending[0]) == 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QueryStats, _prefix_range
+from .core import QueryStats, _fences, _prefix_range
 from .errors import CorruptEncoding, PatternTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
 # build_full_sa is never called here: benchmark tracing wraps it by name
@@ -55,8 +55,10 @@ class EncodedText:
     phrase_ids: np.ndarray = field(repr=False)
     _suffix_order: np.ndarray | None = field(default=None, repr=False)
     # 1-based stream positions of the phrases in suffix order, the
-    # searched column of a codeword lookup; built with the suffix order
+    # searched column of a codeword lookup, and its fence list; built
+    # with the suffix order
     _ordered_starts: memoryview | None = field(default=None, repr=False)
+    _fences: list[bytes] | None = field(default=None, repr=False)
     id_view: memoryview = field(init=False, repr=False)
     position_view: memoryview = field(init=False, repr=False)
 
@@ -82,6 +84,7 @@ class EncodedText:
             order = _suffix_order(self.stream, starts, 1, 0, longest)
             self._ordered_starts = memoryview(
                 (starts[order] + 1).astype(np.uint32))
+            self._fences = _fences(self.stream, self._ordered_starts)
             self._suffix_order = order.astype(np.uint32)
         return self._suffix_order
 
@@ -183,10 +186,6 @@ def encode_text(text: bytes, params: SamplingParams,
     return dictionary, encoded
 
 
-# Phrase ids fit the u32 phrase count of an index file: 5 codeword bytes.
-_MAX_IDS = 1 << 32
-
-
 def _split_stream(stream: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Phrase ids and 0-based codeword starts of a stream over count ids.
 
@@ -224,11 +223,6 @@ def _split_stream(stream: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
     if len(ids) and int(ids.max()) >= count:
         raise CorruptEncoding(f"phrase id {int(ids.max())} outside dictionary")
     return ids.astype(np.uint32, copy=False), starts
-
-
-def decode_ids(stream: bytes) -> list[int]:
-    """Split a codeword stream back into phrase ids."""
-    return _split_stream(stream, _MAX_IDS)[0].tolist()
 
 
 def decode_text(dictionary: PhraseDictionary, encoded: EncodedText) -> bytes:
@@ -346,7 +340,7 @@ def _locate_by_codewords(dictionary, encoded, n, pattern, j1, searches,
     total = skipped = 0
     for codewords, covered, reached in searches:
         lo, hi = _prefix_range(encoded.stream, encoded._ordered_starts, 0,
-                               len(order), codewords)
+                               len(order), codewords, encoded._fences)
         total += hi - lo
         for pi in order[lo:hi].tolist():
             start = positions[pi] - j1 + 1

@@ -173,8 +173,9 @@ def brute_locate(text: bytes, pattern: bytes) -> list[int]:
 
 
 def reference_decode_ids(stream: bytes) -> list[int]:
-    """Reference for phrase.decode_ids: one byte at a time, accumulating
-    7 bits per byte until a byte with the high bit set ends the id.
+    """Reference for the ids of phrase._split_stream: one byte at a time,
+    accumulating 7 bits per byte until a byte with the high bit set ends
+    the id.
 
     Raises ValueError when the stream ends inside a codeword.
     """

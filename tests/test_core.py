@@ -1,16 +1,21 @@
 import copy
+import io
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
-                     TextTooShort, annotate, build, build_full_sa,
-                     build_table, count, encode_text, locate, locate2,
+                     TextTooShort, annotate, build, build_bundle,
+                     build_full_sa, build_table, count, count_hash,
+                     encode_text, encoded_locate, load, locate, locate2,
                      locate_hash, naive_locate, parse_phrases,
                      sampled_positions, spasa_build, spasa_locate,
                      suffix_range, window_minimizer)
 from samsami import core
+from samsami.persistence import serialized_bytes
 
 from helpers import brute_suffix_array, random_text
 
@@ -241,6 +246,103 @@ def test_prefix_range_gallop_matches_sorted_scan():
                 got = core._prefix_range(text, sa, lo, hi, seq)
                 assert tuple(got) == _brute_prefix_range(text, sa, lo, hi,
                                                          seq), (seq, lo, hi)
+
+
+@pytest.mark.parametrize("stride, width", [(1, 1), (2, 3), (3, 2), (8, 5)])
+def test_fenced_prefix_range_equals_fence_free(stride, width, monkeypatch):
+    # tiny fences, so that searched strings outrun them and many fences
+    # tie; sparse subsets keep suffix order with gaps, as samsami does
+    monkeypatch.setattr(core, "FENCE_STRIDE", stride)
+    monkeypatch.setattr(core, "FENCE_WIDTH", width)
+    rng = random.Random(0xFE9 + 10 * stride + width)
+    texts = [b"\x00" * 60, b"\xff" * 60, b"a" * 60,
+             bytes([0x00, 0xFF]) * 30 + b"\x00" * 10,
+             random_text(rng, 150, 2),
+             bytes(rng.choice(b"\x00\x01\xfe\xff") for _ in range(150))]
+    for text in texts:
+        full = brute_suffix_array(text)
+        subsets = [full, full[::3], [s for s in full if s % 4 == 1],
+                   [s for s in full if rng.random() < 0.4]]
+        seqs = {text[i:i + k] for i in rng.sample(range(len(text)), 12)
+                for k in (1, width, width + 1, 2 * width + 3, 40)}
+        seqs |= {b"\x00", b"\xff", b"\x00" * (width + 2),
+                 b"\xff" * (width + 2), text + b"\x00"}
+        for positions in subsets:
+            sa = memoryview(np.array(positions, dtype=np.uint32))
+            fences = core._fences(text, sa)
+            assert len(fences) == -(-len(sa) // stride)
+            n = len(sa)
+            bounds = [(0, n)] + [tuple(sorted(rng.sample(range(n + 1), 2)))
+                                 for _ in range(3)]
+            for seq in seqs:
+                for lo, hi in bounds:
+                    got = core._prefix_range(text, sa, lo, hi, seq, fences)
+                    assert got == core._prefix_range(text, sa, lo, hi, seq)
+                    assert tuple(got) == _brute_prefix_range(
+                        text, sa, lo, hi, seq), (seq, lo, hi)
+
+
+def test_fences_are_built_on_the_first_search_only():
+    # load must not pay for them: see load_s in perfbench
+    text = random_text(random.Random(0xFE1), 3000, 4)
+    params = SamplingParams(8, 2)
+    bundle = build_bundle(text, params, with_delta=True, hash_k=3,
+                          with_phrase=True)
+    back = load(io.BytesIO(serialized_bytes(bundle)), text)
+    spasa = spasa_build(text, 4)
+    for idx in (build(text, params), bundle.index, back.index):
+        assert idx.fences is None
+        count_hash(idx, bundle.table, text[100:120])  # bounded by its group
+        assert idx.fences is None
+        count(idx, text[100:120])
+        assert idx.fences == core._fences(text, idx.sa_view)
+    assert spasa.fences is None
+    spasa_locate(spasa, text[100:120])
+    assert spasa.fences == core._fences(text, spasa.sa_view)
+    encoded = back.encoded
+    assert encoded._fences is None
+    encoded_locate(back.dictionary, encoded, len(text), text[100:140], params)
+    assert encoded._fences == core._fences(encoded.stream,
+                                           encoded._ordered_starts)
+
+
+def test_threads_racing_on_the_first_search_agree():
+    # Many threads run the first searches of shared fresh indexes at
+    # once, switching often; whichever fence list is kept, every
+    # answer must equal the scan's.
+    rng = random.Random(0xFE2)
+    text = random_text(rng, 3000, 4)
+    params = SamplingParams(8, 2)
+    idx = build(text, params)
+    spasa = spasa_build(text, 4)
+    dictionary, encoded = encode_text(text, params)
+    patterns = [text[i:i + 24] for i in rng.sample(range(len(text) - 24), 40)]
+    expect = [naive_locate(text, pat) for pat in patterns]
+    barrier = threading.Barrier(8)
+    results = []
+
+    def work():
+        barrier.wait()
+        results.append(
+            [(locate(idx, pat), spasa_locate(spasa, pat),
+              encoded_locate(dictionary, encoded, len(text), pat, params))
+             for pat in patterns])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(old)
+    assert len(results) == 8
+    for got in results:
+        assert got == [(hits, hits, hits) for hits in expect]
+    assert idx.fences == core._fences(text, idx.sa_view)
 
 
 def _without_column(idx):

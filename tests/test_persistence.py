@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samsami import (CorruptIndex, SamplingParams, SamsamiError, TextMismatch,
-                     UnsupportedFormat, build_bundle, count, decode_text,
+from samsami import (CorruptIndex, DeltaAnnotation, SamplingParams,
+                     SamsamiError, TextMismatch, UnsupportedFormat,
+                     build_bundle, count, count2, decode_text,
                      encoded_locate, from_bundle, load, locate, locate2,
-                     locate_hash, naive_locate, save)
+                     locate_hash, naive_count, naive_locate, save)
 from samsami.hashindex import fnv1a
 from samsami.persistence import IndexBundle, serialized_bytes
 from samsami.phrase import encode_id
@@ -63,6 +64,45 @@ def test_delta_offsets_carry_nibbles():
     back = roundtrip(bundle, ABRA)
     assert list(back.delta.delta) == [2, 0, 3, 2]
     assert locate2(back.index, back.delta, b"adab") == [6]
+
+
+_DNA_TEXT = bytes(b"ACGT"[c] for c in random_text(random.Random(0xD17),
+                                                   3000, 4))
+
+
+@pytest.mark.parametrize("change", ["low bit of every nibble", "one nibble",
+                                    "two nibbles swapped",
+                                    "gaps above 15 as their low bits"])
+def test_resealed_delta_nibbles_rejected(change):
+    # Every low bit flipped loaded, and count2 then answered wrong for
+    # some 12-byte windows: a wrong nibble prunes occurrences.
+    q = 24 if change == "gaps above 15 as their low bits" else 8
+    bundle = build_bundle(_DNA_TEXT, SamplingParams(q, 2), with_delta=True)
+    nibbles = bundle.delta.delta.copy()
+    if change == "low bit of every nibble":
+        nibbles ^= 1
+        windows = [_DNA_TEXT[i:i + 12] for i in range(0, 2989, 7)]
+        assert any(count2(bundle.index, DeltaAnnotation(nibbles), w)
+                   != naive_count(_DNA_TEXT, w) for w in windows)
+    elif change == "one nibble":
+        nibbles[len(nibbles) // 2] = (nibbles[len(nibbles) // 2] + 1) % 16
+    elif change == "two nibbles swapped":
+        a, b = np.flatnonzero(nibbles != nibbles[0])[0], 0
+        nibbles[a], nibbles[b] = nibbles[b], nibbles[a]
+    else:
+        # the unchanged file, whose gaps above 15 carry 0, loads
+        assert load(io.BytesIO(serialized_bytes(bundle)), _DNA_TEXT)
+        sa = bundle.index.sa.astype(np.int64)
+        order = np.argsort(sa)
+        gaps = np.diff(sa[order], prepend=sa[order][0])
+        assert (gaps > 16).any()
+        nibbles[order] = np.where(gaps > 15, gaps & 15, nibbles[order])
+    data = bytearray(serialized_bytes(bundle))
+    n = bundle.index.n_sampled
+    offsets = np.frombuffer(data, "<u4", n, 48) & np.uint32((1 << 28) - 1)
+    data[48:48 + 4 * n] = (offsets | (nibbles.astype("<u4") << 28)).tobytes()
+    with pytest.raises(CorruptIndex, match="delta nibbles differ"):
+        load(io.BytesIO(reseal(data)), _DNA_TEXT)
 
 
 def test_roundtrip_hash():
