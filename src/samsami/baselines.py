@@ -81,7 +81,9 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
     for off in range(1, spasa.step + 1):
         ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:],
                               spasa.fences)
-        out += _verify_candidates(text, sa, pattern, off, ranks, stats=stats)
+        if ranks[0] != ranks[1]:  # an empty range adds nothing to stats
+            out += _verify_candidates(text, sa, pattern, off, ranks,
+                                      stats=stats)
     out.sort()
     return out
 

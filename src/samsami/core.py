@@ -54,11 +54,13 @@ class SamsamiIndex:
     of memory per sampled suffix.
 
     fences, the fence list of _fences, is filled in by the first search
-    and never stored either. It needs no lock: two threads that race on
-    the first search build equal lists, and either may be kept. It is a
-    plain attribute, not a functools.cached_property: reading __dict__,
-    as that does, makes every later attribute read of the index about
-    45 ns slower on CPython 3.11.
+    and never stored either. samsami and samsami-hash share it: the hash
+    narrows inside its k-byte group through the same list. It needs no
+    lock: two threads that race on the first search build equal lists,
+    and either may be kept. It is a plain attribute, not a
+    functools.cached_property: reading __dict__, as that does, makes
+    every later attribute read of the index about 45 ns slower on
+    CPython 3.11.
     """
 
     text: bytes
@@ -96,8 +98,9 @@ def suffix_range(idx: SamsamiIndex, seq: bytes) -> MatchRange:
         raise InvalidParams("empty search string")
     if idx.fences is None:
         idx.fences = _fences(idx.text, idx.sa_view)
-    return _prefix_range(idx.text, idx.sa_view, 0, len(idx.sa), seq,
-                         idx.fences)
+    lo, hi = _prefix_range(idx.text, idx.sa_view, 0, len(idx.sa), seq,
+                           idx.fences)
+    return MatchRange(lo, hi)
 
 
 # A fence list holds the first FENCE_WIDTH bytes of every FENCE_STRIDE-th
@@ -114,19 +117,21 @@ def _fences(text: bytes, sa) -> list[bytes]:
 
 
 def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
-                  fences: list[bytes] | None = None) -> MatchRange:
-    """Ranks in [lo, hi) of the sorted 1-based positions sa whose suffix
-    of text starts with seq.
+                  fences: list[bytes] | None = None) -> tuple[int, int]:
+    """Ranks (first, end) in [lo, hi) of the sorted 1-based positions sa
+    whose suffix of text starts with seq, as a plain tuple.
 
     sa may be any sequence of ints; a memoryview of the numpy array
     makes each probe read a Python int. The lower bound is a binary
-    search; the upper bound gallops from it (lower,
-    +1, +2, +4, ...) and then bisects the last gap, so its cost grows
-    with the size of the answer, not of [lo, hi) (Bentley and Yao, "An
-    almost optimal algorithm for unbounded searching"). fences, the
-    _fences list of sa, lets one keyless bisect narrow the lower bound
-    to one stride of ranks first, as the bucket table of Manber and
-    Myers ("Suffix arrays: a new method for on-line string searches").
+    search. The search stops there when the suffix at the lower bound
+    does not start with seq, and one read later when the next one does
+    not; only a longer answer gallops (+2, +4, +8, ...) and, if the
+    gallop overshoots, bisects the last gap, so its cost grows with the
+    size of the answer, not of [lo, hi) (Bentley and Yao, "An almost
+    optimal algorithm for unbounded searching"). fences, the _fences
+    list of sa, lets one keyless bisect narrow the lower bound to one
+    stride of ranks first, as the bucket table of Manber and Myers
+    ("Suffix arrays: a new method for on-line string searches").
     """
     # A suffix shorter than seq truncates and therefore compares smaller,
     # which is exactly the end-of-text-is-smallest order.
@@ -149,13 +154,18 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
         # stop < start only when the answer is lo, which bisect returns
         stop = min(hi, above * FENCE_STRIDE)
     first = bisect_left(sa, seq, start, stop, key=head)
-    known, probe, step = first, first, 1
-    while probe < hi and head(sa[probe]) == seq:
-        known = probe + 1
-        probe = first + step
+    if first == hi or head(sa[first]) != seq:
+        return first, first
+    if first + 1 == hi or head(sa[first + 1]) != seq:
+        return first, first + 1
+    known, step = first + 2, 2  # ranks below known start with seq
+    while first + step < hi and head(sa[first + step]) == seq:
+        known = first + step + 1
         step *= 2
-    return MatchRange(first, bisect_right(sa, seq, known, min(probe, hi),
-                                          key=head))
+    end = min(first + step, hi)
+    if known == end:
+        return first, known
+    return first, bisect_right(sa, seq, known, end, key=head)
 
 
 # Ranges with fewer candidates than this are verified one by one: the
@@ -168,11 +178,13 @@ _VECTOR_MIN_CANDIDATES = 48
 
 
 def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
-                       ranks: MatchRange, deltas: np.ndarray | None = None,
+                       ranks: tuple[int, int],
+                       deltas: np.ndarray | None = None,
                        mask: PruneMask | None = None,
                        stats: QueryStats | None = None,
                        left: np.ndarray | None = None) -> list[int]:
-    """Occurrence starts of pattern among the suffixes at ranks [lo, hi).
+    """Occurrence starts of pattern among the suffixes at ranks [lo, hi),
+    given as the pair ranks = (lo, hi).
 
     sa is a memoryview of the sorted 1-based suffix positions, as in
     _prefix_range. The suffix at sa[r] matches pattern[j-1:]; the

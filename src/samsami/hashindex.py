@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (MatchRange, QueryStats, SamsamiIndex, _prefix_range,
+from .core import (QueryStats, SamsamiIndex, _fences, _prefix_range,
                    _verify_candidates)
 from .errors import InvalidParams, PatternTooShort
 from .minimizer import _gram_keys, window_minimizer
@@ -100,7 +100,8 @@ def build_table(idx: SamsamiIndex, k: int) -> PrefixRangeTable:
     return PrefixRangeTable(k=k, capacity=capacity, slots=slots)
 
 
-def _probe(idx: SamsamiIndex, table: PrefixRangeTable, key: bytes) -> MatchRange | None:
+def _probe(idx: SamsamiIndex, table: PrefixRangeTable,
+           key: bytes) -> tuple[int, int] | None:
     mask = table.capacity - 1
     slot = fnv1a(key) & mask
     slots, sa, text, k = table.slot_view, idx.sa_view, idx.text, table.k
@@ -110,7 +111,7 @@ def _probe(idx: SamsamiIndex, table: PrefixRangeTable, key: bytes) -> MatchRange
             return None
         pos = sa[lo]
         if text[pos - 1:pos - 1 + k] == key:
-            return MatchRange(lo, slots[2 * slot + 1])
+            return lo, slots[2 * slot + 1]
         slot = (slot + 1) & mask
 
 
@@ -138,11 +139,15 @@ def _locate_hash_impl(idx, table, pattern, stats):
         raise PatternTooShort(
             f"pattern length {len(pattern)} < max(q-p+k, q) = {need}")
     j = window_minimizer(pattern[:q], p)
-    ranged = _probe(idx, table, pattern[j - 1:j - 1 + k])
-    if ranged is None:
+    group = _probe(idx, table, pattern[j - 1:j - 1 + k])
+    if group is None:
         return []
-    # no fences: the k-byte group already bounds the search
-    narrowed = _prefix_range(idx.text, idx.sa_view, ranged.lo, ranged.hi,
-                             pattern[j - 1:])
+    lo, hi = group
+    # the index's own fences narrow the search inside the k-byte group,
+    # which on source text can hold thousands of suffixes
+    if idx.fences is None:
+        idx.fences = _fences(idx.text, idx.sa_view)
+    narrowed = _prefix_range(idx.text, idx.sa_view, lo, hi, pattern[j - 1:],
+                             idx.fences)
     return _verify_candidates(idx.text, idx.sa_view, pattern, j, narrowed,
                               stats=stats, left=idx.left)

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from samsami import baselines, core
 from samsami.cli import extract_patterns, main, splitmix64
 
 
@@ -202,6 +204,30 @@ def test_bench_single_variant(corpus, capsys):
     assert lines[2].startswith("sa,")
     with pytest.raises(SystemExit):  # --jobs is gone
         main(["bench", "--text", str(path), "--jobs", "2"])
+
+
+def test_bench_mean_leaves_out_the_fence_build(corpus, capsys, monkeypatch):
+    # a variant's first search builds its fence list once; bench must not
+    # count that build in the mean over its timed queries
+    path, _ = corpus
+    sleep_s, patterns = 0.2, 4
+    built = []
+
+    def slow_fences(text, sa):
+        time.sleep(sleep_s)
+        built.append(len(sa))
+        return fences(text, sa)
+
+    fences = core._fences
+    for module in (core, baselines):  # every module that calls it by name
+        monkeypatch.setattr(module, "_fences", slow_fences)
+    code, stdout, _ = _run(capsys, [
+        "bench", "--text", str(path), "--variant", "sa", "--m", "8",
+        "--patterns", str(patterns)])
+    assert code == 0
+    assert built == [len(path.read_bytes())]  # the plain SA, built once
+    mean_us = float(stdout.strip().split("\n")[1].split(",")[6])
+    assert mean_us < sleep_s * 1e6 / patterns
 
 
 def test_bench_m_below_minimum_fails(corpus, capsys):

@@ -14,7 +14,7 @@ from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
                      locate_hash, naive_locate, parse_phrases,
                      sampled_positions, spasa_build, spasa_locate,
                      suffix_range, window_minimizer)
-from samsami import core
+from samsami import core, hashindex
 from samsami.persistence import serialized_bytes
 
 from helpers import brute_suffix_array, random_text
@@ -275,11 +275,61 @@ def test_fenced_prefix_range_equals_fence_free(stride, width, monkeypatch):
             bounds = [(0, n)] + [tuple(sorted(rng.sample(range(n + 1), 2)))
                                  for _ in range(3)]
             for seq in seqs:
-                for lo, hi in bounds:
+                # answers of size 0, 1 and 2 that end at hi
+                first, end = _brute_prefix_range(text, sa, 0, n, seq)
+                ending = [(lo, first + size) for size in (0, 1, 2)
+                          if first + size <= end
+                          for lo in (0, rng.randrange(first + 1))]
+                for lo, hi in bounds + ending:
                     got = core._prefix_range(text, sa, lo, hi, seq, fences)
                     assert got == core._prefix_range(text, sa, lo, hi, seq)
                     assert tuple(got) == _brute_prefix_range(
                         text, sa, lo, hi, seq), (seq, lo, hi)
+
+
+@pytest.mark.parametrize("stride, width", [(1, 1), (2, 3), (3, 2), (8, 5)])
+def test_hash_slot_search_through_fences(stride, width, monkeypatch):
+    # samsami-hash narrows inside its k-byte group through the index's
+    # fences; tiny fences make groups start and end mid-stride
+    monkeypatch.setattr(core, "FENCE_STRIDE", stride)
+    monkeypatch.setattr(core, "FENCE_WIDTH", width)
+    rng = random.Random(0x4A5 + 10 * stride + width)
+    params, k = SamplingParams(6, 2), 3
+    mid_lo = mid_hi = False
+    passed = []  # the fence list each hash search is given
+
+    def spy(text, sa, lo, hi, seq, fences=None):
+        passed.append(fences)
+        return prefix_range(text, sa, lo, hi, seq, fences)
+
+    prefix_range = core._prefix_range
+    monkeypatch.setattr(hashindex, "_prefix_range", spy)
+    for text in (random_text(rng, 600, 2), random_text(rng, 600, 4),
+                 b"a" * 202):
+        idx = build(text, params)
+        table = build_table(idx, k)
+        for lo, hi in table.slots.tolist():
+            if lo != hashindex.EMPTY_SLOT:
+                mid_lo |= lo % stride != 0
+                mid_hi |= hi % stride != 0
+        starts = rng.sample(range(len(text) - 40), 30)
+        patterns = {text[i:i + m] for i in starts for m in (7, 9, 16, 40)}
+        patterns |= {pat[:-1] + bytes([pat[-1] ^ 1]) for pat in list(patterns)}
+        patterns |= {b"a" * m for m in (7, 8, 20, 40, 197, 198)}
+        for pat in patterns:
+            assert count_hash(idx, table, pat) == len(naive_locate(text, pat))
+            j = window_minimizer(pat[:params.q], params.p)
+            group = hashindex._probe(idx, table, pat[j - 1:j - 1 + k])
+            if group is not None:
+                lo, hi = group
+                assert prefix_range(
+                    text, idx.sa_view, lo, hi, pat[j - 1:], idx.fences
+                ) == prefix_range(text, idx.sa_view, lo, hi, pat[j - 1:])
+        assert idx.fences == core._fences(text, idx.sa_view)
+        assert passed and all(f is idx.fences for f in passed)
+        passed.clear()
+        assert len(idx.fences) == -(-idx.n_sampled // stride)
+    assert mid_lo and mid_hi or stride == 1
 
 
 def test_fences_are_built_on_the_first_search_only():
@@ -292,10 +342,11 @@ def test_fences_are_built_on_the_first_search_only():
     spasa = spasa_build(text, 4)
     for idx in (build(text, params), bundle.index, back.index):
         assert idx.fences is None
-        count_hash(idx, bundle.table, text[100:120])  # bounded by its group
-        assert idx.fences is None
+        count_hash(idx, bundle.table, text[100:120])  # the index's own list
+        fences = idx.fences
+        assert fences == core._fences(text, idx.sa_view)
         count(idx, text[100:120])
-        assert idx.fences == core._fences(text, idx.sa_view)
+        assert idx.fences is fences  # shared with samsami, built once
     assert spasa.fences is None
     spasa_locate(spasa, text[100:120])
     assert spasa.fences == core._fences(text, spasa.sa_view)
@@ -314,6 +365,7 @@ def test_threads_racing_on_the_first_search_agree():
     text = random_text(rng, 3000, 4)
     params = SamplingParams(8, 2)
     idx = build(text, params)
+    table = build_table(idx, 3)
     spasa = spasa_build(text, 4)
     dictionary, encoded = encode_text(text, params)
     patterns = [text[i:i + 24] for i in rng.sample(range(len(text) - 24), 40)]
@@ -324,7 +376,8 @@ def test_threads_racing_on_the_first_search_agree():
     def work():
         barrier.wait()
         results.append(
-            [(locate(idx, pat), spasa_locate(spasa, pat),
+            [(count_hash(idx, table, pat), locate(idx, pat),
+              spasa_locate(spasa, pat),
               encoded_locate(dictionary, encoded, len(text), pat, params))
              for pat in patterns])
 
@@ -341,7 +394,7 @@ def test_threads_racing_on_the_first_search_agree():
         sys.setswitchinterval(old)
     assert len(results) == 8
     for got in results:
-        assert got == [(hits, hits, hits) for hits in expect]
+        assert got == [(len(hits), hits, hits, hits) for hits in expect]
     assert idx.fences == core._fences(text, idx.sa_view)
 
 
