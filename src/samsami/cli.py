@@ -151,6 +151,10 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _nearest_rank(ascending: list[float], percent: int) -> float:
+    return ascending[max(1, -(-len(ascending) * percent // 100)) - 1]
+
+
 def cmd_bench(args) -> int:
     if args.patterns < 1:
         raise SamsamiError(f"--patterns must be at least 1, got {args.patterns}")
@@ -168,8 +172,8 @@ def cmd_bench(args) -> int:
                                           args.k, args.step)
 
     patterns = extract_patterns(text, args.m, args.patterns, args.seed)
-    print("variant,q,p,k,m,patterns,mean_us,index_bytes,index_text_ratio,"
-          "matches_total")
+    print("variant,q,p,k,m,patterns,mean_us,p50_us,p99_us,index_bytes,"
+          "index_text_ratio,matches_total")
     all_counts = {}
     for target in targets:
         if args.m < target.min_len:
@@ -178,14 +182,20 @@ def cmd_bench(args) -> int:
         # one untimed query builds the variant's fence list, a one-time
         # cost that would otherwise land in the first timed query
         target.count(patterns[0])
-        t0 = time.perf_counter()
-        counts = [target.count(pat) for pat in patterns]
-        mean_us = (time.perf_counter() - t0) * 1e6 / len(patterns)
+        counts, seconds = [], []
+        for pat in patterns:
+            t0 = time.perf_counter()
+            counts.append(target.count(pat))
+            seconds.append(time.perf_counter() - t0)
         all_counts[target.name] = counts
+        mean_us = sum(seconds) * 1e6 / len(seconds)
+        seconds.sort()
+        p50_us, p99_us = (_nearest_rank(seconds, f) * 1e6 for f in (50, 99))
         q, p, k = target.qpk
         ratio = (target.index_bytes + len(text)) / len(text)
         print(f"{target.name},{q},{p},{k},{args.m},{len(patterns)},"
-              f"{mean_us:.3f},{target.index_bytes},{ratio:.4f},{sum(counts)}")
+              f"{mean_us:.3f},{p50_us:.3f},{p99_us:.3f},{target.index_bytes},"
+              f"{ratio:.4f},{sum(counts)}")
 
     names = list(all_counts)
     for name in names[1:]:

@@ -19,6 +19,7 @@ phrases. No query walks every phrase.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -29,6 +30,10 @@ from .errors import CorruptEncoding, PatternTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
 # build_full_sa is never called here: benchmark tracing wraps it by name
 from .suffix_sort import _suffix_order, build_full_sa  # noqa: F401
+
+# argmin copies a strided view to one buffer first; a pattern is parsed
+# in blocks of windows whose copies stay within this many bytes
+_PARSE_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(eq=False)
@@ -255,30 +260,27 @@ def _stable_boundaries(pattern: bytes, params: SamplingParams) -> list[int]:
     # the same way only left of m-q+2: beyond that, text windows hanging
     # over the occurrence's right edge may insert extra cuts the pattern
     # cannot see. These are the pattern's sampled positions up to that
-    # cutoff, found with a monotone-stack sliding-window minimum over
-    # p-grams sliced up front; since window minimizers never move left,
-    # the scan stops at the first one past the cutoff.
+    # cutoff. Row i of a zero-copy view over the pattern's bytes holds
+    # window i's q-p+1 p-grams, each one item of a type that compares as
+    # its bytes do: a big-endian 16-bit word for p = 2, the p of every
+    # benchmark workload, else a p-byte string (numpy compares its full
+    # width, zero bytes included). The rows reach exactly byte m, and
+    # argmin keeps the leftmost of equal grams. Window minimizers never
+    # move left, so a repeat is the one before and the kept starts ascend.
     q, p = params.q, params.p
     m = len(pattern)
-    cutoff = m - q + 2
-    grams = [pattern[g:g + p] for g in range(m - p + 1)]
-    width = q - p
-    out = []
-    stack = []  # 0-based gram starts, grams non-decreasing from head on
-    head = 0
-    for g, gram in enumerate(grams):
-        while len(stack) > head and grams[stack[-1]] > gram:
-            stack.pop()
-        stack.append(g)
-        if g >= width:  # the window of grams g-width..g is complete
-            if stack[head] < g - width:
-                head += 1
-            b = stack[head] + 1
-            if b > cutoff:
-                break
-            if not out or out[-1] != b:
-                out.append(b)
-    return out
+    nwin, w = m - q + 1, q - p + 1
+    wins = np.ndarray((nwin, w), ">u2" if p == 2 else f"S{p}",
+                      buffer=pattern, strides=(1, 1))
+    starts = np.arange(1, nwin + 1)  # 1-based start of each window
+    rows = max(1, _PARSE_BLOCK_BYTES // (w * p))
+    if nwin <= rows:
+        starts += wins.argmin(axis=1)
+    else:
+        for lo in range(0, nwin, rows):
+            starts[lo:lo + rows] += wins[lo:lo + rows].argmin(axis=1)
+    out = list(dict.fromkeys(starts.tolist()))
+    return out[:bisect_right(out, m - q + 2)]
 
 
 def min_pattern_length(params: SamplingParams) -> int:

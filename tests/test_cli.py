@@ -22,6 +22,16 @@ def _run(capsys, argv):
     return code, out.out, out.err
 
 
+def _bench_rows(report):
+    """The rows of a bench CSV report, each a dict keyed by header."""
+    header, *lines = report.strip().split("\n")
+    names = header.split(",")
+    return [dict(zip(names, line.split(","))) for line in lines]
+
+
+TIMING = ("mean_us", "p50_us", "p99_us")  # vary run to run
+
+
 def test_splitmix64_reference_values():
     # vectors from the published reference implementation, seed 0
     gen = splitmix64(0)
@@ -176,18 +186,19 @@ def test_bench_determinism_and_agreement(corpus, capsys):
     code, second, _ = _run(capsys, argv)
     assert code == 0
     lines = first.strip().split("\n")
-    assert lines[0].startswith("variant,q,p,k,m,patterns,mean_us")
+    assert lines[0] == ("variant,q,p,k,m,patterns,mean_us,p50_us,p99_us,"
+                        "index_bytes,index_text_ratio,matches_total")
     assert len(lines) == 6  # header + five variants
-    matches = [line.split(",")[-1] for line in lines[1:]]
+    rows = _bench_rows(first)
+    matches = [row["matches_total"] for row in rows]
     assert len(set(matches)) == 1  # identical counts across variants
+    for row in rows:
+        assert 0 < float(row["p50_us"]) <= float(row["p99_us"])
 
     def drop_timing(report):
-        rows = []
-        for line in report.strip().split("\n")[1:]:
-            cols = line.split(",")
-            del cols[6]  # mean_us varies run to run; all else is pinned
-            rows.append(cols)
-        return rows
+        # the timing columns vary run to run; all else is pinned
+        return [[v for name, v in row.items() if name not in TIMING]
+                for row in _bench_rows(report)]
 
     assert drop_timing(first) == drop_timing(second)
 
@@ -226,8 +237,9 @@ def test_bench_mean_leaves_out_the_fence_build(corpus, capsys, monkeypatch):
         "--patterns", str(patterns)])
     assert code == 0
     assert built == [len(path.read_bytes())]  # the plain SA, built once
-    mean_us = float(stdout.strip().split("\n")[1].split(",")[6])
-    assert mean_us < sleep_s * 1e6 / patterns
+    row = _bench_rows(stdout)[0]
+    assert float(row["mean_us"]) < sleep_s * 1e6 / patterns
+    assert float(row["p99_us"]) < sleep_s * 1e6  # in no timed query
 
 
 def test_bench_m_below_minimum_fails(corpus, capsys):
@@ -282,22 +294,23 @@ def test_bench_phrase_variant(corpus, tmp_path, capsys):
             "--patterns", "40"]
     code, stdout, err = _run(capsys, argv)
     assert code == 0, err
-    rows = [line.split(",") for line in stdout.strip().split("\n")[1:]]
-    assert [row[0] for row in rows][-1] == "phrase"
-    assert len({row[-1] for row in rows}) == 1  # same matches_total
+    rows = _bench_rows(stdout)
+    assert [row["variant"] for row in rows][-1] == "phrase"
+    assert len({row["matches_total"] for row in rows}) == 1
     # phrase reports the bytes of the file phrase-build writes
     out = tmp_path / "corpus.phr"
     _run(capsys, ["phrase-build", "--text", str(path), "--q", "4", "--p", "2",
                   "--out", str(out)])
-    assert rows[-1][7] == str(out.stat().st_size)
+    assert rows[-1]["index_bytes"] == str(out.stat().st_size)
     # and --index reads the phrase variant from that file when named
     code, stdout, _ = _run(capsys, [
         "bench", "--text", str(path), "--index", str(out), "--variant",
         "samsami,phrase", "--m", "8", "--patterns", "40"])
     assert code == 0
-    loaded = [line.split(",") for line in stdout.strip().split("\n")[1:]]
-    assert [row[0] for row in loaded] == ["samsami", "phrase"]
-    assert loaded[1][7] == rows[-1][7] and loaded[1][-1] == rows[-1][-1]
+    loaded = _bench_rows(stdout)
+    assert [row["variant"] for row in loaded] == ["samsami", "phrase"]
+    assert loaded[1]["index_bytes"] == rows[-1]["index_bytes"]
+    assert loaded[1]["matches_total"] == rows[-1]["matches_total"]
     # below 2q-p+1 = 7 the phrase variant cannot answer
     code, _, err = _run(capsys, argv[:-4] + ["--m", "6", "--patterns", "5"])
     assert code == 1

@@ -1,4 +1,7 @@
 import random
+import sysconfig
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from samsami import (CorruptEncoding, EncodedText, PatternTooShort,
                      QueryStats, SamplingParams, TextTooShort, decode_text,
                      build_full_sa, encode_text, encoded_locate,
                      naive_locate, parse_phrases, sampled_positions)
+from samsami import phrase
 from samsami.phrase import (PhraseDictionary, _split_stream,
                             _stable_boundaries, codeword_table, encode_id,
                             rebuild_positions)
@@ -451,3 +455,142 @@ def test_stable_boundaries_match_sampled_positions():
         params = SamplingParams(q, p)
         expect = _reference_stable_boundaries(pattern, params)
         assert _stable_boundaries(pattern, params) == expect, (pattern, q, p)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 7, 8, 9, 11, 16])
+def test_stable_boundaries_every_gram_view(p):
+    # p = 2 reads each gram as one big-endian word, any other p as a
+    # p-byte string; both must order grams as their bytes do, zero
+    # bytes and 0xFF included, and keep the leftmost of equal ones
+    rng = random.Random(0x6A4 + p)
+    pools = [b"\x00", b"\xff", b"\x00\x01", b"\x00\xff", b"\x7f\x80",
+             bytes(range(256))]
+    for _ in range(400):
+        q = rng.randint(p, 40)
+        params = SamplingParams(q, p)
+        floor = 2 * q - p + 1
+        m = rng.choice([floor, floor + 1, rng.randint(floor, floor + 60)])
+        pool = rng.choice(pools)
+        pattern = bytes(rng.choice(pool) for _ in range(m))
+        expect = _reference_stable_boundaries(pattern, params)
+        assert _stable_boundaries(pattern, params) == expect, (pattern, q, p)
+
+
+@pytest.mark.parametrize("byte", [0x00, 0x01, 0x61, 0x80, 0xFF])
+def test_stable_boundaries_single_byte_ties_go_left(byte):
+    # every gram ties, so each window keeps its first gram and the
+    # boundaries are 1, 2, ..., m-q+1, all left of the cutoff
+    for q, p in [(4, 1), (4, 2), (6, 3), (9, 4), (12, 5), (16, 8), (30, 11)]:
+        params = SamplingParams(q, p)
+        for m in (2 * q - p + 1, 3 * q, 1000):
+            pattern = bytes([byte]) * m
+            expect = list(range(1, m - q + 2))
+            assert _reference_stable_boundaries(pattern, params) == expect
+            assert _stable_boundaries(pattern, params) == expect, (byte, q, p)
+
+
+def test_stable_boundaries_zero_bytes_inside_string_grams():
+    # 3-byte grams that differ only after a leading zero byte (00 02 05
+    # at 2, 00 01 05 at 5, 00 00 09 at 8), or only in a trailing zero
+    # (01 01 01 against 01 01 00), compare by every byte they hold
+    for pattern, q, expect in [
+            (b"\x05\x00\x02\x05\x00\x01\x05\x00\x00\x09\x09\x09\x09\x09", 8,
+             [5, 8]),
+            (b"\x01\x01\x01\x01\x01\x00", 4, [1, 2, 4])]:
+        params = SamplingParams(q, 3)
+        assert _reference_stable_boundaries(pattern, params) == expect
+        assert _stable_boundaries(pattern, params) == expect
+
+
+def test_stable_boundaries_long_patterns():
+    rng = random.Random(0x10C0)
+    for p in (1, 2, 3, 4, 6, 8, 13):
+        for alphabet in (2, 4, 256):
+            q = rng.randint(p, 40)
+            params = SamplingParams(q, p)
+            pattern = random_text(rng, rng.randint(1000, 3000), alphabet)
+            expect = _reference_stable_boundaries(pattern, params)
+            assert _stable_boundaries(pattern, params) == expect, (q, p)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 64, 1000])
+def test_stable_boundaries_in_blocks_of_windows(monkeypatch, block_bytes):
+    # a block budget below one window's grams still parses one window
+    # at a time; every block edge must leave each window's minimizer
+    monkeypatch.setattr(phrase, "_PARSE_BLOCK_BYTES", block_bytes)
+    rng = random.Random(0xB10C + block_bytes)
+    for _ in range(200):
+        q = rng.randint(2, 30)
+        p = rng.randint(1, q)
+        params = SamplingParams(q, p)
+        m = rng.randint(2 * q - p + 1, 2 * q - p + 200)
+        pattern = random_text(rng, m, rng.choice([2, 4, 256]))
+        expect = _reference_stable_boundaries(pattern, params)
+        assert _stable_boundaries(pattern, params) == expect, (pattern, q, p)
+
+
+@pytest.mark.parametrize("q, p", [(200, 2), (120, 3)])
+def test_stable_boundaries_memory_on_long_patterns(q, p):
+    # argmin copies the strided view it reads into one buffer; read at
+    # once, a 100,000-byte pattern's view would copy to m(q-p+1)p bytes
+    # (about 40 MB here), so the windows are parsed in bounded blocks
+    rng = random.Random(q)
+    params = SamplingParams(q, p)
+    pattern = random_text(rng, 100_000, 256)
+    expect = _reference_stable_boundaries(pattern, params)
+    tracemalloc.start()
+    try:
+        got = _stable_boundaries(pattern, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expect
+    assert peak < 12 * 2**20, peak
+
+
+def _code_text(size):
+    lib = Path(sysconfig.get_paths()["stdlib"])
+    out = bytearray()
+    for path in sorted(lib.glob("*.py")):
+        out += path.read_bytes()
+        if len(out) >= size:
+            break
+    if len(out) < size:
+        pytest.skip("not enough standard-library source")
+    return bytes(out[:size])
+
+
+def test_phrase_locate_work_unchanged_by_boundary_parser(monkeypatch):
+    # the stable boundaries decide which codeword strings are searched;
+    # the parser must give the same answers with the same candidates
+    # and decodes as the definition does, on code and on altered code
+    text = _code_text(96 * 1024)
+    params = SamplingParams(8, 2)
+    dictionary, encoded = encode_text(text, params)
+    n = len(text)
+    rng = random.Random(0xC0DE)
+    patterns = []
+    for t in range(400):
+        m = rng.choice([32, rng.randint(2 * 8 - 2 + 1, 60)])
+        i = rng.randint(0, n - m)
+        pattern = bytearray(text[i:i + m])
+        if t % 4 == 3:
+            pattern[rng.randrange(m)] = rng.randrange(256)
+        patterns.append(bytes(pattern))
+
+    def run():
+        out = []
+        for pattern in patterns:
+            stats = QueryStats()
+            got = encoded_locate(dictionary, encoded, n, pattern, params,
+                                 stats)
+            out.append((got, stats.candidates, stats.text_verifications))
+        return out
+
+    fast = run()
+    monkeypatch.setattr(phrase, "_stable_boundaries",
+                        _reference_stable_boundaries)
+    assert run() == fast
+    assert sum(c for _, c, _ in fast) > len(patterns)  # searches ran
+    for pattern, (got, _, _) in zip(patterns[:100], fast):
+        assert got == naive_locate(text, pattern)
