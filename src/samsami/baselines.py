@@ -1,9 +1,11 @@
 """Reference searchers: naive scan and the sparse suffix array.
 
 The naive scan is the ground-truth oracle every index variant is checked
-against. The sparse suffix array keeps every step-th suffix and needs up to step
-binary searches per query; with step 1 it degenerates to a plain suffix
-array search.
+against. The sparse suffix array keeps every step-th suffix, so a query
+has step alignments to search. One numpy searchsorted over the kept
+suffixes' first 8 bytes bounds all of them at once, and only the
+non-empty bounds are narrowed by a binary search. With step 1 it is a
+plain suffix array, searched once through the fence list as samsami is.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ import numpy as np
 from .core import QueryStats, _fences, _prefix_range, _verify_candidates
 from .errors import InvalidParams, PatternTooShort
 from .suffix_sort import build_full_sa, sort_starts
+
+
+# positional arguments and a dtype object: ndarray's keywords and a dtype
+# string cost about 1 us per call
+_BIG_U8 = np.dtype(">u8")
 
 
 def naive_locate(text: bytes, pattern: bytes) -> list[int]:
@@ -42,8 +49,12 @@ class SparseSuffixArray:
     sa: np.ndarray = field(repr=False)
     n: int = 0
     sa_view: memoryview = field(init=False, repr=False)
-    # filled in by the first search, as SamsamiIndex.fences
+    # filled in by the first search, as SamsamiIndex.fences: the fence
+    # list for step 1, and for step > 1 heads, each kept suffix's first
+    # 8 bytes (zero-padded at the text end) as a big-endian number, in
+    # sa order; 8 bytes per kept suffix
     fences: list[bytes] | None = field(init=False, repr=False, default=None)
+    heads: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         self.sa_view = memoryview(self.sa)  # items read as Python ints
@@ -65,25 +76,56 @@ def spasa_build(text: bytes, step: int) -> SparseSuffixArray:
 
 def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
                  stats: QueryStats | None = None) -> list[int]:
-    """One search per alignment offset, each verified against the text.
+    """One rank range per alignment offset, each verified against the
+    text.
 
     Every occurrence is reachable through exactly one offset (the one
     aligning its window to a sampled position), so no deduplication is
-    needed.
+    needed. For step > 1, heads is non-decreasing in suffix order: zero
+    padding packs a proper prefix no higher than its extensions. So the
+    suffixes that start with seq = pattern[off-1:] lie between the
+    searchsorted bounds of seq[:8] padded with 0x00 and with 0xFF (equal
+    once seq has 8 bytes), and two calls bound every offset at once.
+    Only a non-empty bound is narrowed to the exact range.
     """
     m = len(pattern)
-    if m < spasa.step:
-        raise PatternTooShort(f"pattern length {m} < step {spasa.step}")
-    text, sa = spasa.text, spasa.sa_view
-    if spasa.fences is None:
-        spasa.fences = _fences(text, sa)
+    text, sa, step = spasa.text, spasa.sa_view, spasa.step
+    if m < step:
+        raise PatternTooShort(f"pattern length {m} < step {step}")
+    if step == 1:  # one search: the fence bisect beats numpy's call cost
+        if spasa.fences is None:
+            spasa.fences = _fences(text, sa)
+        hits = _verify_candidates(text, sa, pattern, 1, _prefix_range(
+            text, sa, 0, len(sa), pattern, spasa.fences), stats=stats)
+        hits.sort()
+        return hits
+    if spasa.heads is None:
+        # words[s] packs text[s-1:s+7], so the 1-based sa indexes it as
+        # is; one gather, then its bytes are swapped in place to native
+        words = np.ndarray((len(text) + 1,), _BIG_U8,
+                           bytes(1) + text + bytes(7), 0, (1,))
+        heads = words[spasa.sa].byteswap(inplace=True)
+        spasa.heads = heads.view(heads.dtype.newbyteorder())
+    # row 0 packs each seq[:8] padded with 0x00, row 1 padded with 0xFF
+    keys = np.ndarray((2, step), _BIG_U8, pattern + bytes(7) + pattern
+                      + b"\xff" * 7, 0, (m + 7, 1)).astype(np.uint64)
+    los = spasa.heads.searchsorted(keys[0]).tolist()
+    his = spasa.heads.searchsorted(keys[1], "right").tolist()
     out = []
-    for off in range(1, spasa.step + 1):
-        ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:],
-                              spasa.fences)
-        if ranks[0] != ranks[1]:  # an empty range adds nothing to stats
-            out += _verify_candidates(text, sa, pattern, off, ranks,
-                                      stats=stats)
+    for off, lo, hi in zip(range(1, step + 1), los, his):
+        if lo == hi:  # an empty range adds nothing to stats
+            continue
+        seq = pattern[off - 1:]
+        if hi - lo == 1:  # one suffix: it starts with seq, or none does
+            s = sa[lo] - 1
+            if text[s:s + len(seq)] != seq:
+                continue
+            ranks = lo, hi
+        else:
+            ranks = _prefix_range(text, sa, lo, hi, seq)
+            if ranks[0] == ranks[1]:
+                continue
+        out += _verify_candidates(text, sa, pattern, off, ranks, stats=stats)
     out.sort()
     return out
 

@@ -179,8 +179,9 @@ def cmd_bench(args) -> int:
         if args.m < target.min_len:
             raise SamsamiError(f"m={args.m} below the minimum "
                                f"{target.min_len} of {target.name}")
-        # one untimed query builds the variant's fence list, a one-time
-        # cost that would otherwise land in the first timed query
+        # one untimed query builds the variant's fence list (spasa's
+        # heads for step > 1), a one-time cost that would otherwise land
+        # in the first timed query
         target.count(patterns[0])
         counts, seconds = [], []
         for pat in patterns:

@@ -273,3 +273,30 @@ def reference_locate2(text: bytes, sa, deltas, pattern: bytes, q: int,
         if text[start - 1:start - 1 + len(pattern)] == pattern:
             hits.append(start)
     return sorted(hits), candidates, pruned, verified
+
+
+def reference_spasa_heads(text: bytes, sa) -> list[int]:
+    """Reference for SparseSuffixArray.heads: each suffix's first 8
+    bytes, zero-padded past the text end, read as a big-endian number."""
+    return [int.from_bytes(text[s - 1:s + 7].ljust(8, b"\0"), "big")
+            for s in (int(v) for v in sa)]
+
+
+def reference_spasa_locate(spasa, pattern: bytes, stats=None) -> list[int]:
+    """Reference for baselines.spasa_locate with its query statistics:
+    one core._prefix_range over the whole suffix array for every
+    alignment offset, with no fences and no head bounds, and each
+    non-empty range verified by core._verify_candidates. It shares the
+    search and the kernel with the code it checks on purpose: it pins
+    down that bounding the alignments first changes neither the hits
+    nor the statistics."""
+    from samsami.core import _prefix_range, _verify_candidates
+
+    text, sa = spasa.text, spasa.sa_view
+    out = []
+    for off in range(1, spasa.step + 1):
+        ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:])
+        if ranks[0] != ranks[1]:
+            out += _verify_candidates(text, sa, pattern, off, ranks,
+                                      stats=stats)
+    return sorted(out)

@@ -1,12 +1,26 @@
 import random
 
+import numpy as np
 import pytest
 
-from samsami import (InvalidParams, PatternTooShort, build_full_sa,
-                     naive_count, naive_locate, spasa_build, spasa_count,
-                     spasa_locate)
+from samsami import (InvalidParams, PatternTooShort, QueryStats,
+                     build_full_sa, naive_count, naive_locate, spasa_build,
+                     spasa_count, spasa_locate)
 
-from helpers import brute_locate, brute_suffix_array, random_text
+from helpers import (brute_locate, brute_suffix_array, random_text,
+                     reference_spasa_heads, reference_spasa_locate)
+
+# byte alphabets at the edges of the 8-byte head packing: the zero pad,
+# the 0xFF pad, both, and a text of zero bytes only
+EDGE_ALPHABETS = (b"\x00\xff", b"\x00\x01", b"\xfe\xff", b"\x00")
+
+
+def _edge_text(rng: random.Random, alphabet: bytes, n: int) -> bytes:
+    text = bytes(rng.choice(alphabet) for _ in range(n))
+    if rng.random() < 0.3:  # end in a run of zero bytes
+        run = rng.randint(1, min(n, 10))
+        text = text[:n - run] + bytes(run)
+    return text
 
 
 def test_naive_locate_examples():
@@ -103,3 +117,46 @@ def test_brute_suffix_array_helper_agrees():
     rng = random.Random(3)
     text = random_text(rng, 64, 3)
     assert brute_suffix_array(text) == list(build_full_sa(text))
+
+
+def test_spasa_edge_bytes_match_naive_and_reference_stats():
+    # m runs from step to step+12, so the last alignments' seeds are
+    # shorter than 8 bytes and take the padded keys; cuts flush with the
+    # text end and texts shorter than 8 bytes take the zero-padded heads
+    rng = random.Random(0x8EAD5)
+    cases = 0
+    for alphabet in EDGE_ALPHABETS:
+        for step in range(2, 13):
+            for n in (step, step + 3, rng.randint(step + 8, 40),
+                      rng.randint(60, 160)):
+                text = _edge_text(rng, alphabet, n)
+                spasa = spasa_build(text, step)
+                for m in range(step, min(n, step + 12) + 1):
+                    at = rng.randint(0, n - m)
+                    for pattern in (text[n - m:], text[at:at + m],
+                                    bytes(rng.choice(alphabet)
+                                          for _ in range(m))):
+                        got_stats, want_stats = QueryStats(), QueryStats()
+                        got = spasa_locate(spasa, pattern, got_stats)
+                        assert got == naive_locate(text, pattern)
+                        assert got == reference_spasa_locate(
+                            spasa, pattern, want_stats)
+                        assert got_stats == want_stats
+                        cases += 1
+    assert cases > 4000
+
+
+def test_spasa_heads_are_non_decreasing_in_suffix_order():
+    # the property the head search rests on, with texts shorter than
+    # 8 bytes and texts that end in runs of zero bytes
+    rng = random.Random(0x4EAD)
+    for alphabet in EDGE_ALPHABETS + (b"ACGT",):
+        for step in range(2, 13):
+            for n in (step, rng.randint(step, 12), rng.randint(30, 200)):
+                text = _edge_text(rng, alphabet, n)
+                spasa = spasa_build(text, step)
+                spasa_locate(spasa, text[:step])
+                heads = spasa.heads
+                assert heads.tolist() == reference_spasa_heads(text,
+                                                               spasa.sa)
+                assert bool(np.all(heads[1:] >= heads[:-1]))

@@ -17,7 +17,7 @@ from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
 from samsami import core, hashindex
 from samsami.persistence import serialized_bytes
 
-from helpers import brute_suffix_array, random_text
+from helpers import brute_suffix_array, random_text, reference_spasa_heads
 
 ABRA = b"abracadabra"
 
@@ -339,7 +339,6 @@ def test_fences_are_built_on_the_first_search_only():
     bundle = build_bundle(text, params, with_delta=True, hash_k=3,
                           with_phrase=True)
     back = load(io.BytesIO(serialized_bytes(bundle)), text)
-    spasa = spasa_build(text, 4)
     for idx in (build(text, params), bundle.index, back.index):
         assert idx.fences is None
         count_hash(idx, bundle.table, text[100:120])  # the index's own list
@@ -347,9 +346,19 @@ def test_fences_are_built_on_the_first_search_only():
         assert fences == core._fences(text, idx.sa_view)
         count(idx, text[100:120])
         assert idx.fences is fences  # shared with samsami, built once
-    assert spasa.fences is None
+    plain = spasa_build(text, 1)  # one search, through the fence list
+    assert plain.fences is None and plain.heads is None
+    spasa_locate(plain, text[100:120])
+    assert plain.fences == core._fences(text, plain.sa_view)
+    assert plain.heads is None
+    spasa = spasa_build(text, 4)  # one head search for every alignment
+    assert spasa.fences is None and spasa.heads is None
     spasa_locate(spasa, text[100:120])
-    assert spasa.fences == core._fences(text, spasa.sa_view)
+    heads = spasa.heads
+    assert heads.tolist() == reference_spasa_heads(text, spasa.sa)
+    spasa_locate(spasa, text[200:220])
+    assert spasa.heads is heads  # built once
+    assert spasa.fences is None
     encoded = back.encoded
     assert encoded._fences is None
     encoded_locate(back.dictionary, encoded, len(text), text[100:140], params)
@@ -366,20 +375,27 @@ def test_threads_racing_on_the_first_search_agree():
     params = SamplingParams(8, 2)
     idx = build(text, params)
     table = build_table(idx, 3)
-    spasa = spasa_build(text, 4)
+    # step 20 leaves 5-byte seeds for the last alignments of a 24-byte
+    # pattern, which take the padded head keys
+    spasas = [spasa_build(text, step) for step in (1, 4, 20)]
     dictionary, encoded = encode_text(text, params)
     patterns = [text[i:i + 24] for i in rng.sample(range(len(text) - 24), 40)]
     expect = [naive_locate(text, pat) for pat in patterns]
     barrier = threading.Barrier(8)
     results = []
+    heads_seen = []
 
     def work():
         barrier.wait()
-        results.append(
-            [(count_hash(idx, table, pat), locate(idx, pat),
-              spasa_locate(spasa, pat),
-              encoded_locate(dictionary, encoded, len(text), pat, params))
-             for pat in patterns])
+        got = []
+        for pat in patterns:
+            got.append((count_hash(idx, table, pat), locate(idx, pat),
+                        *(spasa_locate(spasa, pat) for spasa in spasas),
+                        encoded_locate(dictionary, encoded, len(text), pat,
+                                       params)))
+            if len(got) == 1:  # the heads this thread's first search saw
+                heads_seen.append([s.heads for s in spasas[1:]])
+        results.append(got)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -394,8 +410,16 @@ def test_threads_racing_on_the_first_search_agree():
         sys.setswitchinterval(old)
     assert len(results) == 8
     for got in results:
-        assert got == [(len(hits), hits, hits, hits) for hits in expect]
+        assert got == [(len(hits), hits, hits, hits, hits, hits)
+                       for hits in expect]
     assert idx.fences == core._fences(text, idx.sa_view)
+    assert spasas[0].fences == core._fences(text, spasas[0].sa_view)
+    assert len(heads_seen) == 8
+    for spasa in spasas[1:]:
+        assert spasa.heads.tolist() == reference_spasa_heads(text, spasa.sa)
+    for seen in heads_seen:
+        for spasa, heads in zip(spasas[1:], seen):
+            assert np.array_equal(heads, spasa.heads)
 
 
 def _without_column(idx):
