@@ -134,12 +134,15 @@ def cmd_stats(args) -> int:
     if args.mode == "sample-ratio":
         pairs = DEFAULT_PAIRS if not args.pairs else _parse_pairs(args.pairs)
         pairs = [(q, p) for q, p in pairs if q <= len(text)]
+        for q, p in pairs:  # a bad pair fails before the header is printed
+            SamplingParams(q, p)
         print("q,p,n_sampled,n,percent")
         for q, p, kept, n, pct in stats.sampling_report(text, pairs):
             print(f"{q},{p},{kept},{n},{pct:.4f}")
     else:
         if args.q_list:
-            if not all(s.strip().isdigit() for s in args.q_list.split(",")):
+            if not all(s.strip().isdigit() and int(s) > 0
+                       for s in args.q_list.split(",")):
                 raise SamsamiError(f"bad --q-list {args.q_list!r}")
             lengths = [int(v) for v in args.q_list.split(",")]
         else:
@@ -171,17 +174,18 @@ def cmd_bench(args) -> int:
         targets = variants.build_variants(text, names, args.q, args.p,
                                           args.k, args.step)
 
+    for target in targets:
+        if args.m < target.min_len:
+            raise SamsamiError(f"m={args.m} below the minimum "
+                               f"{target.min_len} of {target.name}")
     patterns = extract_patterns(text, args.m, args.patterns, args.seed)
     print("variant,q,p,k,m,patterns,mean_us,p50_us,p99_us,index_bytes,"
           "index_text_ratio,matches_total")
     all_counts = {}
     for target in targets:
-        if args.m < target.min_len:
-            raise SamsamiError(f"m={args.m} below the minimum "
-                               f"{target.min_len} of {target.name}")
         # one untimed query builds the variant's fence list (spasa's
-        # heads for step > 1), a one-time cost that would otherwise land
-        # in the first timed query
+        # heads for step > 1, and the hash's group dict), a one-time
+        # cost that would otherwise land in the first timed query
         target.count(patterns[0])
         counts, seconds = [], []
         for pat in patterns:

@@ -1,12 +1,12 @@
 """Hash-table front end: k-byte suffix prefixes to rank ranges.
 
-An open-addressing table (linear probing, load factor <= 0.5) maps the
-first k bytes of the sampled suffixes to the rank interval they span, so
-a query starts its binary search from that interval instead of the whole
-array. Entries store only the two range integers; key identity is
-confirmed by comparing the query against the text at the range start.
-The table layout is fixed (64-bit FNV-1a, power-of-two capacity) so that
-serialized indexes are portable.
+The sampled suffixes are grouped by their first k bytes, so a query
+starts its binary search from its group's rank interval instead of the
+whole array. A query looks the group up in a dict. Only index files
+hold the open-addressing table (64-bit FNV-1a, linear probing,
+power-of-two capacity, load factor <= 0.5), a fixed layout that keeps
+them portable; its entries store only the two range integers, the key
+being the first k bytes of the suffix at the range start.
 """
 
 from __future__ import annotations
@@ -25,16 +25,10 @@ FNV_PRIME = 1099511628211
 EMPTY_SLOT = 0xFFFFFFFF
 
 
-def fnv1a(data: bytes) -> int:
-    h = FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return h
-
-
 def fnv1a_at(text: bytes, starts: np.ndarray, k: int) -> np.ndarray:
-    """fnv1a(text[s:s + k]) for each 0-based start s, as uint64; every
-    key must lie inside text. Array products wrap modulo 2**64."""
+    """The 64-bit FNV-1a of text[s:s + k] for each 0-based start s, as
+    uint64; every key must lie inside text. Array products wrap modulo
+    2**64."""
     symbols = np.frombuffer(text, dtype=np.uint8)
     h = np.full(len(starts), FNV_OFFSET, dtype=np.uint64)
     for t in range(k):
@@ -45,16 +39,18 @@ def fnv1a_at(text: bytes, starts: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class PrefixRangeTable:
-    """Open-addressing map from k-byte prefixes to sa rank ranges."""
+    """Map from k-byte prefixes to sa rank ranges.
+
+    slots is the table an index file stores. Queries read groups, a dict
+    from each slot's key to lo << 32 | hi, which the first search builds
+    and nothing stores, as with SamsamiIndex.fences (no lock needed).
+    """
 
     k: int
     capacity: int
     slots: np.ndarray = field(repr=False)  # (capacity, 2) uint32, lo/hi
-    # the slots row by row as Python ints: lo of slot i at 2i, hi at 2i+1
-    slot_view: memoryview = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.slot_view = memoryview(self.slots.reshape(-1))
+    groups: dict[bytes, int] | None = field(init=False, repr=False,
+                                            default=None)
 
     @property
     def occupied(self) -> int:
@@ -100,19 +96,12 @@ def build_table(idx: SamsamiIndex, k: int) -> PrefixRangeTable:
     return PrefixRangeTable(k=k, capacity=capacity, slots=slots)
 
 
-def _probe(idx: SamsamiIndex, table: PrefixRangeTable,
-           key: bytes) -> tuple[int, int] | None:
-    mask = table.capacity - 1
-    slot = fnv1a(key) & mask
-    slots, sa, text, k = table.slot_view, idx.sa_view, idx.text, table.k
-    while True:
-        lo = slots[2 * slot]
-        if lo == EMPTY_SLOT:
-            return None
-        pos = sa[lo]
-        if text[pos - 1:pos - 1 + k] == key:
-            return lo, slots[2 * slot + 1]
-        slot = (slot + 1) & mask
+def _groups(idx: SamsamiIndex, table: PrefixRangeTable) -> dict[bytes, int]:
+    """Each occupied slot's key mapped to its range, lo << 32 | hi."""
+    text, sa, k = idx.text, idx.sa_view, table.k
+    used = table.slots[table.slots[:, 0] != EMPTY_SLOT]
+    return {text[sa[lo] - 1:sa[lo] - 1 + k]: lo << 32 | hi
+            for lo, hi in used.tolist()}
 
 
 def min_pattern_length(params, k: int) -> int:
@@ -139,15 +128,16 @@ def _locate_hash_impl(idx, table, pattern, stats):
         raise PatternTooShort(
             f"pattern length {len(pattern)} < max(q-p+k, q) = {need}")
     j = window_minimizer(pattern[:q], p)
-    group = _probe(idx, table, pattern[j - 1:j - 1 + k])
+    if table.groups is None:
+        table.groups = _groups(idx, table)
+    group = table.groups.get(pattern[j - 1:j - 1 + k])
     if group is None:
         return []
-    lo, hi = group
     # the index's own fences narrow the search inside the k-byte group,
     # which on source text can hold thousands of suffixes
     if idx.fences is None:
         idx.fences = _fences(idx.text, idx.sa_view)
-    narrowed = _prefix_range(idx.text, idx.sa_view, lo, hi, pattern[j - 1:],
-                             idx.fences)
+    narrowed = _prefix_range(idx.text, idx.sa_view, group >> 32,
+                             group & 0xFFFFFFFF, pattern[j - 1:], idx.fences)
     return _verify_candidates(idx.text, idx.sa_view, pattern, j, narrowed,
                               stats=stats, left=idx.left)

@@ -100,6 +100,34 @@ def reference_gram_keys(text: bytes, p: int, count: int) -> np.ndarray:
     return keys
 
 
+def slow_fnv1a(data: bytes) -> int:
+    """64-bit FNV-1a, one byte at a time, as its specification states."""
+    h = 14695981039346656037
+    for b in data:
+        h = h ^ b
+        h = (h * 1099511628211) % (1 << 64)
+    return h
+
+
+def brute_group(text: bytes, sa, key: bytes) -> tuple[int, int] | None:
+    """The rank range [lo, hi) of the sorted 1-based positions sa whose
+    suffixes start with key, or None if none does: a scan of every
+    suffix."""
+    ranks = [r for r, pos in enumerate(int(v) for v in sa)
+             if text[pos - 1:pos - 1 + len(key)] == key]
+    return (ranks[0], ranks[-1] + 1) if ranks else None
+
+
+def reference_groups(text: bytes, sa, k: int) -> dict[bytes, int]:
+    """Reference for PrefixRangeTable.groups: the k-byte prefix of each
+    sampled suffix with k bytes or more, mapped to its brute_group range
+    packed as lo << 32 | hi."""
+    keys = {text[pos - 1:pos - 1 + k] for pos in (int(v) for v in sa)
+            if len(text) - pos + 1 >= k}
+    return {key: lo << 32 | hi for key in keys
+            for lo, hi in [brute_group(text, sa, key)]}
+
+
 def reference_build_table(text: bytes, sa, k: int) -> np.ndarray:
     """Reference for hashindex.build_table's slots: one pass over the
     sampled suffixes in rank order, cutting a group wherever the k-byte
@@ -125,10 +153,7 @@ def reference_build_table(text: bytes, sa, k: int) -> np.ndarray:
         capacity *= 2
     slots = np.full((capacity, 2), 0xFFFFFFFF, dtype=np.uint32)
     for key, lo, hi in groups:
-        h = 14695981039346656037
-        for b in key:
-            h = ((h ^ b) * 1099511628211) % (1 << 64)
-        slot = h % capacity
+        slot = slow_fnv1a(key) % capacity
         while slots[slot, 0] != 0xFFFFFFFF:
             slot = (slot + 1) % capacity
         slots[slot] = lo, hi

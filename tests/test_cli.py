@@ -251,6 +251,19 @@ def test_bench_m_below_minimum_fails(corpus, capsys):
     assert "minimum" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--variant", "samsami,samsami-hash", "--q", "10", "--m", "9"],
+    ["stats", "--pairs", "4:2,0:0"],
+    ["stats", "--mode", "qgrams", "--q-list", "1,0"],
+])
+def test_failed_run_prints_no_csv_header(corpus, capsys, argv):
+    path, _ = corpus
+    code, stdout, err = _run(capsys, [*argv, "--text", str(path)])
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ")
+
+
 def test_bench_prebuilt_index(corpus, tmp_path, capsys):
     path, _ = corpus
     for variant, lead in [("samsami", "samsami,4,2,0,10,10,"),

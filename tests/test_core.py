@@ -17,7 +17,8 @@ from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
 from samsami import core, hashindex
 from samsami.persistence import serialized_bytes
 
-from helpers import brute_suffix_array, random_text, reference_spasa_heads
+from helpers import (brute_group, brute_suffix_array, random_text,
+                     reference_groups, reference_spasa_heads)
 
 ABRA = b"abracadabra"
 
@@ -319,7 +320,10 @@ def test_hash_slot_search_through_fences(stride, width, monkeypatch):
         for pat in patterns:
             assert count_hash(idx, table, pat) == len(naive_locate(text, pat))
             j = window_minimizer(pat[:params.q], params.p)
-            group = hashindex._probe(idx, table, pat[j - 1:j - 1 + k])
+            key = pat[j - 1:j - 1 + k]
+            group = brute_group(text, idx.sa, key)
+            assert table.groups.get(key) == (
+                None if group is None else group[0] << 32 | group[1])
             if group is not None:
                 lo, hi = group
                 assert prefix_range(
@@ -339,13 +343,21 @@ def test_fences_are_built_on_the_first_search_only():
     bundle = build_bundle(text, params, with_delta=True, hash_k=3,
                           with_phrase=True)
     back = load(io.BytesIO(serialized_bytes(bundle)), text)
-    for idx in (build(text, params), bundle.index, back.index):
-        assert idx.fences is None
-        count_hash(idx, bundle.table, text[100:120])  # the index's own list
-        fences = idx.fences
+    fresh = build(text, params)
+    groups = []
+    for idx, table in ((fresh, build_table(fresh, 3)),
+                       (bundle.index, bundle.table), (back.index, back.table)):
+        assert idx.fences is None and table.groups is None
+        count_hash(idx, table, text[100:120])  # the index's own list
+        fences, groups_of_table = idx.fences, table.groups
         assert fences == core._fences(text, idx.sa_view)
         count(idx, text[100:120])
+        count_hash(idx, table, text[200:220])
         assert idx.fences is fences  # shared with samsami, built once
+        assert table.groups is groups_of_table  # built once
+        groups.append(groups_of_table)
+    assert groups[0] == groups[1] == groups[2] == reference_groups(
+        text, fresh.sa, 3)  # a loaded table's dict is the built one's
     plain = spasa_build(text, 1)  # one search, through the fence list
     assert plain.fences is None and plain.heads is None
     spasa_locate(plain, text[100:120])
@@ -384,6 +396,7 @@ def test_threads_racing_on_the_first_search_agree():
     barrier = threading.Barrier(8)
     results = []
     heads_seen = []
+    groups_seen = []
 
     def work():
         barrier.wait()
@@ -393,8 +406,9 @@ def test_threads_racing_on_the_first_search_agree():
                         *(spasa_locate(spasa, pat) for spasa in spasas),
                         encoded_locate(dictionary, encoded, len(text), pat,
                                        params)))
-            if len(got) == 1:  # the heads this thread's first search saw
+            if len(got) == 1:  # what this thread's first search saw
                 heads_seen.append([s.heads for s in spasas[1:]])
+                groups_seen.append(table.groups)
         results.append(got)
 
     old = sys.getswitchinterval()
@@ -420,6 +434,9 @@ def test_threads_racing_on_the_first_search_agree():
     for seen in heads_seen:
         for spasa, heads in zip(spasas[1:], seen):
             assert np.array_equal(heads, spasa.heads)
+    assert len(groups_seen) == 8
+    expect_groups = reference_groups(text, idx.sa, 3)
+    assert all(groups == expect_groups for groups in groups_seen)
 
 
 def _without_column(idx):
