@@ -1,10 +1,10 @@
 """Index file serialization.
 
-Layout of version 2, the one version written and read (all integers
+Layout of version 3, the one version written and read (all integers
 little-endian):
 
     magic   4 bytes  "SSMI"
-    version u32      2
+    version u32      3
     flags   u32      bit0 delta nibbles, bit1 hash table, bit2 phrase section
     q, p, k u32      sampling params; k = 0 when no hash table
     n       u64      text length
@@ -13,14 +13,13 @@ little-endian):
     digest  u64      blake2b of the text, 8-byte digest (the text itself
                      is not stored)
     offsets n' * u32 (delta << 28) | (position - 1); delta 0 unless bit0
-    [hash]  capacity u64, then capacity * (lo u32, hi u32); empty slot
-            lo = hi = 0xFFFFFFFF
+    [hash]  group count u64, then one (lo u32, hi u32) rank range per
+            k-byte prefix group, in rank order
     [phrase] phrase count u32, then per phrase length u32 + raw bytes in
             id order, then stream length u64 + stream bytes
 
-Version 1, whose only check was an FNV-1a of the text, is rejected
-with UnsupportedFormat: since loading needs the text, rebuilding the
-index from it replaces such a file.
+Versions 1 and 2 are refused with UnsupportedFormat: since loading
+needs the text, rebuilding the index from it replaces such a file.
 
 Loading requires the original text (digest-verified); a rebuilt index
 over the same text and params serializes to identical bytes.
@@ -40,14 +39,14 @@ from .core import SamsamiIndex, build
 from .delta import (DELTA_SHIFT, MAX_DELTA_TEXT, POS_MASK, DeltaAnnotation,
                     annotate)
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
-from .hashindex import EMPTY_SLOT, PrefixRangeTable, build_table, fnv1a_at
+from .hashindex import PrefixRangeTable, build_table
 from .minimizer import SamplingParams, window_minimizer
 from .phrase import (EncodedText, PhraseDictionary, _phrase_starts,
                      codeword_table, encode_text, gather_pieces,
                      rebuild_positions)
 
 MAGIC = b"SSMI"
-VERSION = 2
+VERSION = 3
 FLAG_DELTA = 1
 FLAG_HASH = 2
 FLAG_PHRASE = 4
@@ -146,7 +145,7 @@ def _write(bundle: IndexBundle, fh) -> int:
     data += offsets.astype("<u4").tobytes()
 
     if bundle.table is not None:
-        data += _U64.pack(bundle.table.capacity)
+        data += _U64.pack(len(bundle.table.slots))
         data += bundle.table.slots.astype("<u4").tobytes()
 
     if bundle.dictionary is not None:
@@ -253,38 +252,33 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
 
     if flags & FLAG_HASH:
         _need(data, at, 8)
-        (capacity,) = _U64.unpack_from(data, at)
+        (count,) = _U64.unpack_from(data, at)
         at += 8
-        if capacity < 2 or capacity & (capacity - 1):
-            raise CorruptIndex(f"hash capacity {capacity} not a power of two")
-        _need(data, at, 8 * capacity)
-        slots = np.frombuffer(data, dtype="<u4", count=2 * capacity, offset=at)
-        slots = slots.reshape(capacity, 2).copy()
-        at += 8 * capacity
-        used = slots[:, 0] != EMPTY_SLOT
-        lo, hi = slots[used].T
+        _need(data, at, 8 * count)
+        slots = np.frombuffer(data, dtype="<u4", count=2 * count, offset=at)
+        slots = slots.reshape(count, 2).copy()
+        at += 8 * count
+        lo, hi = slots.T
         if (hi > n_sampled).any():
             raise CorruptIndex("hash range beyond the sampled array")
         if (lo >= hi).any():
             raise CorruptIndex("hash range with lo >= hi")
-        # linear probing ends only at an empty slot; the builder keeps
-        # the load factor at or below one half
-        occupied = int(np.count_nonzero(used))
-        if occupied > capacity // 2:
-            raise CorruptIndex(f"hash table has {occupied} of {capacity} "
-                               "slots occupied, above the 0.5 load factor")
+        # ascending, disjoint rows of exact groups are distinct groups
+        behind = lo[1:] < hi[:-1]
+        if behind.any():
+            row = int(np.argmax(behind)) + 1
+            how = ("overlaps" if lo[row] > lo[row - 1] else
+                   "repeats" if lo[row] == lo[row - 1] else "precedes")
+            raise CorruptIndex(f"hash row {row} {how} the row before it")
         if not _one_prefix_each(text, positions, lo, hi, k):
             raise CorruptIndex(f"hash ranges are not the groups of "
                                f"{k}-byte suffix prefixes")
-        # exact groups with distinct starts are distinct groups; missing
-        # none, they hold every suffix of k bytes or more
-        if ((np.diff(np.sort(lo)) == 0).any() or int((hi - lo).sum())
+        # then they miss no group only if they hold every suffix of k
+        # bytes or more
+        if (int((hi - lo).sum())
                 != int(np.count_nonzero(positions <= n - k + 1))):
-            raise CorruptIndex(f"hash table does not hold each {k}-byte "
-                               "prefix group once")
-        if not _on_probe_chains(text, positions, used, lo, k):
-            raise CorruptIndex("a hash slot lies off its key's probe chain")
-        bundle.table = PrefixRangeTable(k=k, capacity=int(capacity), slots=slots)
+            raise CorruptIndex(f"hash rows miss a {k}-byte prefix group")
+        bundle.table = PrefixRangeTable(k=k, slots=slots)
 
     if flags & FLAG_PHRASE:
         # the phrase section is the file's last: it runs to the end
@@ -323,27 +317,6 @@ def _one_prefix_each(text: bytes, sa: np.ndarray, lo: np.ndarray,
         heads = symbols[starts + t]
         same &= heads == heads[0]
     return bool((same[1] & (short[2:] | ~same[2:]).all(axis=0)).all())
-
-
-def _on_probe_chains(text: bytes, sa: np.ndarray, used: np.ndarray,
-                     lo: np.ndarray, k: int) -> bool:
-    """Whether each occupied slot lies on its key's linear-probe chain:
-    no empty slot from the key's FNV-1a home up to it, wrapping around.
-
-    used marks the occupied slots and lo holds their range starts, in
-    slot order; a slot's key is the first k bytes of the suffix at lo,
-    which _one_prefix_each has checked to exist.
-    """
-    capacity = len(used)
-    at = np.flatnonzero(used)
-    homes = fnv1a_at(text, sa[lo].astype(np.int64) - 1, k)
-    homes = (homes & np.uint64(capacity - 1)).astype(np.int64)
-    # empties[x]: the empty slots before slot x
-    empties = np.zeros(capacity + 1, dtype=np.int64)
-    np.cumsum(~used, out=empties[1:])
-    between = empties[at] - empties[homes]
-    between[homes > at] += empties[capacity]  # the chain wraps around
-    return not between.any()
 
 
 def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,

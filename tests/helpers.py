@@ -131,33 +131,22 @@ def reference_groups(text: bytes, sa, k: int) -> dict[bytes, int]:
 def reference_build_table(text: bytes, sa, k: int) -> np.ndarray:
     """Reference for hashindex.build_table's slots: one pass over the
     sampled suffixes in rank order, cutting a group wherever the k-byte
-    prefix changes or a suffix shorter than k bytes intervenes, then
-    each group hashed (64-bit FNV-1a) and linearly probed into a table
-    of the smallest power-of-two capacity >= 2 with load factor <= 0.5.
+    prefix changes or a suffix shorter than k bytes intervenes, and
+    emitting each group's (lo, hi) row as it closes.
     """
     n = len(text)
-    groups = []
+    rows = []
     run_key = None
     run_lo = 0
     for r, pos in enumerate(int(v) for v in sa):
         key = text[pos - 1:pos - 1 + k] if n - pos + 1 >= k else None
         if key != run_key:
             if run_key is not None:
-                groups.append((run_key, run_lo, r))
+                rows.append((run_lo, r))
             run_key, run_lo = key, r
     if run_key is not None:
-        groups.append((run_key, run_lo, len(sa)))
-
-    capacity = 2
-    while capacity < 2 * len(groups):
-        capacity *= 2
-    slots = np.full((capacity, 2), 0xFFFFFFFF, dtype=np.uint32)
-    for key, lo, hi in groups:
-        slot = slow_fnv1a(key) % capacity
-        while slots[slot, 0] != 0xFFFFFFFF:
-            slot = (slot + 1) % capacity
-        slots[slot] = lo, hi
-    return slots
+        rows.append((run_lo, len(sa)))
+    return np.array(rows, dtype=np.uint32).reshape(len(rows), 2)
 
 
 def brute_suffix_array(text: bytes) -> list[int]:
@@ -244,7 +233,7 @@ def reference_rebuild_positions(phrases: list[bytes], codewords: list[bytes],
 
 
 def reseal(data: bytes) -> bytes:
-    """A version-2 index file with its header crc32 (bytes 36..39)
+    """An index file with its header crc32 (bytes 36..39)
     recomputed over every other byte, so that a test's edit of the file
     reaches the check it targets instead of the crc's."""
     out = bytearray(data)

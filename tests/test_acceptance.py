@@ -108,7 +108,7 @@ class Sweep:
     hash_patterns: int = 0
     phrase_patterns: int = 0
     elapsed: float = 0.0
-    load_factors_ok: bool = True
+    table_rows_ok: bool = True
     prune_report: tuple = field(default=None)
 
 
@@ -143,8 +143,12 @@ def _run_sweep() -> Sweep:
         ann = annotate(idx)
         k = rng.randint(1, 6)
         table = build_table(idx, k)
-        if table.occupied > table.capacity / 2:
-            out.load_factors_ok = False
+        lo, hi = table.slots.T.astype(np.int64)
+        keys = {text[pos - 1:pos - 1 + k] for pos in idx.sa.tolist()
+                if pos <= n - k + 1}
+        if ((lo >= hi).any() or (lo[1:] < hi[:-1]).any()
+                or len(lo) != len(keys)):
+            out.table_rows_ok = False
         step = rng.randint(1, min(12, n))
         spasa = spasa_build(text, step)
         plain = spasa_build(text, 1)
@@ -320,12 +324,13 @@ def test_criterion_5_desk_scale():
 def test_criterion_6_variant_equivalence():
     sweep = _run_sweep()
     assert sweep.hash_patterns >= 500
-    assert sweep.load_factors_ok
+    assert sweep.table_rows_ok
     assert sweep.prune_report is not None, "no pruning case was exercised"
     before, after = sweep.prune_report
     assert after < before
     print(f"\nACCEPTANCE 6 PASS: delta/hash variants equal on every case "
-          f"({sweep.hash_patterns} hash patterns), load factor <= 0.5, "
+          f"({sweep.hash_patterns} hash patterns), hash rows ascending, "
+          f"disjoint and one per k-byte prefix group, "
           f"pruning cut text accesses {before} -> {after}")
 
 

@@ -310,9 +310,8 @@ def test_hash_slot_search_through_fences(stride, width, monkeypatch):
         idx = build(text, params)
         table = build_table(idx, k)
         for lo, hi in table.slots.tolist():
-            if lo != hashindex.EMPTY_SLOT:
-                mid_lo |= lo % stride != 0
-                mid_hi |= hi % stride != 0
+            mid_lo |= lo % stride != 0
+            mid_hi |= hi % stride != 0
         starts = rng.sample(range(len(text) - 40), 30)
         patterns = {text[i:i + m] for i in starts for m in (7, 9, 16, 40)}
         patterns |= {pat[:-1] + bytes([pat[-1] ^ 1]) for pat in list(patterns)}

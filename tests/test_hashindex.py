@@ -1,38 +1,12 @@
 import random
-import warnings
 
-import numpy as np
 import pytest
 
 from samsami import (InvalidParams, PatternTooShort, SamplingParams, build,
                      build_table, count_hash, locate, locate_hash,
                      min_pattern_length, naive_locate)
-from samsami.hashindex import EMPTY_SLOT, fnv1a_at
 
-from helpers import random_text, reference_build_table, slow_fnv1a
-
-
-def test_fnv1a_pinned():
-    # fixed function keeps serialized tables portable
-    assert slow_fnv1a(b"") == 14695981039346656037
-    assert fnv1a_at(b"", np.array([0]), 0).tolist() == [14695981039346656037]
-    for key in (b"a", b"ab", b"abc", bytes(range(16))):
-        assert fnv1a_at(key, np.array([0]), len(key)).tolist() == [
-            slow_fnv1a(key)]
-
-
-def test_fnv1a_at_equals_fnv1a():
-    # the array hash places and checks table slots, and must wrap
-    # without warning
-    rng = random.Random(0xF17)
-    for k in (1, 2, 3, 8, 17):
-        text = random_text(rng, 300, rng.choice([2, 4, 256]))
-        starts = np.array(rng.sample(range(len(text) - k + 1), 50))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = fnv1a_at(text, starts, k)
-        assert got.dtype == np.uint64
-        assert got.tolist() == [slow_fnv1a(text[s:s + k]) for s in starts]
+from helpers import random_text, reference_build_table
 
 
 @pytest.fixture(scope="module")
@@ -43,31 +17,22 @@ def abra():
 
 def test_build_table_groups(abra):
     idx, table = abra
-    assert table.capacity == 8  # 3 groups -> smallest power of two >= 6
-    assert table.occupied == 3
-    ranges = set()
-    for lo, hi in table.slots:
-        if int(lo) != EMPTY_SLOT:
-            ranges.add((int(lo), int(hi)))
+    assert table.capacity == table.occupied == 3
     # groups over sa [8,1,4,6]: "ab" ranks 0..2, "ac" 2..3, "ad" 3..4
-    assert ranges == {(0, 2), (2, 3), (3, 4)}
+    assert table.slots.tolist() == [[0, 2], [2, 3], [3, 4]]
 
 
 def test_build_table_single_group():
     idx = build(b"aaaaaa", SamplingParams(2, 1))
     table = build_table(idx, 1)
-    assert table.occupied == 1
-    assert table.capacity == 2
+    assert table.slots.tolist() == [[0, len(idx.sa)]]
 
 
 def test_build_table_excludes_short_suffixes():
     # sampled position 8 has a 4-byte suffix; with k=5 it joins no group
     idx = build(b"abracadabra", SamplingParams(4, 2))
     table = build_table(idx, 5)
-    covered = set()
-    for lo, hi in table.slots:
-        if int(lo) != EMPTY_SLOT:
-            covered.update(range(int(lo), int(hi)))
+    covered = {r for lo, hi in table.slots.tolist() for r in range(lo, hi)}
     assert 0 not in covered  # rank 0 is position 8, suffix "abra"
     assert covered == {1, 2, 3}
 
@@ -112,7 +77,10 @@ def test_locate_hash_minimum_length(abra):
         locate_hash(idx, table5, b"abraca")
 
 
-def test_load_factor_bound():
+def test_table_rows_ascending_and_disjoint():
+    # one nonempty row per distinct k-byte prefix of the sampled
+    # suffixes with k bytes or more, each ending where the next begins
+    # or a shorter suffix lies
     rng = random.Random(777)
     for _ in range(40):
         alphabet = rng.choice([2, 4, 26])
@@ -120,10 +88,14 @@ def test_load_factor_bound():
         p = rng.randint(1, q)
         n = rng.randint(q, 300)
         k = rng.randint(1, 6)
-        idx = build(random_text(rng, n, alphabet), SamplingParams(q, p))
-        table = build_table(idx, k)
-        assert table.occupied <= table.capacity / 2
-        assert table.capacity >= 2
+        text = random_text(rng, n, alphabet)
+        idx = build(text, SamplingParams(q, p))
+        rows = build_table(idx, k).slots.tolist()
+        assert all(lo < hi for lo, hi in rows)
+        assert all(a[1] <= b[0] for a, b in zip(rows, rows[1:]))
+        keys = {text[pos - 1:pos - 1 + k] for pos in idx.sa.tolist()
+                if pos <= n - k + 1}
+        assert len(rows) == len(keys)
 
 
 def test_locate_hash_equals_locate_randomized():

@@ -46,7 +46,7 @@ def test_header_layout():
     assert data[:4] == b"SSMI"
     version, flags, q, p, k = struct.unpack_from("<5I", data, 4)
     n, n_sampled, crc, digest = struct.unpack_from("<QIIQ", data, 24)
-    assert (version, flags, q, p, k) == (2, 0, 4, 2, 0)
+    assert (version, flags, q, p, k) == (3, 0, 4, 2, 0)
     assert (n, n_sampled) == (11, 4)
     assert crc == zlib.crc32(data[:36] + data[40:])
     assert digest.to_bytes(8, "little") == \
@@ -147,6 +147,42 @@ def _golden_bundle():
                               hash_k=4, with_phrase=True)
 
 
+def _with_hash_section(data: bytes, bundle, section: bytes) -> bytearray:
+    """The file data of bundle with its hash section replaced."""
+    start = 48 + 4 * bundle.index.n_sampled
+    end = start + 8 + bundle.table.slots.nbytes
+    return bytearray(data[:start] + section + data[end:])
+
+
+def _with_rows(bundle, rows: np.ndarray) -> bytes:
+    """The file of bundle with its hash rows replaced, resealed."""
+    section = struct.pack("<Q", len(rows)) + rows.astype("<u4").tobytes()
+    return reseal(_with_hash_section(serialized_bytes(bundle), bundle,
+                                     section))
+
+
+def _as_version_2(data: bytes, bundle) -> bytes:
+    """The version-2 file of the same bundle: the hash rows placed, in
+    rank order, by the 64-bit FNV-1a of their keys and linear probing
+    into the smallest power-of-two table >= 2 that they fill at most
+    half of, preceded by its capacity; empty slots read 0xFFFFFFFF."""
+    idx, table = bundle.index, bundle.table
+    capacity = 2
+    while capacity < 2 * len(table.slots):
+        capacity *= 2
+    slots = np.full((capacity, 2), 0xFFFFFFFF, dtype="<u4")
+    for lo, hi in table.slots.tolist():
+        at = int(idx.sa[lo]) - 1
+        slot = slow_fnv1a(idx.text[at:at + table.k]) % capacity
+        while slots[slot, 0] != 0xFFFFFFFF:
+            slot = (slot + 1) % capacity
+        slots[slot] = lo, hi
+    out = _with_hash_section(data, bundle, struct.pack("<Q", capacity)
+                             + slots.tobytes())
+    struct.pack_into("<I", out, 4, 2)
+    return reseal(out)
+
+
 def _as_version_1(data: bytes, text: bytes) -> bytes:
     """The version-1 file of the same bundle: n' widened to a u64 and
     an FNV-1a of the text in place of the crc32 and the digest."""
@@ -159,21 +195,28 @@ def _as_version_1(data: bytes, text: bytes) -> bytes:
 def test_bundle_bytes_golden():
     # The version-1 digest was recorded before the suffix sort and the
     # phrase encoder were rewritten, the version-2 one when the format
-    # changed; any change that alters a single byte of an index file
-    # changes them.
+    # changed, and the version-3 one when the hash section became rank
+    # ordered rows; any change that alters a single byte of an index
+    # file changes them. The older files are rebuilt from the version-3
+    # one, so their digests still pin every section of it.
     text, bundle = _golden_bundle()
     data = serialized_bytes(bundle)
     assert hashlib.sha256(data).hexdigest() == (
+        "f34afc9c90e665fec508a89f7556677b"
+        "e94de3cc6a7aa06b8ed051b12daff510")
+    v2 = _as_version_2(data, bundle)
+    assert hashlib.sha256(v2).hexdigest() == (
         "b857ba7b5867f4e689b2ace0a5c06e56"
         "3d759836cacc5a64c591939c8785520e")
-    old = _as_version_1(data, text)
-    assert hashlib.sha256(old).hexdigest() == (
+    v1 = _as_version_1(v2, text)
+    assert hashlib.sha256(v1).hexdigest() == (
         "198bab637fd2c174ece0231cbe86a107"
         "910f94231e3ada33098e531baf8107c7")
-    # a version-1 file is refused with a pointer to the cure
-    with pytest.raises(UnsupportedFormat, match="rebuild the index"):
-        load(io.BytesIO(old), text)
-    # the version-2 file answers as the built bundle
+    # older files are refused with a pointer to the cure
+    for old in (v1, v2):
+        with pytest.raises(UnsupportedFormat, match="rebuild the index"):
+            load(io.BytesIO(old), text)
+    # the version-3 file answers as the built bundle
     back = load(io.BytesIO(data), text)
     rng = random.Random(0x01D)
     patterns = [text[i:i + m] for i, m in
@@ -343,22 +386,6 @@ def test_text_mismatch_rejected():
         load(io.BytesIO(data), b"abracadabra-longer")
 
 
-def test_overfull_hash_table_rejected():
-    # a table with no empty slot would make every probe for an absent
-    # key run forever
-    text = b"abcde" * 6 + b"abc"
-    bundle = build_bundle(text, P42, hash_k=2)
-    assert bundle.table.capacity == 8
-    data = bytearray(serialized_bytes(bundle))
-    start = 48 + 4 * bundle.index.n_sampled + 8
-    slots = np.frombuffer(bytes(data[start:start + 64]), dtype="<u4")
-    slots = slots.reshape(8, 2).copy()
-    slots[slots[:, 0] == 0xFFFFFFFF] = (0, 1)
-    data[start:start + 64] = slots.astype("<u4").tobytes()
-    with pytest.raises(CorruptIndex, match="load factor"):
-        load(io.BytesIO(reseal(data)), text)
-
-
 _HASHED_TEXT = (b"abracadabra " * 55)[:660]
 
 
@@ -404,74 +431,83 @@ def test_hash_k_rewritten_rejected(text, params, header_k):
         load(io.BytesIO(reseal(data)), text)
 
 
-def _with_slots(bundle, slots) -> bytes:
-    # the file of bundle with its hash slots replaced, resealed
-    data = bytearray(serialized_bytes(bundle))
-    start = 48 + 4 * bundle.index.n_sampled + 8
-    data[start:start + slots.nbytes] = slots.astype("<u4").tobytes()
-    return reseal(data)
-
-
-def test_hash_k_raised_off_probe_chains_rejected():
+def test_hash_k_raised_onto_equal_groups_loads_exact():
     # The 3-byte groups of this text are also its 4-byte groups, so a k
-    # raised to 4 passes the group check; count_hash(b"abracadabra")
-    # then answered 0, not 55, since each slot sits where the 3-byte
-    # hash put it, off the chain the 4-byte hash probes.
+    # raised to 4 leaves the very file a k=4 build writes: each row's
+    # key is read from the suffixes it holds, and nothing places a row
+    # by its key, so the file answers as the text does.
     params = SamplingParams(6, 2)
     data = bytearray(serialized_bytes(build_bundle(_HASHED_TEXT, params,
                                                    hash_k=3)))
     struct.pack_into("<I", data, 20, 4)
-    with pytest.raises(CorruptIndex, match="off its key's probe chain"):
-        load(io.BytesIO(reseal(data)), _HASHED_TEXT)
+    data = reseal(data)
+    assert data == serialized_bytes(build_bundle(_HASHED_TEXT, params,
+                                                 hash_k=4))
+    back = load(io.BytesIO(data), _HASHED_TEXT)
+    assert back.table.k == 4
+    patterns = {_HASHED_TEXT[i:i + m] for i in range(12)
+                for m in (8, 9, 11, 12, 23, 40)}
+    patterns |= {pat[:x] + b"a" + pat[x + 1:] for pat in list(patterns)
+                 for x in (0, 3, 7)}
+    for pattern in patterns:
+        assert locate_hash(back.index, back.table, pattern) == \
+            naive_locate(_HASHED_TEXT, pattern)
+    assert len(locate_hash(back.index, back.table, b"abracadabra")) == 55
 
 
-def test_hash_slot_moved_off_its_probe_chain_rejected():
-    # move one entry to the next empty slot: the slot it leaves empty
-    # ends the entry's probe chain before the entry
-    bundle = build_bundle(_HASHED_TEXT, SamplingParams(6, 2), hash_k=3)
-    slots = bundle.table.slots.copy()
-    capacity = len(slots)
-    src = int(np.flatnonzero(slots[:, 0] != 0xFFFFFFFF)[0])
-    dst = next(x % capacity for x in range(src + 1, src + capacity)
-               if slots[x % capacity, 0] == 0xFFFFFFFF)
-    slots[dst], slots[src] = slots[src], 0xFFFFFFFF
-    with pytest.raises(CorruptIndex, match="off its key's probe chain"):
-        load(io.BytesIO(_with_slots(bundle, slots)), _HASHED_TEXT)
+# row 10 of this table's 3-byte groups ends where row 11 begins
+_ROWS_TEXT = random_text(random.Random(0x3A8), 3000, 4)
+_ROWS_BUNDLE = build_bundle(_ROWS_TEXT, SamplingParams(8, 2), hash_k=3)
 
 
-@pytest.mark.parametrize("change", ["emptied", "doubled"])
-def test_hash_group_missing_or_doubled_rejected(change):
-    # Emptying the last slot of a probe chain leaves every chain intact;
-    # the loaded table then answered 0 for patterns anchored on that
-    # group. Doubling a group into an empty slot on its chain misses no
-    # answer, but the file is not one build_table writes.
-    text = random_text(random.Random(0x3A8), 3000, 4)
-    bundle = build_bundle(text, SamplingParams(8, 2), hash_k=3)
-    slots = bundle.table.slots.copy()
-    used = slots[:, 0] != 0xFFFFFFFF
-    capacity = len(slots)
-    last = next(int(x) for x in np.flatnonzero(used)
-                if not used[(x + 1) % capacity])
-    if change == "emptied":
-        slots[last] = 0xFFFFFFFF
-    else:
-        slots[(last + 1) % capacity] = slots[last]
-    with pytest.raises(CorruptIndex, match="each 3-byte prefix group once"):
-        load(io.BytesIO(_with_slots(bundle, slots)), text)
+def _edited_rows(change: str) -> np.ndarray:
+    rows = _ROWS_BUNDLE.table.slots.astype(np.int64)
+    i = 10
+    assert rows[i, 1] == rows[i + 1, 0]
+    if change == "out-of-order":
+        rows[[i, i + 1]] = rows[[i + 1, i]]
+    elif change == "overlapping":
+        rows[i, 1] += 1
+    elif change == "doubled":
+        rows = np.insert(rows, i, rows[i], axis=0)
+    else:  # emptied: the row taken out
+        rows = np.delete(rows, i, axis=0)
+    return rows
+
+
+@pytest.mark.parametrize("change, message", [
+    ("out-of-order", "hash row 11 precedes the row before it"),
+    ("overlapping", "hash row 11 overlaps the row before it"),
+], ids=["out-of-order", "overlapping"])
+def test_hash_rows_out_of_order_or_overlapping_rejected(change, message):
+    # each row is still one whole group, or only overlaps its neighbour;
+    # the rows no longer ascend disjointly
+    with pytest.raises(CorruptIndex, match=message):
+        load(io.BytesIO(_with_rows(_ROWS_BUNDLE, _edited_rows(change))),
+             _ROWS_TEXT)
+
+
+@pytest.mark.parametrize("change, message", [
+    # patterns anchored on the missing group would answer 0
+    ("emptied", "hash rows miss a 3-byte prefix group"),
+    # misses no answer, but the file is not one build_table writes
+    ("doubled", "hash row 11 repeats the row before it"),
+], ids=["emptied", "doubled"])
+def test_hash_group_missing_or_doubled_rejected(change, message):
+    with pytest.raises(CorruptIndex, match=message):
+        load(io.BytesIO(_with_rows(_ROWS_BUNDLE, _edited_rows(change))),
+             _ROWS_TEXT)
 
 
 @pytest.mark.parametrize("shift", [0, -1])
 def test_hash_slot_with_empty_range_rejected(shift):
-    # every group the builder hashes holds at least one suffix; rewrite
-    # the hi of the slot with the largest lo to lo, then to lo - 1
+    # every group the builder writes holds at least one suffix; rewrite
+    # the hi of the last row to its lo, then to lo - 1
     bundle = build_bundle(_HASHED_TEXT, SamplingParams(6, 2), hash_k=3)
     data = bytearray(serialized_bytes(bundle))
-    start = 48 + 4 * bundle.index.n_sampled + 8
-    los = bundle.table.slots[:, 0].astype(np.int64)
-    slot = int(np.argmax(np.where(los != 0xFFFFFFFF, los, -1)))
-    lo = int(los[slot])
+    lo = int(bundle.table.slots[-1, 0])
     assert lo > 0
-    struct.pack_into("<I", data, start + 8 * slot + 4, lo + shift)
+    struct.pack_into("<I", data, len(data) - 4, lo + shift)
     with pytest.raises(CorruptIndex, match="lo >= hi"):
         load(io.BytesIO(reseal(data)), _HASHED_TEXT)
 
@@ -615,13 +651,15 @@ def test_phrase_section_mutation_rejected_or_exact(edits):
 
 def test_crc_mismatch_rejected():
     data = bytearray(serialized_bytes(build_bundle(ABRA, P42, hash_k=2)))
-    data[-1] ^= 1
+    data[-1] ^= 1  # the top byte of the last hash row's hi
     with pytest.raises(CorruptIndex, match="crc32"):
         load(io.BytesIO(bytes(data)), ABRA)
     # the text digest is checked first, so a wrong text still reads as one
     with pytest.raises(TextMismatch):
         load(io.BytesIO(bytes(data)), b"abracadabrX")
-    assert load(io.BytesIO(reseal(data)), ABRA).table is not None
+    # past the crc, the structural checks read every hash byte
+    with pytest.raises(CorruptIndex, match="beyond the sampled array"):
+        load(io.BytesIO(reseal(data)), ABRA)
 
 
 def test_writer_rejects_sampled_count_beyond_u32():
