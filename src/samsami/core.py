@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParams, PatternTooShort
-from .minimizer import (PruneMask, SamplingParams, sampled_positions,
-                        window_minimizer)
+from .minimizer import SamplingParams, sampled_positions, window_minimizer
 # build_full_sa is never called here: benchmark tracing wraps it by name
 from .suffix_sort import build_full_sa, extract_sampled  # noqa: F401
 
@@ -34,7 +33,10 @@ class MatchRange(NamedTuple):
 
 @dataclass
 class QueryStats:
-    """Optional instrumentation for a single query."""
+    """Optional instrumentation for a single query: a model of its
+    candidate ranges, not a trace of the compares. A candidate whose
+    occurrence starts inside the text is pruned if samsami2's mask rules
+    out its nibble, else one text verification if a prefix is skipped."""
 
     candidates: int = 0
     text_verifications: int = 0
@@ -172,15 +174,12 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
 # numpy kernel's fixed set-up (7-10 us) costs more than the loop it
 # replaces (0.2-0.3 us per candidate). On 512 KiB of stdlib source
 # (q=40, p=2; 2 vCPU, Python 3.11, numpy 2.4) the two paths broke even
-# at about 36 candidates for 7-byte prefixes, 44 for 39-byte prefixes
-# and 60 with delta pruning.
+# at about 36 candidates for 7-byte prefixes and 44 for 39-byte ones.
 _VECTOR_MIN_CANDIDATES = 48
 
 
 def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
                        ranks: tuple[int, int],
-                       deltas: np.ndarray | None = None,
-                       mask: PruneMask | None = None,
                        stats: QueryStats | None = None,
                        left: np.ndarray | None = None) -> list[int]:
     """Occurrence starts of pattern among the suffixes at ranks [lo, hi),
@@ -190,95 +189,64 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     _prefix_range. The suffix at sa[r] matches pattern[j-1:]; the
     occurrence it stands for starts j-1 bytes earlier, which must lie
     inside the text and agree with the skipped prefix pattern[:j-1].
-    With delta nibbles and a prune mask, a candidate whose recorded
-    predecessor distance d has mask[d] false is dropped without
-    touching the text; a short range reads the mask once per distinct
-    nibble, a long one takes its whole table. left,
-    an index's left-context column in sa order, lets large ranges check
-    the prefix's last 4 bytes without touching the text either; it
-    counts as the text verification it replaces. The result is in rank order.
+    left, an index's left-context column in sa order, lets large ranges
+    check the prefix's last 4 bytes without touching the text. The
+    result is in rank order. stats gets QueryStats' model of the range.
     """
     lo, hi = ranks
     if lo == hi:
         return []
-    if hi - lo >= _VECTOR_MIN_CANDIDATES:
-        out, pruned, checked = _verify_vector(text, sa, pattern, j, lo, hi,
-                                              deltas, mask, left,
-                                              stats is not None)
-    else:
-        shift = j - 1
-        prefix = pattern[:shift]
-        ds = ok = None
-        if deltas is not None:
-            ds = deltas[lo:hi].tolist()
-            ok = {d: mask[d] for d in set(ds)}
-        out = []
-        pruned = checked = 0
-        for i, s in enumerate(sa[lo:hi]):
-            start = s - shift
-            if start < 1:
-                continue
-            if ok is not None and not ok[ds[i]]:
-                pruned += 1
-                continue
-            if shift:
-                checked += 1
-                if text[start - 1:s - 1] != prefix:
-                    continue
-            out.append(start)
+    shift = j - 1
     if stats is not None:
         stats.candidates += hi - lo
-        stats.pruned += pruned
-        stats.text_verifications += checked
+    if not shift:  # every candidate is an occurrence
+        return sa[lo:hi].tolist()
+    if hi - lo >= _VECTOR_MIN_CANDIDATES:
+        if stats is not None:
+            stats.text_verifications += int(
+                np.count_nonzero(np.asarray(sa[lo:hi]) >= j))
+        return _verify_vector(text, sa, pattern, j, lo, hi, left)
+    prefix = pattern[:shift]
+    out = []
+    inside = hi - lo
+    for s in sa[lo:hi]:
+        start = s - shift
+        if start < 1:
+            inside -= 1
+        elif text[start - 1:s - 1] == prefix:
+            out.append(start)
+    if stats is not None:
+        stats.text_verifications += inside
     return out
 
 
-def _verify_vector(text, sa, pattern, j, lo, hi, deltas, mask, left,
-                   counting):
+def _verify_vector(text, sa, pattern, j, lo, hi, left):
     shift = j - 1
     anchors = np.asarray(sa[lo:hi])
-    if deltas is not None:
-        deltas = deltas[lo:hi]
-        table = mask.table()
-    pruned = checked = 0
-    if counting:  # whole-range passes that only the statistics need
-        inside = anchors >= j
-        allowed_inside = inside
-        if deltas is not None:
-            allowed_inside = inside & table[deltas]
-            pruned = int(np.count_nonzero(inside)
-                         - np.count_nonzero(allowed_inside))
-        checked = int(np.count_nonzero(allowed_inside)) if shift else 0
     # Compare the prefix nearest the anchor first, shrinking the set
     # after each step; once few candidates are left, the scalar compare
     # finishes them. The first step reads no scattered text: the
     # left-context column holds up to 4 prefix bytes in sa order, so one
-    # contiguous compare leaves few candidates for the start and delta
-    # checks. Without a column, one byte is gathered after those checks
-    # (gathering aligned bytes costs about a third of gathering
-    # unaligned words, and on source text one byte already rejects most
-    # candidates). Then 8-byte words come through an in-place view of
-    # the text at every offset, or single bytes when the rest of the
-    # prefix is shorter than a word.
+    # contiguous compare leaves few candidates for the start check.
+    # Without a column, one byte is gathered after that check (gathering
+    # aligned bytes costs about a third of gathering unaligned words,
+    # and on source text one byte already rejects most candidates). Then
+    # 8-byte words come through an in-place view of the text at every
+    # offset, or single bytes when the rest of the prefix is shorter
+    # than a word.
     rest = shift  # pattern[:rest] is still to compare
-    if shift and left is not None:
+    if left is not None:
         tail = min(shift, 4)
         want = int.from_bytes(pattern[shift - tail:shift].rjust(4, b"\0"),
                               "little")
         column = left[lo:hi]
         if tail < 4:  # the low bytes lie before the occurrence: ignore
             column = column & ((0xFFFFFFFF << 8 * (4 - tail)) & 0xFFFFFFFF)
-        survivors = (column == want).nonzero()[0]
-        anchors = anchors[survivors]
-        if deltas is not None:
-            deltas = deltas[survivors]
+        anchors = anchors[column == want]
         rest -= tail
-    keep = anchors >= j  # the occurrence starts inside the text
-    if deltas is not None:
-        keep &= table[deltas]
-    begin = anchors[keep].astype(np.int64) - j  # 0-based starts
+    begin = anchors[anchors >= j].astype(np.int64) - j  # starts in text
     symbols = np.frombuffer(text, dtype=np.uint8)
-    if rest and left is None:
+    if left is None:
         begin = begin[symbols[begin + (rest - 1)] == pattern[rest - 1]]
         rest -= 1
     if rest >= 8 and len(begin) >= _VECTOR_MIN_CANDIDATES:
@@ -291,11 +259,11 @@ def _verify_vector(text, sa, pattern, j, lo, hi, deltas, mask, left,
     for off in steps:
         if len(begin) < _VECTOR_MIN_CANDIDATES:
             prefix = pattern[:rest]
-            return ([b + 1 for b in begin.tolist()
-                     if text[b:b + rest] == prefix], pruned, checked)
+            return [b + 1 for b in begin.tolist()
+                    if text[b:b + rest] == prefix]
         want = int.from_bytes(pattern[off:off + width], "little")
         begin = begin[view[begin + off] == want]
-    return (begin + 1).tolist(), pruned, checked
+    return (begin + 1).tolist()
 
 
 def _anchor_range(idx: SamsamiIndex, pattern: bytes) -> tuple[int, MatchRange]:

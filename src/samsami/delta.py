@@ -2,10 +2,12 @@
 
 Each index entry gains 4 bits holding the distance to the previous
 sampled position in text order (0 when there is none or it exceeds 15).
-At query time the pattern's prune mask rejects candidates whose recorded
-distance is infeasible, saving the text lookup the verification would
-otherwise need. An index file keeps the 4 bits in the top nibble of
-each 32-bit offset, which caps texts at 2^28 bytes.
+The pattern's prune mask proves a candidate with an infeasible distance
+a mismatch without reading the text. Pruning only drops mismatches, so
+answers go through core's kernel and only a query given QueryStats
+builds the mask, to count the pruned candidates: in pure Python the mask
+costs more than the compares it saves. An index file keeps the 4 bits
+in the top nibble of each 32-bit offset, which caps texts at 2^28 bytes.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import core
 from .core import QueryStats, SamsamiIndex, _anchor_range, _verify_candidates
 from .errors import TextTooLargeForDeltaVariant
 from .minimizer import prune_mask
@@ -49,7 +52,7 @@ def annotate(idx: SamsamiIndex) -> DeltaAnnotation:
 
 def locate2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,
             stats: QueryStats | None = None) -> list[int]:
-    """Same result set as core.locate, with delta-based pruning."""
+    """The answer of core.locate; stats also count the pruned candidates."""
     return sorted(_pruned_hits(idx, ann, pattern, stats))
 
 
@@ -60,8 +63,27 @@ def count2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,
 
 def _pruned_hits(idx, ann, pattern, stats):
     j, ranks = _anchor_range(idx, pattern)
-    if ranks.lo == ranks.hi:  # no candidates, so nothing to prune
-        return []
+    sa = idx.sa_view
+    hits = _verify_candidates(idx.text, sa, pattern, j, ranks, stats,
+                              idx.left)
+    lo, hi = ranks
+    if stats is None or lo == hi:
+        return hits
+    # a pruned candidate skips its text verification; a short range
+    # reads the mask once per distinct nibble, a long one its whole table
     mask = prune_mask(pattern, idx.params, j)
-    return _verify_candidates(idx.text, idx.sa_view, pattern, j, ranks,
-                              ann.delta, mask, stats, idx.left)
+    if hi - lo >= core._VECTOR_MIN_CANDIDATES:
+        ruled_out = ~mask.table()[ann.delta[lo:hi]]
+        pruned = int(np.count_nonzero(ruled_out
+                                      & (np.asarray(sa[lo:hi]) >= j)))
+    else:
+        ds = ann.delta[lo:hi].tolist()
+        bad = {d for d in set(ds) if not mask[d]}
+        pruned = 0
+        if bad:
+            for s, d in zip(sa[lo:hi], ds):
+                if d in bad and s >= j:
+                    pruned += 1
+    stats.pruned += pruned
+    stats.text_verifications -= pruned
+    return hits

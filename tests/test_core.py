@@ -508,3 +508,26 @@ def test_column_padding_cannot_admit_a_start_before_the_text(monkeypatch):
     assert locate(idx, pattern, stats) == []
     assert stats == QueryStats(candidates=1)
     assert locate(idx, pattern) == []
+
+
+def test_anchor_at_pattern_start_skips_the_kernel(monkeypatch):
+    # with j = 1 nothing is skipped, so every candidate is an occurrence:
+    # even a range far above the vector threshold compares nothing
+    def refuse(*args):
+        raise AssertionError("vector kernel entered at j = 1")
+
+    monkeypatch.setattr(core, "_verify_vector", refuse)
+    text = b"ab" * 300 + b"c"
+    sa = spasa_build(text, 1)
+    for pattern in (b"ab", b"abab", b"ba"):
+        expect = naive_locate(text, pattern)
+        assert len(expect) >= core._VECTOR_MIN_CANDIDATES
+        stats = QueryStats()
+        assert spasa_locate(sa, pattern, stats) == expect
+        assert stats == QueryStats(candidates=len(expect))
+    idx = build(text, SamplingParams(4, 2))
+    assert window_minimizer(b"abab", 2) == 1
+    stats = QueryStats()
+    assert locate(idx, b"ababab", stats) == naive_locate(text, b"ababab")
+    assert stats.candidates >= core._VECTOR_MIN_CANDIDATES
+    assert stats.text_verifications == 0

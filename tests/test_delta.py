@@ -3,9 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from samsami import (QueryStats, SamplingParams, TextTooLargeForDeltaVariant,
-                     annotate, build, count2, locate, locate2, naive_locate)
-from samsami import delta
+from samsami import (DeltaAnnotation, QueryStats, SamplingParams,
+                     TextTooLargeForDeltaVariant, annotate, build,
+                     build_table, count2, locate, locate2, locate_hash,
+                     min_pattern_length, naive_locate)
+from samsami import core, delta
 from samsami.core import _VECTOR_MIN_CANDIDATES, SamsamiIndex
 from samsami.delta import MAX_DELTA_TEXT
 
@@ -131,40 +133,119 @@ def test_prune_mask_only_for_nonempty_ranges(monkeypatch):
     assert absent > 20 and present > 20
 
 
-def test_locate2_stats_match_eager_reference_on_both_paths():
-    # repeated blocks give ranges on both sides of the vector kernel's
-    # threshold; answers and statistics must be those of the eager
-    # one-pass prune table on either side
+def _repeated_block_text(rng, alphabet):
+    # a block repeated to 2000 bytes, a few bytes changed: ranges fall
+    # on both sides of the vector kernel's threshold
+    block = random_text(rng, rng.randint(3, 40), alphabet)
+    text = bytearray((block * (2000 // len(block) + 1))[:2000])
+    for _ in range(rng.randint(0, 40)):
+        text[rng.randrange(len(text))] = rng.randrange(alphabet)
+    return bytes(text)
+
+
+def _window_or_mutant(rng, text, m, alphabet):
+    i = rng.randint(0, len(text) - m)
+    pattern = text[i:i + m]
+    if rng.random() < 0.3:
+        at = rng.randrange(m)
+        pattern = (pattern[:at] + bytes([rng.randrange(alphabet)])
+                   + pattern[at + 1:])
+    return pattern
+
+
+def test_locate2_stats_match_eager_reference_on_both_paths(monkeypatch):
+    # answers and statistics must be those of the eager one-pass prune
+    # table whether the scalar loop or the vector kernel serves a range;
+    # samsami and samsami-hash count the same candidates, none pruned,
+    # each inside the text verified
     rng = random.Random(0x5CA1)
     sides = set()
     for _ in range(40):
         alphabet = rng.choice([2, 4, 26])
-        block = random_text(rng, rng.randint(3, 40), alphabet)
-        text = bytearray((block * (2000 // len(block) + 1))[:2000])
-        for _ in range(rng.randint(0, 40)):
-            text[rng.randrange(len(text))] = rng.randrange(alphabet)
-        text = bytes(text)
+        text = _repeated_block_text(rng, alphabet)
+        q = rng.randint(4, 16)
+        p = rng.randint(1, min(4, q))
+        idx = build(text, SamplingParams(q, p))
+        ann = annotate(idx)
+        table = build_table(idx, 2)
+        hashed = min_pattern_length(idx.params, 2)
+        for _ in range(8):
+            m = rng.randint(q, q + 10)
+            pattern = _window_or_mutant(rng, text, m, alphabet)
+            hits, candidates, pruned, verified = reference_locate2(
+                text, idx.sa, ann.delta, pattern, q, p)
+            expect = QueryStats(candidates, verified, pruned)
+            plain = QueryStats(candidates, verified + pruned, 0)
+            for threshold in (1, 10**9):
+                monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", threshold)
+                for query in (locate2, count2):
+                    stats = QueryStats()
+                    got = query(idx, ann, pattern, stats)
+                    assert got == (hits if query is locate2 else len(hits))
+                    assert stats == expect, (text, pattern, q, p, threshold)
+                stats = QueryStats()
+                assert locate(idx, pattern, stats) == hits
+                assert stats == plain, (text, pattern, q, p, threshold)
+                if m >= hashed:
+                    stats = QueryStats()
+                    assert locate_hash(idx, table, pattern, stats) == hits
+                    assert stats == plain, (text, pattern, q, p, threshold)
+            assert hits == naive_locate(text, pattern)
+            if pruned:
+                sides.add(candidates >= _VECTOR_MIN_CANDIDATES)
+    assert sides == {False, True}  # pruning seen in ranges of both sizes
+
+
+def test_answers_never_build_the_prune_mask(monkeypatch):
+    # the mask only feeds QueryStats: without them, ranges on both sides
+    # of the vector kernel's threshold answer without one
+    def refuse(*args):
+        raise AssertionError("prune mask built for an answer")
+
+    monkeypatch.setattr(delta, "prune_mask", refuse)
+    rng = random.Random(0xA5C)
+    sizes = set()
+    for _ in range(30):
+        alphabet = rng.choice([2, 4, 26])
+        text = _repeated_block_text(rng, alphabet)
         q = rng.randint(4, 16)
         p = rng.randint(1, min(4, q))
         idx = build(text, SamplingParams(q, p))
         ann = annotate(idx)
         for _ in range(8):
-            m = rng.randint(q, q + 10)
-            i = rng.randint(0, len(text) - m)
-            pattern = text[i:i + m]
-            if rng.random() < 0.3:
-                at = rng.randrange(m)
-                pattern = (pattern[:at] + bytes([rng.randrange(alphabet)])
-                           + pattern[at + 1:])
-            hits, candidates, pruned, verified = reference_locate2(
-                text, idx.sa, ann.delta, pattern, q, p)
-            expect = QueryStats(candidates, verified, pruned)
-            for query in (locate2, count2):
+            pattern = _window_or_mutant(rng, text, rng.randint(q, q + 10),
+                                        alphabet)
+            expect = naive_locate(text, pattern)
+            assert locate2(idx, ann, pattern) == expect
+            assert count2(idx, ann, pattern) == len(expect)
+            stats = QueryStats()
+            locate(idx, pattern, stats)
+            sizes.add(stats.candidates >= _VECTOR_MIN_CANDIDATES)
+    assert sizes == {False, True}
+
+
+def test_random_nibbles_never_change_answers(monkeypatch):
+    # nibbles only decide which candidates count as pruned, on either
+    # path, and candidates starting before the text are never pruned
+    rng = random.Random(0x4B1B)
+    for _ in range(30):
+        alphabet = rng.choice([2, 4, 26])
+        text = _repeated_block_text(rng, alphabet)
+        q = rng.randint(4, 16)
+        p = rng.randint(1, min(4, q))
+        idx = build(text, SamplingParams(q, p))
+        noise = DeltaAnnotation(np.array(
+            [rng.randrange(16) for _ in range(idx.n_sampled)], np.uint8))
+        for _ in range(8):
+            pattern = _window_or_mutant(rng, text, rng.randint(q, q + 10),
+                                        alphabet)
+            expect = naive_locate(text, pattern)
+            _, candidates, pruned, verified = reference_locate2(
+                text, idx.sa, noise.delta, pattern, q, p)
+            for threshold in (1, 10**9):
+                monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", threshold)
                 stats = QueryStats()
-                got = query(idx, ann, pattern, stats)
-                assert got == (hits if query is locate2 else len(hits))
-                assert stats == expect, (text, pattern, q, p)
-            assert hits == naive_locate(text, pattern)
-            if pruned:
-                sides.add(candidates >= _VECTOR_MIN_CANDIDATES)
-    assert sides == {False, True}  # pruning seen on both paths
+                assert locate2(idx, noise, pattern) == expect
+                assert locate2(idx, noise, pattern, stats) == expect
+                assert count2(idx, noise, pattern) == len(expect)
+                assert stats == QueryStats(candidates, verified, pruned)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samsami import (CorruptIndex, DeltaAnnotation, SamplingParams,
-                     SamsamiError, TextMismatch, UnsupportedFormat,
+from samsami import (CorruptIndex, DeltaAnnotation, QueryStats,
+                     SamplingParams, SamsamiError, TextMismatch,
+                     UnsupportedFormat,
                      build_bundle, count, count2, decode_text,
                      encoded_locate, from_bundle, load, locate, locate2,
                      locate_hash, naive_count, naive_locate, save)
@@ -74,16 +75,21 @@ _DNA_TEXT = bytes(b"ACGT"[c] for c in random_text(random.Random(0xD17),
                                     "two nibbles swapped",
                                     "gaps above 15 as their low bits"])
 def test_resealed_delta_nibbles_rejected(change):
-    # Every low bit flipped loaded, and count2 then answered wrong for
-    # some 12-byte windows: a wrong nibble prunes occurrences.
+    # Every low bit flipped would load unchecked and misreport the pruned
+    # candidates of some 12-byte windows; answers never read the nibbles.
     q = 24 if change == "gaps above 15 as their low bits" else 8
     bundle = build_bundle(_DNA_TEXT, SamplingParams(q, 2), with_delta=True)
     nibbles = bundle.delta.delta.copy()
     if change == "low bit of every nibble":
         nibbles ^= 1
         windows = [_DNA_TEXT[i:i + 12] for i in range(0, 2989, 7)]
-        assert any(count2(bundle.index, DeltaAnnotation(nibbles), w)
-                   != naive_count(_DNA_TEXT, w) for w in windows)
+        kept, flipped = QueryStats(), QueryStats()
+        for w in windows:
+            expect = naive_count(_DNA_TEXT, w)
+            assert count2(bundle.index, bundle.delta, w, kept) == expect
+            assert count2(bundle.index, DeltaAnnotation(nibbles), w,
+                          flipped) == expect
+        assert flipped.pruned != kept.pruned
     elif change == "one nibble":
         nibbles[len(nibbles) // 2] = (nibbles[len(nibbles) // 2] + 1) % 16
     elif change == "two nibbles swapped":
