@@ -133,7 +133,10 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
     optimal algorithm for unbounded searching"). fences, the _fences
     list of sa, lets one keyless bisect narrow the lower bound to one
     stride of ranks first, as the bucket table of Manber and Myers
-    ("Suffix arrays: a new method for on-line string searches").
+    ("Suffix arrays: a new method for on-line string searches"). When
+    the answer spans a whole stride and seq is no longer than a fence,
+    a second keyless bisect, for seq's successor, narrows the upper
+    bound to one stride as well, and nothing gallops.
     """
     # A suffix shorter than seq truncates and therefore compares smaller,
     # which is exactly the end-of-text-is-smallest order.
@@ -160,6 +163,19 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
         return first, first
     if first + 1 == hi or head(sa[first + 1]) != seq:
         return first, first + 1
+    if (fences is not None and below + 1 < len(fences)
+            and fences[below + 1].startswith(seq)):
+        # The answer spans a whole stride; a fence, cut to FENCE_WIDTH
+        # bytes, never starts with a longer seq. The fences that start
+        # with seq end where seq's successor (seq with trailing 0xFF
+        # bytes dropped and its last byte raised) would go, so the answer
+        # ends inside the stride below that fence, or at hi if lower.
+        stem = seq.rstrip(b"\xff")
+        upper = (bisect_left(fences, stem[:-1] + bytes([stem[-1] + 1]),
+                             below + 2) if stem else len(fences))
+        return first, bisect_right(sa, seq,
+                                   min((upper - 1) * FENCE_STRIDE + 1, hi),
+                                   min(upper * FENCE_STRIDE, hi), key=head)
     known, step = first + 2, 2  # ranks below known start with seq
     while first + step < hi and head(sa[first + step]) == seq:
         known = first + step + 1
@@ -170,11 +186,13 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
     return first, bisect_right(sa, seq, known, end, key=head)
 
 
-# Ranges with fewer candidates than this are verified one by one: the
-# numpy kernel's fixed set-up (7-10 us) costs more than the loop it
-# replaces (0.2-0.3 us per candidate). On 512 KiB of stdlib source
-# (q=40, p=2; 2 vCPU, Python 3.11, numpy 2.4) the two paths broke even
-# at about 36 candidates for 7-byte prefixes and 44 for 39-byte ones.
+# Ranges with fewer candidates than this are verified one by one, at
+# about 0.15 us per candidate, and the kernel finishes fewer survivors
+# than this in Python. On 512 KiB of stdlib source (q=40, p=2, m=50;
+# 2 vCPU, Python 3.11, numpy 2.4) the kernel costs about 2.5 us with the
+# left-context column and breaks even with the loop at about 16
+# candidates; without a column (spasa with step > 1) it costs 7-11 us
+# and breaks even at about 70. One constant serves both.
 _VECTOR_MIN_CANDIDATES = 48
 
 
@@ -222,28 +240,38 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
 
 def _verify_vector(text, sa, pattern, j, lo, hi, left):
     shift = j - 1
-    anchors = np.asarray(sa[lo:hi])
     # Compare the prefix nearest the anchor first, shrinking the set
     # after each step; once few candidates are left, the scalar compare
     # finishes them. The first step reads no scattered text: the
     # left-context column holds up to 4 prefix bytes in sa order, so one
-    # contiguous compare leaves few candidates for the start check.
-    # Without a column, one byte is gathered after that check (gathering
-    # aligned bytes costs about a third of gathering unaligned words,
-    # and on source text one byte already rejects most candidates). Then
-    # 8-byte words come through an in-place view of the text at every
-    # offset, or single bytes when the rest of the prefix is shorter
-    # than a word.
+    # contiguous compare leaves few candidates, which are finished in
+    # Python before any other array is made. Without a column, one byte
+    # is gathered after the start check (gathering aligned bytes costs
+    # about a third of gathering unaligned words, and on source text one
+    # byte already rejects most candidates). Then 8-byte words come
+    # through an in-place view of the text at every offset, or single
+    # bytes when the rest of the prefix is shorter than a word.
     rest = shift  # pattern[:rest] is still to compare
-    if left is not None:
+    if left is None:
+        anchors = np.asarray(sa[lo:hi])
+    else:
         tail = min(shift, 4)
         want = int.from_bytes(pattern[shift - tail:shift].rjust(4, b"\0"),
                               "little")
         column = left[lo:hi]
         if tail < 4:  # the low bytes lie before the occurrence: ignore
             column = column & ((0xFFFFFFFF << 8 * (4 - tail)) & 0xFFFFFFFF)
-        anchors = anchors[column == want]
+        kept = (column == want).nonzero()[0]
         rest -= tail
+        if len(kept) < _VECTOR_MIN_CANDIDATES:
+            prefix = pattern[:rest]
+            out = []
+            for r in kept.tolist():
+                s = sa[lo + r]  # s >= j: the occurrence starts in the text
+                if s >= j and text[s - j:s - j + rest] == prefix:
+                    out.append(s - shift)
+            return out
+        anchors = np.asarray(sa[lo:hi])[kept]
     begin = anchors[anchors >= j].astype(np.int64) - j  # starts in text
     symbols = np.frombuffer(text, dtype=np.uint8)
     if left is None:

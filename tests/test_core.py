@@ -1,5 +1,6 @@
 import copy
 import io
+import math
 import random
 import sys
 import threading
@@ -288,6 +289,97 @@ def test_fenced_prefix_range_equals_fence_free(stride, width, monkeypatch):
                         text, sa, lo, hi, seq), (seq, lo, hi)
 
 
+class _CountingSA:
+    """A sequence over sa that counts the entries read from it."""
+
+    def __init__(self, sa):
+        self.sa, self.reads = sa, 0
+
+    def __getitem__(self, rank):
+        self.reads += 1
+        return self.sa[rank]
+
+
+def _fence_bounded_reads(stride):
+    # one bisect inside the stride below the lower bound, the two reads
+    # that rule out an answer of one or two suffixes, one bisect inside
+    # the stride below the upper bound
+    return 2 * math.log2(stride) + 4
+
+
+@pytest.mark.parametrize("stride, width", [(1, 1), (2, 3), (3, 2), (8, 5)])
+def test_fence_bounded_upper_bound(stride, width, monkeypatch):
+    # answers that span two or more strides take their upper bound from
+    # the fences: equal to the fence-free search and the sorted scan,
+    # with lo and hi also clipped inside the answer, for seqs of only
+    # 0xFF bytes (no successor) and seqs just past the fence width
+    monkeypatch.setattr(core, "FENCE_STRIDE", stride)
+    monkeypatch.setattr(core, "FENCE_WIDTH", width)
+    rng = random.Random(0xB0D + 10 * stride + width)
+    texts = [b"a" * 80, b"\xff" * 80, b"\x00" * 40 + b"\xff" * 40,
+             b"\xfe" + b"\xff" * 30 + b"\xfe\xff" * 25, b"ab" * 40,
+             random_text(rng, 200, 2)]
+    spanned = {"fenced": 0, "only 0xff": 0, "longer than a fence": 0}
+    for text in texts:
+        full = brute_suffix_array(text)
+        seqs = {run * k for run in (b"a", b"\xff", b"\xfe\xff", b"ab")
+                for k in range(1, width + 3)}
+        seqs |= {text[i:i + k] for i in rng.sample(range(len(text)), 10)
+                 for k in (1, width, width + 1)}
+        for positions in (full, [s for s in full if s % 3 != 1]):
+            sa = memoryview(np.array(positions, dtype=np.uint32))
+            fences = core._fences(text, sa)
+            n = len(sa)
+            for seq in seqs:
+                first, end = _brute_prefix_range(text, sa, 0, n, seq)
+                if end - first < 2 * stride:
+                    continue
+                inside = [rng.randrange(first, end) for _ in range(3)]
+                bounds = [(0, n), (first, end)]
+                bounds += [(lo, n) for lo in inside]  # lo clipped
+                bounds += [(0, hi + 1) for hi in inside]  # hi clipped
+                bounds += [tuple(sorted((a + 1, b))) for a, b in
+                           zip(inside, reversed(inside))]  # both
+                for lo, hi in bounds:
+                    got = core._prefix_range(text, sa, lo, hi, seq, fences)
+                    assert got == core._prefix_range(text, sa, lo, hi, seq)
+                    assert tuple(got) == _brute_prefix_range(
+                        text, sa, lo, hi, seq), (seq, lo, hi)
+                counted = _CountingSA(sa)
+                core._prefix_range(text, counted, 0, n, seq, fences)
+                if len(seq) <= width:
+                    assert counted.reads <= _fence_bounded_reads(stride)
+                    spanned["fenced"] += 1
+                    spanned["only 0xff"] += not seq.strip(b"\xff")
+                elif len(seq) == width + 1:
+                    spanned["longer than a fence"] += 1
+    assert all(spanned.values()), spanned
+
+
+def test_fence_bounded_search_reads_few_entries():
+    # an answer of thousands of suffixes costs two bisects of one stride
+    # each, while a seq longer than a fence still gallops
+    rng = random.Random(0x5EA)
+    text = (random_text(rng, 500, 4) + b"\n" + b" " * 3000
+            + random_text(rng, 500, 4) + b"\xff" * 2500)
+    sa = memoryview(build_full_sa(text))
+    fences = core._fences(text, sa)
+    bound = _fence_bounded_reads(core.FENCE_STRIDE)
+    for run in (b" ", b"\xff"):
+        for width in (1, 10, core.FENCE_WIDTH, core.FENCE_WIDTH + 1):
+            seq = run * width
+            counted = _CountingSA(sa)
+            first, end = core._prefix_range(text, counted, 0, len(sa), seq,
+                                            fences)
+            assert (first, end) == core._prefix_range(text, sa, 0, len(sa),
+                                                      seq)
+            assert end - first >= 2000
+            if width <= core.FENCE_WIDTH:
+                assert counted.reads <= bound, (seq, counted.reads)
+            else:  # gallops: its reads grow with the answer
+                assert counted.reads > bound, (seq, counted.reads)
+
+
 @pytest.mark.parametrize("stride, width", [(1, 1), (2, 3), (3, 2), (8, 5)])
 def test_hash_slot_search_through_fences(stride, width, monkeypatch):
     # samsami-hash narrows inside its k-byte group through the index's
@@ -508,6 +600,54 @@ def test_column_padding_cannot_admit_a_start_before_the_text(monkeypatch):
     assert locate(idx, pattern, stats) == []
     assert stats == QueryStats(candidates=1)
     assert locate(idx, pattern) == []
+
+
+def test_column_first_kernel_at_the_real_threshold():
+    # Every range holds 48 or more candidates. The column leaves fewer
+    # than 48 of them (finished in Python) or 48 or more (numpy), for
+    # skipped prefixes of 1-3 bytes (masked column) and longer ones; the
+    # text starts with a short record, so some candidates' occurrences
+    # would start before the text. Hits come in rank order.
+    rng = random.Random(0xC0F)
+    records = [b"xyz"]
+    records += [random_text(rng, 12, 2) for _ in range(200)]
+    records += [random_text(rng, 8, 2) + b"wxyz" for _ in range(200)]
+    records += [random_text(rng, 11, 2) + b"q" for _ in range(10)]
+    text = b"|anchor|".join(records) + b"|anchor|"
+    anchor = b"|anchor|"
+    idx = core.SamsamiIndex(text=text, params=SamplingParams(1, 1),
+                            sa=build_full_sa(text), n=len(text))
+    sa, cutoff = idx.sa_view, core._VECTOR_MIN_CANDIDATES
+    padded = bytes(4) + text
+    patterns = [record[-k:] + anchor for record in records[:12] + records[-3:]
+                + records[201:204] for k in (1, 2, 3, 4, 8, len(record))]
+    patterns += [b"\x00xyz" + anchor, b"ab\x00xyz" + anchor,
+                 b"ab" + records[0] + anchor]
+    seen = set()
+    for pattern in patterns:
+        shift = len(pattern) - len(anchor)
+        j = shift + 1
+        lo, hi = core._prefix_range(text, sa, 0, len(sa), anchor)
+        assert hi - lo >= cutoff
+        tail = pattern[max(shift - 4, 0):shift]
+        survivors = [s for s in sa[lo:hi]
+                     if padded[s + 3 - len(tail):s + 3] == tail]
+        expect = [s - shift for s in sa[lo:hi]
+                  if s >= j and text[s - j:s - 1] == pattern[:shift]]
+        for left in (idx.left, None):
+            stats = QueryStats()
+            got = core._verify_candidates(text, sa, pattern, j, (lo, hi),
+                                          stats, left)
+            assert got == expect, (pattern, left is None)
+            assert stats == QueryStats(
+                candidates=hi - lo,
+                text_verifications=sum(s >= j for s in sa[lo:hi]))
+        assert sorted(expect) == naive_locate(text, pattern)
+        seen.add((min(shift, 4), len(survivors) >= cutoff))
+        if any(s < j for s in survivors):
+            seen.add("starts before the text")
+    assert {(k, many) for k in (1, 2, 3, 4) for many in (False, True)} <= seen
+    assert "starts before the text" in seen
 
 
 def test_anchor_at_pattern_start_skips_the_kernel(monkeypatch):

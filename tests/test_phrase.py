@@ -10,7 +10,7 @@ from samsami import (CorruptEncoding, EncodedText, PatternTooShort,
                      QueryStats, SamplingParams, TextTooShort, decode_text,
                      build_full_sa, encode_text, encoded_locate,
                      naive_locate, parse_phrases, sampled_positions)
-from samsami import phrase
+from samsami import core, phrase
 from samsami.phrase import (PhraseDictionary, _split_stream,
                             _stable_boundaries, codeword_table, encode_id,
                             rebuild_positions)
@@ -204,6 +204,30 @@ def test_encoded_locate_too_short():
     dictionary, encoded = encode_text(ABRA, P42)
     with pytest.raises(PatternTooShort):
         encoded_locate(dictionary, encoded, len(ABRA), b"racada", P42)
+
+
+def test_encoded_locate_over_wide_codeword_ranges():
+    # indented source lines: whitespace runs encode to codeword strings
+    # shared by hundreds of stream suffixes, so each search's upper bound
+    # comes from the stream's fences
+    rng = random.Random(0x1DE)
+    words = [b"self", b"return", b"x", b"if", b"None", b"=", b":", b"def"]
+    text = b"\n".join(
+        b" " * rng.choice([0, 4, 8, 8, 12, 16])
+        + b" ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
+        for _ in range(1500)) + b"\n"
+    params = SamplingParams(8, 2)
+    dictionary, encoded = encode_text(text, params)
+    patterns = [b" " * 15, b" " * 16, b"\n" + b" " * 16]
+    patterns += [b"\n" + b" " * k + word for k in (8, 12, 16)
+                 for word in (b"self", b"return x", b"if None", b"def x")
+                 if k + len(word) >= 14]  # m >= 2q - p + 1
+    for pattern in patterns:
+        stats = QueryStats()
+        got = encoded_locate(dictionary, encoded, len(text), pattern, params,
+                             stats)
+        assert got == naive_locate(text, pattern), pattern
+        assert stats.candidates >= 2 * core.FENCE_STRIDE, (pattern, stats)
 
 
 def test_encoded_locate_sparse_boundary_fallback():
