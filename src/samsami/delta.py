@@ -7,7 +7,8 @@ a mismatch without reading the text. Pruning only drops mismatches, so
 answers go through core's kernel and only a query given QueryStats
 builds the mask, to count the pruned candidates: in pure Python the mask
 costs more than the compares it saves. An index file keeps the 4 bits
-in the top nibble of each 32-bit offset, which caps texts at 2^28 bytes.
+above the position bits of each offset field, which holds at most 32
+bits, so texts are capped at 2^28 bytes.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from .core import QueryStats, SamsamiIndex, _anchor_range, _verify_candidates
 from .errors import TextTooLargeForDeltaVariant
 from .minimizer import prune_mask
 
-DELTA_SHIFT = 28  # the nibble sits above this many position bits
-MAX_DELTA_TEXT = 1 << DELTA_SHIFT
-POS_MASK = MAX_DELTA_TEXT - 1
+MAX_DELTA_TEXT = 1 << 28  # position bits left beside the nibble in 32
 
 
 @dataclass(eq=False)

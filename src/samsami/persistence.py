@@ -1,10 +1,10 @@
 """Index file serialization.
 
-Layout of version 3, the one version written and read (all integers
+Layout of version 4, the one version written and read (all integers
 little-endian):
 
     magic   4 bytes  "SSMI"
-    version u32      3
+    version u32      4
     flags   u32      bit0 delta nibbles, bit1 hash table, bit2 phrase section
     q, p, k u32      sampling params; k = 0 when no hash table
     n       u64      text length
@@ -12,13 +12,19 @@ little-endian):
     crc32   u32      zlib.crc32 of every file byte except these four
     digest  u64      blake2b of the text, 8-byte digest (the text itself
                      is not stored)
-    offsets n' * u32 (delta << 28) | (position - 1); delta 0 unless bit0
+    offsets n' fields of b = max(1, (n - 1).bit_length()) bits, 4 more
+            with bit0: (delta << b) | (position - 1); delta 0 unless bit0
     [hash]  group count u64, then one (lo u32, hi u32) rank range per
             k-byte prefix group, in rank order
-    [phrase] phrase count u32, then per phrase length u32 + raw bytes in
-            id order, then stream length u64 + stream bytes
+    [phrase] phrase count u32, then one q.bit_length()-bit length per
+            phrase and the phrases' bytes back to back, both in id order,
+            then stream length u64 + stream bytes
 
-Versions 1 and 2 are refused with UnsupportedFormat: since loading
+A run of w-bit fields is packed little-endian: field i holds bits
+[i * w, (i + 1) * w) of the run read as one little-endian number, and
+zero bits pad it to a whole byte. Eight fields fill exactly w bytes.
+
+Versions 1 to 3 are refused with UnsupportedFormat: since loading
 needs the text, rebuilding the index from it replaces such a file.
 
 Loading requires the original text (digest-verified); a rebuilt index
@@ -36,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SamsamiIndex, build
-from .delta import (DELTA_SHIFT, MAX_DELTA_TEXT, POS_MASK, DeltaAnnotation,
-                    annotate)
+from .delta import MAX_DELTA_TEXT, DeltaAnnotation, annotate
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import PrefixRangeTable, build_table
 from .minimizer import SamplingParams, window_minimizer
@@ -46,7 +51,7 @@ from .phrase import (EncodedText, PhraseDictionary, _phrase_starts,
                      rebuild_positions)
 
 MAGIC = b"SSMI"
-VERSION = 3
+VERSION = 4
 FLAG_DELTA = 1
 FLAG_HASH = 2
 FLAG_PHRASE = 4
@@ -61,6 +66,79 @@ def text_checksum(text: bytes) -> int:
     """The header's digest of the text."""
     return int.from_bytes(hashlib.blake2b(text, digest_size=8).digest(),
                           "little")
+
+
+def offsets_file_bytes(n: int, count: int) -> int:
+    """Bytes of the index file over an n-byte text that holds count
+    offsets and no other section."""
+    return _HEADER.size + _packed_size(count, _offset_bits(n))
+
+
+def _offset_bits(n: int, delta: bool = False) -> int:
+    """Bits in each offsets field of the index file of an n-byte text,
+    the 4 nibble bits included when delta."""
+    return max(1, (n - 1).bit_length()) + 4 * delta
+
+
+def _packed_size(count: int, width: int) -> int:
+    """Bytes taken by count packed fields of width bits each."""
+    return -(-count * width // 8)
+
+
+def _pack(values: np.ndarray, width: int) -> bytes:
+    """values, each below 2**width, as packed width-bit fields.
+
+    Each group of eight fields fills width bytes. Field j of a group
+    starts at bit j * width of it: its value, shifted by that bit
+    offset mod 8 into a 64-bit word, is ORed into the group's bytes
+    from the offset's byte on, up to the group's end.
+    """
+    groups = -(-len(values) // 8)
+    out = np.zeros((groups, width), dtype=np.uint8)
+    for j in range(8):
+        start, shift = divmod(j * width, 8)
+        end = min(start + 8, width)
+        word = values[j::8].astype("<u8") << np.uint64(shift)
+        out[:len(word), start:end] |= \
+            word.view(np.uint8).reshape(-1, 8)[:, :end - start]
+    return out.reshape(-1)[:_packed_size(len(values), width)].tobytes()
+
+
+def _unpack(data: bytes, at: int, count: int, width: int) -> np.ndarray:
+    """The count packed width-bit fields at byte at of data, as uint32.
+
+    Each of the eight field slots of a group is copied from one strided
+    little-endian u64 view, a group's width bytes apart, then takes one
+    shift and one mask. Raises
+    CorruptIndex when the fields run past the end of data or a padding
+    bit is set.
+    """
+    size = _packed_size(count, width)
+    _need(data, at, size)
+    if not count:
+        return np.zeros(0, dtype=np.uint32)
+    if data[at + size - 1] >> ((count * width - 1) % 8 + 1):
+        raise CorruptIndex("padding bits set after the last packed field")
+    groups = -(-count // 8)
+    # The last group's views read up to 8 bytes past it. The mask drops
+    # what they read of the file's next bytes, and a copy padded with
+    # zeros stands in for a file that ends sooner.
+    buf = data
+    if at + groups * width + 8 > len(data):
+        buf = bytearray(groups * width + 8)
+        buf[:size] = data[at:at + size]
+        at = 0
+    fields = np.empty((groups, 8), dtype=np.uint32)
+    words = np.empty(groups, dtype=np.uint64)  # aligned, for in-place ops
+    mask = np.uint64((1 << width) - 1)
+    for j in range(8):
+        start, shift = divmod(j * width, 8)
+        np.copyto(words, np.ndarray((groups,), "<u8", buf, at + start,
+                                    (width,)))
+        words >>= np.uint64(shift)
+        words &= mask
+        fields[:, j] = words
+    return fields.reshape(-1)[:count]
 
 
 def _file_crc(data) -> int:
@@ -138,11 +216,16 @@ def _write(bundle: IndexBundle, fh) -> int:
         MAGIC, VERSION, bundle.flags, idx.params.q, idx.params.p, k, idx.n,
         n_sampled, 0, text_checksum(idx.text)))
 
-    offsets = idx.sa.astype(np.uint32) - np.uint32(1)
+    width = _offset_bits(idx.n, bundle.delta is not None)
+    if width > 32:
+        raise SamsamiError(f"a {idx.n}-byte text overflows the index "
+                           "file's 32-bit offsets")
+    offsets = idx.sa.astype(np.uint32)
+    offsets -= np.uint32(1)
     if bundle.delta is not None:
         nibbles = bundle.delta.delta.astype(np.uint32)
-        offsets = offsets | (nibbles << np.uint32(DELTA_SHIFT))
-    data += offsets.astype("<u4").tobytes()
+        offsets |= nibbles << np.uint32(width - 4)
+    data += _pack(offsets, width)
 
     if bundle.table is not None:
         data += _U64.pack(len(bundle.table.slots))
@@ -151,9 +234,10 @@ def _write(bundle: IndexBundle, fh) -> int:
     if bundle.dictionary is not None:
         phrases = bundle.dictionary.phrases
         data += _U32.pack(len(phrases))
-        for ph in phrases:
-            data += _U32.pack(len(ph))
-            data += ph
+        sizes = np.fromiter(map(len, phrases), dtype=np.uint32,
+                            count=len(phrases))
+        data += _pack(sizes, idx.params.q.bit_length())
+        data += b"".join(phrases)
         data += _U64.pack(len(bundle.encoded.stream))
         data += bundle.encoded.stream
 
@@ -208,22 +292,25 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
     if not flags & FLAG_HASH and k:
         raise CorruptIndex(f"prefix length k={k} but no hash flag")
 
+    width = _offset_bits(n, flags & FLAG_DELTA)
+    if width > 32:
+        raise CorruptIndex(f"a {n}-byte text overflows the 32-bit offsets")
     at = _HEADER.size
-    _need(data, at, 4 * n_sampled)
-    packed = np.frombuffer(data, dtype="<u4", count=n_sampled, offset=at)
-    at += 4 * n_sampled
+    # the fields become the positions in place
+    positions = _unpack(data, at, n_sampled, width)
+    at += _packed_size(n_sampled, width)
+    nibbles = None
     if flags & FLAG_DELTA:
-        positions = (packed & np.uint32(POS_MASK)) + np.uint32(1)
-        nibbles = (packed >> np.uint32(DELTA_SHIFT)).astype(np.uint8)
+        b = width - 4
+        nibbles = (positions >> np.uint32(b)).astype(np.uint8)
         # one sort gives the positions and, in the low 4 bits of
-        # (offset << 4) | nibble, their nibbles in text order
-        keyed = np.sort((packed << np.uint32(32 - DELTA_SHIFT))
-                        | (packed >> np.uint32(DELTA_SHIFT)))
-        ascending = (keyed >> np.uint32(32 - DELTA_SHIFT)) + np.uint32(1)
-    else:
-        # offset 0xFFFFFFFF wraps to position 0
-        positions = packed + np.uint32(1)
-        nibbles = None
+        # (offset << (32 - b)) | nibble, their nibbles in text order
+        keyed = np.sort((positions << np.uint32(32 - b)) | nibbles)
+        ascending = (keyed >> np.uint32(32 - b)) + np.uint32(1)
+        positions &= np.uint32((1 << b) - 1)
+    # at 32 bits, offset 0xFFFFFFFF wraps to position 0
+    positions += np.uint32(1)
+    if nibbles is None:
         ascending = np.sort(positions)
     if len(ascending) and (int(ascending[-1]) > n or int(ascending[0]) == 0):
         raise CorruptIndex("offset beyond the end of the text")
@@ -324,30 +411,31 @@ def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,
     """Parse a phrase section and check it against the loaded index,
     whose sampled positions in ascending order are ascending.
 
-    Besides decoding, the section must name each phrase once, start its
-    phrases exactly at the index's sampled positions (after an unsampled
-    leading piece), and spell the text byte for byte. A section that
-    passes is the encoder's output up to the numbering of its phrases,
-    so phrase queries answer as on the bundle that was saved.
+    Besides decoding, the section must give each phrase 1 to q bytes,
+    name each phrase once, start its phrases exactly at the index's
+    sampled positions (after an unsampled leading piece), and spell the
+    text byte for byte. A section that passes is the encoder's output up
+    to the numbering of its phrases, so phrase queries answer as on the
+    bundle that was saved.
     """
     if len(buf) < 4:
         raise CorruptIndex("phrase section truncated before its count")
     (count,) = _U32.unpack_from(buf)
-    if 4 + 4 * count + 8 > len(buf):
+    q = idx.params.q
+    at = 4 + _packed_size(count, q.bit_length())
+    # every phrase has a byte at least
+    if at + count + 8 > len(buf):
         raise CorruptIndex(f"phrase count {count} exceeds the section")
-    phrases = []
-    at = 4
-    unpack = _U32.unpack_from
-    try:
-        for _ in range(count):
-            (size,) = unpack(buf, at)
-            at += 4
-            phrases.append(buf[at:at + size])
-            at += size
-        (stream_len,) = _U64.unpack_from(buf, at)
-    except struct.error:
-        raise CorruptIndex("phrase dictionary runs past the end of the "
-                           "file") from None
+    sizes = _unpack(buf, 4, count, q.bit_length()).astype(np.int64)
+    if count and (sizes.min() == 0 or sizes.max() > q):
+        raise CorruptIndex(f"phrase length outside 1..{q}")
+    # offset in buf of each phrase's first byte, by id
+    first = at + np.cumsum(sizes) - sizes
+    at += int(sizes.sum())
+    _need(buf, at, 8)
+    phrases = [buf[lo:lo + size]
+               for lo, size in zip(first.tolist(), sizes.tolist())]
+    (stream_len,) = _U64.unpack_from(buf, at)
     at += 8
     if at + stream_len > len(buf):
         raise CorruptIndex(f"phrase stream of {stream_len} bytes runs past "
@@ -364,7 +452,6 @@ def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,
     except SamsamiError as exc:
         raise CorruptIndex(f"phrase stream does not decode: {exc}") from exc
 
-    sizes = np.fromiter(map(len, phrases), dtype=np.int64, count=count)
     span = 0
     if encoded.phrase_count:
         span = (int(encoded.text_positions[-1]) - 1
@@ -374,8 +461,6 @@ def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,
     if not np.array_equal(encoded.text_positions,
                           _phrase_starts(ascending)):
         raise CorruptIndex("phrase starts differ from the sampled positions")
-    # offset in buf of each phrase's first byte, by id
-    first = 8 + 4 * np.arange(count, dtype=np.int64) + np.cumsum(sizes) - sizes
     if not _spells(buf, first, sizes, encoded, idx.text):
         raise CorruptIndex("phrases do not spell the text")
     return dictionary, encoded

@@ -91,12 +91,12 @@ def build_variants(text: bytes, names, q: int, p: int, k: int,
     for name in names:
         if name in ("spasa", "sa"):
             sa = baselines.spasa_build(text, step if name == "spasa" else 1)
-            # never saved: sized as an index file header plus a u32 per suffix
+            # never saved: sized as an index file of its kept suffixes
+            size = persistence.offsets_file_bytes(len(text), len(sa.sa))
             out.append(Variant(
                 name, (sa.step, 0, 0), sa.step,
                 partial(baselines.spasa_locate, sa),
-                partial(baselines.spasa_count, sa),
-                partial(int, persistence._HEADER.size + 4 * len(sa.sa))))
+                partial(baselines.spasa_count, sa), partial(int, size)))
             continue
         if idx is None:
             idx = core.build(text, SamplingParams(q, p))

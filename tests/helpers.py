@@ -242,6 +242,121 @@ def reseal(data: bytes) -> bytes:
     return bytes(out)
 
 
+def pack_fields(values, width: int) -> bytes:
+    """Reference packer for index files: the fields as one little-endian
+    number whose bits [i * width, (i + 1) * width) hold field i, written
+    in whole bytes with zero bits on top."""
+    bits = ""
+    for v in values:
+        assert 0 <= int(v) < 1 << width, (v, width)
+        bits += format(int(v), f"0{width}b")[::-1]  # lowest bit first
+    bits += "0" * (-len(bits) % 8)
+    return int(bits[::-1] or "0", 2).to_bytes(len(bits) // 8, "little")
+
+
+def unpack_fields(data: bytes, count: int, width: int) -> list[int]:
+    """Reference unpacker: the first count width-bit fields that
+    pack_fields wrote at the start of data."""
+    size = -(-count * width // 8)
+    bits = format(int.from_bytes(data[:size], "little"), f"0{8 * size}b")
+    bits = bits[::-1]  # lowest bit first
+    return [int(bits[i * width:(i + 1) * width][::-1], 2)
+            for i in range(count)]
+
+
+def offsets_span(data: bytes) -> tuple[int, int, int]:
+    """(n', field width in bits, end byte) of the offsets section of an
+    index file: n' fields just wide enough for every offset 0..n-1 (one
+    bit at least), 4 bits wider with the delta flag, after the 48-byte
+    header."""
+    (flags,) = struct.unpack_from("<I", data, 8)
+    n, count = struct.unpack_from("<QI", data, 24)
+    width = max(1, (n - 1).bit_length()) + (4 if flags & 1 else 0)
+    return count, width, 48 + -(-count * width // 8)
+
+
+def read_offsets(data: bytes) -> list[int]:
+    """The offsets fields of an index file, nibbles included."""
+    count, width, _ = offsets_span(data)
+    return unpack_fields(data[48:], count, width)
+
+
+def with_offsets(data: bytes, fields) -> bytes:
+    """The index file data with its offsets fields replaced by fields,
+    n' rewritten to their number, resealed."""
+    _, width, end = offsets_span(data)
+    head = bytearray(data[:48])
+    struct.pack_into("<I", head, 32, len(fields))
+    return reseal(bytes(head) + pack_fields(fields, width) + data[end:])
+
+
+def as_version_3(data: bytes) -> bytes:
+    """The version-3 file of the version-4 file data: each offsets field
+    widened to a u32 holding its nibble in the top 4 bits, and each
+    phrase length widened to a u32 in front of the phrase's bytes."""
+    flags, q = struct.unpack_from("<2I", data, 8)
+    count, width, at = offsets_span(data)
+    fields = read_offsets(data)
+    if flags & 1:
+        b = width - 4
+        fields = [(f >> b) << 28 | (f & ((1 << b) - 1)) for f in fields]
+    out = bytearray(data[:48])
+    struct.pack_into("<I", out, 4, 3)
+    out += struct.pack(f"<{count}I", *fields)
+    if flags & 2:
+        (groups,) = struct.unpack_from("<Q", data, at)
+        out += data[at:at + 8 + 8 * groups]
+        at += 8 + 8 * groups
+    if flags & 4:
+        (phrases,) = struct.unpack_from("<I", data, at)
+        at += 4
+        sizes = unpack_fields(data[at:], phrases, q.bit_length())
+        at += -(-phrases * q.bit_length() // 8)
+        out += struct.pack("<I", phrases)
+        for size in sizes:
+            out += struct.pack("<I", size) + data[at:at + size]
+            at += size
+        out += data[at:]
+    return reseal(bytes(out))
+
+
+def as_version_2(data: bytes, text: bytes) -> bytes:
+    """The version-2 file of the version-3 file data over text: the hash
+    rows placed, in rank order, by the 64-bit FNV-1a of their keys and
+    linear probing into the smallest power-of-two table >= 2 that they
+    fill at most half of, preceded by its capacity; empty slots read
+    0xFFFFFFFF."""
+    k, _, count = struct.unpack_from("<IQI", data, 20)
+    start = 48 + 4 * count
+    sa = struct.unpack_from(f"<{count}I", data, 48)
+    (groups,) = struct.unpack_from("<Q", data, start)
+    rows = struct.unpack_from(f"<{2 * groups}I", data, start + 8)
+    capacity = 2
+    while capacity < 2 * groups:
+        capacity *= 2
+    slots = np.full((capacity, 2), 0xFFFFFFFF, dtype="<u4")
+    for lo, hi in zip(rows[::2], rows[1::2]):
+        at = (sa[lo] & ((1 << 28) - 1)) if data[8] & 1 else sa[lo]
+        slot = slow_fnv1a(text[at:at + k]) % capacity
+        while slots[slot, 0] != 0xFFFFFFFF:
+            slot = (slot + 1) % capacity
+        slots[slot] = lo, hi
+    out = bytearray(data[:start] + struct.pack("<Q", capacity)
+                    + slots.tobytes() + data[start + 8 + 8 * groups:])
+    struct.pack_into("<I", out, 4, 2)
+    return reseal(bytes(out))
+
+
+def as_version_1(data: bytes, text: bytes) -> bytes:
+    """The version-1 file of the version-2 file data over text: n'
+    widened to a u64 and an FNV-1a of the text in place of the crc32
+    and the digest."""
+    flags, q, p, k = struct.unpack_from("<4I", data, 8)
+    n, n_sampled = struct.unpack_from("<QI", data, 24)
+    return struct.pack("<4s5I3Q", b"SSMI", 1, flags, q, p, k, n, n_sampled,
+                       slow_fnv1a(text)) + data[48:]
+
+
 def reference_prune_table(pattern: bytes, p: int, j: int) -> list[bool]:
     """Eager 16-entry prune table indexed by delta nibble: a running
     minimum over every p-gram left of offset j, marking the offsets

@@ -19,8 +19,10 @@ from samsami import (CorruptIndex, DeltaAnnotation, QueryStats,
 from samsami.persistence import IndexBundle, serialized_bytes
 from samsami.phrase import encode_id
 
-from helpers import (random_text, reference_rebuild_positions, reseal,
-                     slow_fnv1a)
+from helpers import (as_version_1, as_version_2, as_version_3, offsets_span,
+                     pack_fields, random_text, read_offsets,
+                     reference_rebuild_positions, reseal, unpack_fields,
+                     with_offsets)
 
 ABRA = b"abracadabra"
 P42 = SamplingParams(4, 2)
@@ -47,21 +49,25 @@ def test_header_layout():
     assert data[:4] == b"SSMI"
     version, flags, q, p, k = struct.unpack_from("<5I", data, 4)
     n, n_sampled, crc, digest = struct.unpack_from("<QIIQ", data, 24)
-    assert (version, flags, q, p, k) == (3, 0, 4, 2, 0)
+    assert (version, flags, q, p, k) == (4, 0, 4, 2, 0)
     assert (n, n_sampled) == (11, 4)
     assert crc == zlib.crc32(data[:36] + data[40:])
     assert digest.to_bytes(8, "little") == \
         hashlib.blake2b(ABRA, digest_size=8).digest()
-    offsets = struct.unpack_from("<4I", data, 48)
-    assert offsets == (7, 0, 3, 5)  # positions 8,1,4,6 minus one
+    # positions 8,1,4,6 minus one, in 4 bits each: offsets up to 10
+    assert offsets_span(data) == (4, 4, 50)
+    assert data[48:] == bytes([0x07, 0x53])
+    assert read_offsets(data) == [7, 0, 3, 5]
 
 
 def test_delta_offsets_carry_nibbles():
     bundle = build_bundle(ABRA, P42, with_delta=True)
     data = serialized_bytes(bundle)
-    offsets = struct.unpack_from("<4I", data, 48)
-    assert [off >> 28 for off in offsets] == [2, 0, 3, 2]
-    assert [off & ((1 << 28) - 1) for off in offsets] == [7, 0, 3, 5]
+    assert offsets_span(data) == (4, 8, 52)  # the nibble on top
+    assert data[48:] == bytes([0x27, 0x00, 0x33, 0x25])
+    offsets = read_offsets(data)
+    assert [off >> 4 for off in offsets] == [2, 0, 3, 2]
+    assert [off & 15 for off in offsets] == [7, 0, 3, 5]
     back = roundtrip(bundle, ABRA)
     assert list(back.delta.delta) == [2, 0, 3, 2]
     assert locate2(back.index, back.delta, b"adab") == [6]
@@ -103,12 +109,14 @@ def test_resealed_delta_nibbles_rejected(change):
         gaps = np.diff(sa[order], prepend=sa[order][0])
         assert (gaps > 16).any()
         nibbles[order] = np.where(gaps > 15, gaps & 15, nibbles[order])
-    data = bytearray(serialized_bytes(bundle))
-    n = bundle.index.n_sampled
-    offsets = np.frombuffer(data, "<u4", n, 48) & np.uint32((1 << 28) - 1)
-    data[48:48 + 4 * n] = (offsets | (nibbles.astype("<u4") << 28)).tobytes()
+    data = serialized_bytes(bundle)
+    _, width, _ = offsets_span(data)
+    b = width - 4  # 12 bits for the 3,000-byte text
+    assert b == 12
+    fields = [(f & ((1 << b) - 1)) | (int(nib) << b)
+              for f, nib in zip(read_offsets(data), nibbles)]
     with pytest.raises(CorruptIndex, match="delta nibbles differ"):
-        load(io.BytesIO(reseal(data)), _DNA_TEXT)
+        load(io.BytesIO(with_offsets(data, fields)), _DNA_TEXT)
 
 
 def test_roundtrip_hash():
@@ -155,7 +163,7 @@ def _golden_bundle():
 
 def _with_hash_section(data: bytes, bundle, section: bytes) -> bytearray:
     """The file data of bundle with its hash section replaced."""
-    start = 48 + 4 * bundle.index.n_sampled
+    start = offsets_span(data)[2]
     end = start + 8 + bundle.table.slots.nbytes
     return bytearray(data[:start] + section + data[end:])
 
@@ -167,62 +175,37 @@ def _with_rows(bundle, rows: np.ndarray) -> bytes:
                                      section))
 
 
-def _as_version_2(data: bytes, bundle) -> bytes:
-    """The version-2 file of the same bundle: the hash rows placed, in
-    rank order, by the 64-bit FNV-1a of their keys and linear probing
-    into the smallest power-of-two table >= 2 that they fill at most
-    half of, preceded by its capacity; empty slots read 0xFFFFFFFF."""
-    idx, table = bundle.index, bundle.table
-    capacity = 2
-    while capacity < 2 * len(table.slots):
-        capacity *= 2
-    slots = np.full((capacity, 2), 0xFFFFFFFF, dtype="<u4")
-    for lo, hi in table.slots.tolist():
-        at = int(idx.sa[lo]) - 1
-        slot = slow_fnv1a(idx.text[at:at + table.k]) % capacity
-        while slots[slot, 0] != 0xFFFFFFFF:
-            slot = (slot + 1) % capacity
-        slots[slot] = lo, hi
-    out = _with_hash_section(data, bundle, struct.pack("<Q", capacity)
-                             + slots.tobytes())
-    struct.pack_into("<I", out, 4, 2)
-    return reseal(out)
-
-
-def _as_version_1(data: bytes, text: bytes) -> bytes:
-    """The version-1 file of the same bundle: n' widened to a u64 and
-    an FNV-1a of the text in place of the crc32 and the digest."""
-    flags, q, p, k = struct.unpack_from("<4I", data, 8)
-    n, n_sampled = struct.unpack_from("<QI", data, 24)
-    return struct.pack("<4s5I3Q", b"SSMI", 1, flags, q, p, k, n, n_sampled,
-                       slow_fnv1a(text)) + data[48:]
-
-
 def test_bundle_bytes_golden():
     # The version-1 digest was recorded before the suffix sort and the
     # phrase encoder were rewritten, the version-2 one when the format
-    # changed, and the version-3 one when the hash section became rank
-    # ordered rows; any change that alters a single byte of an index
-    # file changes them. The older files are rebuilt from the version-3
-    # one, so their digests still pin every section of it.
+    # changed, the version-3 one when the hash section became rank
+    # ordered rows, and the version-4 one when offsets and phrase
+    # lengths were packed; any change that alters a single byte of an
+    # index file changes them. The older files are rebuilt from the
+    # version-4 one, so their digests still pin every section of it.
     text, bundle = _golden_bundle()
     data = serialized_bytes(bundle)
     assert hashlib.sha256(data).hexdigest() == (
+        "3e929fa739b47b044e9b1b16f909778d"
+        "d77bebce1d644a7107042d7e270a4b5b")
+    v3 = as_version_3(data)
+    assert hashlib.sha256(v3).hexdigest() == (
         "f34afc9c90e665fec508a89f7556677b"
         "e94de3cc6a7aa06b8ed051b12daff510")
-    v2 = _as_version_2(data, bundle)
+    v2 = as_version_2(v3, text)
     assert hashlib.sha256(v2).hexdigest() == (
         "b857ba7b5867f4e689b2ace0a5c06e56"
         "3d759836cacc5a64c591939c8785520e")
-    v1 = _as_version_1(v2, text)
+    v1 = as_version_1(v2, text)
     assert hashlib.sha256(v1).hexdigest() == (
         "198bab637fd2c174ece0231cbe86a107"
         "910f94231e3ada33098e531baf8107c7")
     # older files are refused with a pointer to the cure
-    for old in (v1, v2):
-        with pytest.raises(UnsupportedFormat, match="rebuild the index"):
+    for old in (v1, v2, v3):
+        with pytest.raises(UnsupportedFormat,
+                           match="rebuild the index from its text"):
             load(io.BytesIO(old), text)
-    # the version-3 file answers as the built bundle
+    # the version-4 file answers as the built bundle
     back = load(io.BytesIO(data), text)
     rng = random.Random(0x01D)
     patterns = [text[i:i + m] for i, m in
@@ -317,29 +300,108 @@ def test_truncated_sections_rejected():
 
 
 def test_position_past_text_end_rejected():
-    data = bytearray(serialized_bytes(build_bundle(ABRA, P42)))
-    struct.pack_into("<I", data, 48, 11)  # position 12 of an 11-byte text
-    with pytest.raises(CorruptIndex, match="beyond the end"):
-        load(io.BytesIO(reseal(data)), ABRA)
-    # the largest offset wraps to position 0 in the u32 array
-    struct.pack_into("<I", data, 48, 0xFFFFFFFF)
-    with pytest.raises(CorruptIndex, match="beyond the end"):
-        load(io.BytesIO(reseal(data)), ABRA)
+    data = serialized_bytes(build_bundle(ABRA, P42))
+    fields = read_offsets(data)
+    for past in (11, 15):  # position 12 of an 11-byte text; the largest
+        fields[0] = past   # 4-bit field
+        with pytest.raises(CorruptIndex, match="beyond the end"):
+            load(io.BytesIO(with_offsets(data, fields)), ABRA)
+
+
+@pytest.mark.parametrize("width", range(1, 33))
+def test_packed_fields_match_the_reference(width):
+    from samsami.persistence import _pack, _unpack
+    rng = random.Random(width)
+    for count in (0, 1, 7, 8, 9, 16, 23):
+        values = [rng.choice([0, (1 << width) - 1, rng.getrandbits(width)])
+                  for _ in range(count)]
+        packed = _pack(np.array(values, dtype=np.uint32), width)
+        assert packed == pack_fields(values, width)
+        assert unpack_fields(packed, count, width) == values
+        assert _unpack(b"ab" + packed, 2, count, width).tolist() == values
+
+
+_BOUNDARY_SIZES = [1, 2, 3, 4, 5, 1 << 16, (1 << 16) + 1]
+
+
+@pytest.mark.parametrize("delta", [False, True], ids=["plain", "delta"])
+@pytest.mark.parametrize("n", _BOUNDARY_SIZES)
+def test_packed_offsets_roundtrip_at_width_boundaries(n, delta):
+    # b = max(1, (n - 1).bit_length()) bits: 1, 1, 2, 2, 3, 16 and 17,
+    # 4 more with the nibbles; q=1 keeps all n suffixes, so n' = 65,536
+    # fills whole groups of 8 fields and the other n' end in a partial
+    # one; q=3 keeps about half
+    rng = random.Random(n)
+    text = random_text(rng, n, 4)
+    for params in {SamplingParams(1, 1), SamplingParams(min(n, 3), 1)}:
+        bundle = build_bundle(text, params, with_delta=delta)
+        data = serialized_bytes(bundle)
+        count, width, end = offsets_span(data)
+        assert count == bundle.index.n_sampled
+        assert count == n or params.q > 1
+        assert width == max(1, (n - 1).bit_length()) + 4 * delta
+        assert len(data) == end == 48 + -(-count * width // 8)
+        back = load(io.BytesIO(data), text)
+        assert back.index.sa.dtype == np.uint32
+        assert back.index.sa.tolist() == bundle.index.sa.tolist()
+        if delta:
+            assert back.delta.delta.tolist() == bundle.delta.delta.tolist()
+        assert serialized_bytes(back) == data
+        for i in range(0, n - params.q + 1, max(1, n // 7)):
+            pattern = text[i:i + params.q + 2]
+            assert from_bundle(back).count(pattern) == naive_count(text,
+                                                                   pattern)
+        # a field naming an offset at or past n is refused, whatever
+        # its nibble; at n = 2**b no b-bit field can name one
+        fields = read_offsets(data)
+        b = width - 4 * delta
+        for past in {v for v in (n, (1 << b) - 1) if n <= v < 1 << b}:
+            edited = list(fields)
+            edited[-1] = (edited[-1] >> b << b) | past
+            with pytest.raises(CorruptIndex, match="beyond the end"):
+                load(io.BytesIO(with_offsets(data, edited)), text)
+
+
+@pytest.mark.parametrize("section", ["offsets", "phrase lengths"])
+def test_set_padding_bit_rejected(section):
+    # 3 offsets of 4 bits leave 4 padding bits in the section's last
+    # byte; the 3 phrases' 3-bit lengths (q=4) leave 7 in theirs
+    text = b"mississippi"
+    bundle = build_bundle(text, P42, with_phrase=True)
+    data = bytearray(serialized_bytes(bundle))
+    count, width, end = offsets_span(data)
+    assert (count, width) == (3, 4)
+    at = end - 1
+    if section == "phrase lengths":
+        (phrases,) = struct.unpack_from("<I", data, end)
+        assert phrases == 3
+        at = end + 4 + 1
+    assert load(io.BytesIO(reseal(data)), text)
+    data[at] |= 0x80
+    with pytest.raises(CorruptIndex, match="padding bits"):
+        load(io.BytesIO(reseal(data)), text)
+
+
+@pytest.mark.parametrize("delta", [False, True], ids=["plain", "delta"])
+def test_offsets_section_one_byte_short_rejected(delta):
+    data = serialized_bytes(build_bundle(ABRA, P42, with_delta=delta))
+    assert offsets_span(data)[2] == len(data)
+    with pytest.raises(CorruptIndex, match="expected"):
+        load(io.BytesIO(reseal(data[:-1])), ABRA)
+    # so is a header naming one field more than the section holds
+    longer = bytearray(data)
+    struct.pack_into("<I", longer, 32, 5)
+    with pytest.raises(CorruptIndex, match="expected"):
+        load(io.BytesIO(reseal(longer)), ABRA)
 
 
 def _offsets_edited(text, params, edit, **build):
     """A saved bundle whose offsets section edit(list) rewrote, with n'
     and the crc32 to match."""
-    bundle = build_bundle(text, params, **build)
-    data = serialized_bytes(bundle)
-    n_sampled = bundle.index.n_sampled
-    offsets = np.frombuffer(data, dtype="<u4", count=n_sampled,
-                            offset=48).tolist()
+    data = serialized_bytes(build_bundle(text, params, **build))
+    offsets = read_offsets(data)
     edit(offsets)
-    head = bytearray(data[:48])
-    struct.pack_into("<I", head, 32, len(offsets))
-    body = np.array(offsets, dtype="<u4").tobytes()
-    return reseal(bytes(head) + body + data[48 + 4 * n_sampled:])
+    return with_offsets(data, offsets)
 
 
 @pytest.mark.parametrize("build", [{}, {"with_phrase": True}])
@@ -521,16 +583,18 @@ def test_hash_slot_with_empty_range_rejected(shift):
 def _phrase_section_start(bundle):
     # the phrase section follows the header and the offsets (no hash)
     assert bundle.table is None
-    return 48 + 4 * bundle.index.n_sampled
+    return offsets_span(serialized_bytes(bundle))[2]
 
 
-def _with_phrase_section(bundle, phrases, stream):
-    """bundle's file with a phrase section of phrases and stream."""
+def _with_phrase_section(bundle, phrases, stream, sizes=None):
+    """bundle's file with a phrase section of phrases and stream, and
+    the length column sizes in place of the phrases' lengths if given."""
     data = serialized_bytes(bundle)
-    section = [struct.pack("<I", len(phrases))]
-    for ph in phrases:
-        section += [struct.pack("<I", len(ph)), ph]
-    section += [struct.pack("<Q", len(stream)), stream]
+    if sizes is None:
+        sizes = [len(ph) for ph in phrases]
+    width = bundle.index.params.q.bit_length()
+    section = [struct.pack("<I", len(phrases)), pack_fields(sizes, width),
+               *phrases, struct.pack("<Q", len(stream)), stream]
     return reseal(data[:_phrase_section_start(bundle)] + b"".join(section))
 
 
@@ -622,6 +686,27 @@ def test_misspelled_phrase_rejected():
         load(io.BytesIO(data), text)
 
 
+@pytest.mark.parametrize("change", ["zero", "above q", "swapped"])
+def test_rewritten_phrase_length_rejected(change):
+    text, bundle = _phrase_bundle()
+    phrases = bundle.dictionary.phrases
+    sizes = [len(ph) for ph in phrases]
+    if change == "zero":
+        sizes[len(sizes) // 2] = 0
+    elif change == "above q":  # q=8 lengths have 4 bits, up to 15
+        sizes[len(sizes) // 2] = 9
+    else:  # the bytes stay, so the two phrases split differently
+        i = next(i for i in range(1, len(sizes)) if sizes[i] != sizes[0])
+        sizes[0], sizes[i] = sizes[i], sizes[0]
+    data = _with_phrase_section(bundle, phrases, bundle.encoded.stream,
+                                sizes)
+    assert data != serialized_bytes(bundle)
+    # swapped lengths are each in range: a later check sees the phrases
+    message = None if change == "swapped" else r"phrase length outside 1\.\.8"
+    with pytest.raises(CorruptIndex, match=message):
+        load(io.BytesIO(data), text)
+
+
 def test_phrase_count_beyond_section_rejected():
     text, bundle = _phrase_bundle()
     data = bytearray(serialized_bytes(bundle))
@@ -676,6 +761,19 @@ def test_writer_rejects_sampled_count_beyond_u32():
     stub = SimpleNamespace(text=b"", params=P42, n=1 << 33, sa=Sized())
     with pytest.raises(SamsamiError, match="u32"):
         serialized_bytes(IndexBundle(index=stub))
+
+
+def test_writer_rejects_offsets_beyond_32_bits():
+    # offset n - 1 needs 33 bits past 2**32 bytes, and 29 + 4 with delta
+    sa = np.array([1], dtype=np.uint32)
+    for n, delta in (((1 << 32) + 1, None), ((1 << 28) + 1,
+                                            DeltaAnnotation(np.zeros(1)))):
+        stub = SimpleNamespace(text=b"", params=P42, n=n, sa=sa)
+        with pytest.raises(SamsamiError, match="32-bit offsets"):
+            serialized_bytes(IndexBundle(index=stub, delta=delta))
+    # at 2**32 bytes the offsets take 32 bits, and the file is written
+    stub = SimpleNamespace(text=b"", params=P42, n=1 << 32, sa=sa)
+    assert len(serialized_bytes(IndexBundle(index=stub))) == 48 + 4
 
 
 _WHOLE_TEXT = random_text(random.Random(0x3A7), 400, 4)
