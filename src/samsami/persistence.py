@@ -120,20 +120,16 @@ def _unpack(data: bytes, at: int, count: int, width: int) -> np.ndarray:
     if data[at + size - 1] >> ((count * width - 1) % 8 + 1):
         raise CorruptIndex("padding bits set after the last packed field")
     groups = -(-count // 8)
-    # The last group's views read up to 8 bytes past it. The mask drops
-    # what they read of the file's next bytes, and a copy padded with
-    # zeros stands in for a file that ends sooner.
-    buf = data
-    if at + groups * width + 8 > len(data):
-        buf = bytearray(groups * width + 8)
-        buf[:size] = data[at:at + size]
-        at = 0
+    # the last group's views read up to 8 bytes past it, so they read a
+    # copy of the fields with 8 zero bytes on
+    buf = bytearray(groups * width + 8)
+    buf[:size] = memoryview(data)[at:at + size]
     fields = np.empty((groups, 8), dtype=np.uint32)
     words = np.empty(groups, dtype=np.uint64)  # aligned, for in-place ops
     mask = np.uint64((1 << width) - 1)
     for j in range(8):
         start, shift = divmod(j * width, 8)
-        np.copyto(words, np.ndarray((groups,), "<u8", buf, at + start,
+        np.copyto(words, np.ndarray((groups,), "<u8", buf, start,
                                     (width,)))
         words >>= np.uint64(shift)
         words &= mask

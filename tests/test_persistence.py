@@ -299,13 +299,23 @@ def test_truncated_sections_rejected():
         load(io.BytesIO(reseal(phrased[:-1])), ABRA)
 
 
-def test_position_past_text_end_rejected():
+def test_position_past_text_end_rejected(monkeypatch):
     data = serialized_bytes(build_bundle(ABRA, P42))
     fields = read_offsets(data)
     for past in (11, 15):  # position 12 of an 11-byte text; the largest
         fields[0] = past   # 4-bit field
         with pytest.raises(CorruptIndex, match="beyond the end"):
             load(io.BytesIO(with_offsets(data, fields)), ABRA)
+    # 32-bit fields, as in the file of a text over 2^31 bytes: the
+    # largest offset wraps to position 0 in the u32 array
+    from samsami import persistence
+    monkeypatch.setattr(persistence, "_offset_bits", lambda n, delta=0: 32)
+    wide = bytearray(serialized_bytes(build_bundle(ABRA, P42)))
+    assert len(wide) == 48 + 4 * len(fields)
+    load(io.BytesIO(bytes(wide)), ABRA)
+    struct.pack_into("<I", wide, 48, 0xFFFFFFFF)
+    with pytest.raises(CorruptIndex, match="beyond the end"):
+        load(io.BytesIO(reseal(wide)), ABRA)
 
 
 @pytest.mark.parametrize("width", range(1, 33))
