@@ -189,10 +189,16 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
 # Ranges with fewer candidates than this are verified one by one, at
 # about 0.15 us per candidate, and the kernel finishes fewer survivors
 # than this in Python. On 512 KiB of stdlib source (q=40, p=2, m=50;
-# 2 vCPU, Python 3.11, numpy 2.4) the kernel costs about 2.5 us with the
-# left-context column and breaks even with the loop at about 16
-# candidates; without a column (spasa with step > 1) it costs 7-11 us
-# and breaks even at about 70. One constant serves both.
+# 2 vCPU, Python 3.11, numpy 2.4), timed on its own, the kernel costs
+# about 2.5 us with the left-context column and breaks even with the
+# loop at about 16 candidates; without a column (spasa with step > 1)
+# it costs 7-11 us and breaks even at about 70. That break-even does
+# not carry over to whole queries: entering the column kernel from 16
+# candidates left count p50 as it was and moved count p99 from 14.8 to
+# 16.7 us on perfbench's code-phrase patterns and from 17.0 to 16.6 us
+# on code-anchor's (16,384 patterns, 4 interleaved rounds, best of 4
+# per pattern); 16 for both entry and finish gave 18.3 and 20.6 us. One
+# constant serves both.
 _VECTOR_MIN_CANDIDATES = 48
 
 

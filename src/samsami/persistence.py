@@ -367,6 +367,8 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         # the phrase section is the file's last: it runs to the end
         bundle.dictionary, bundle.encoded = _read_phrases(data[at:], idx,
                                                           ascending)
+    elif at != len(data):
+        raise CorruptIndex(f"{len(data) - at} bytes after the last section")
     return bundle
 
 
@@ -436,6 +438,9 @@ def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,
     if at + stream_len > len(buf):
         raise CorruptIndex(f"phrase stream of {stream_len} bytes runs past "
                            "the end of the file")
+    if at + stream_len < len(buf):
+        raise CorruptIndex(f"{len(buf) - at - stream_len} bytes after the "
+                           "phrase stream")
     stream = buf[at:at + stream_len]
 
     ids = dict(zip(phrases, range(count)))

@@ -299,6 +299,18 @@ def test_truncated_sections_rejected():
         load(io.BytesIO(reseal(phrased[:-1])), ABRA)
 
 
+@pytest.mark.parametrize("build", [{}, {"hash_k": 2}, {"with_delta": True},
+                                   {"with_phrase": True}],
+                         ids=["offsets", "hash", "delta", "phrase"])
+def test_bytes_after_the_last_section_rejected(build):
+    # save writes no byte after the last section; resealed junk there
+    # must not load, whichever section comes last
+    data = serialized_bytes(build_bundle(ABRA, P42, **build))
+    assert count(load(io.BytesIO(data), ABRA).index, b"abra") == 2
+    with pytest.raises(CorruptIndex, match="4 bytes after the"):
+        load(io.BytesIO(reseal(data + b"junk")), ABRA)
+
+
 def test_position_past_text_end_rejected(monkeypatch):
     data = serialized_bytes(build_bundle(ABRA, P42))
     fields = read_offsets(data)

@@ -1,3 +1,4 @@
+import io
 import random
 import sysconfig
 import tracemalloc
@@ -10,7 +11,8 @@ from samsami import (CorruptEncoding, EncodedText, PatternTooShort,
                      QueryStats, SamplingParams, TextTooShort, decode_text,
                      build_full_sa, encode_text, encoded_locate,
                      naive_locate, parse_phrases, sampled_positions)
-from samsami import core, phrase
+from samsami import build_bundle, core, load, phrase
+from samsami.persistence import serialized_bytes
 from samsami.phrase import (PhraseDictionary, _split_stream,
                             _stable_boundaries, codeword_table, encode_id,
                             rebuild_positions)
@@ -206,16 +208,19 @@ def test_encoded_locate_too_short():
         encoded_locate(dictionary, encoded, len(ABRA), b"racada", P42)
 
 
-def test_encoded_locate_over_wide_codeword_ranges():
+def _indented_text(rng, lines):
     # indented source lines: whitespace runs encode to codeword strings
-    # shared by hundreds of stream suffixes, so each search's upper bound
-    # comes from the stream's fences
-    rng = random.Random(0x1DE)
+    # shared by hundreds of stream suffixes
     words = [b"self", b"return", b"x", b"if", b"None", b"=", b":", b"def"]
-    text = b"\n".join(
+    return b"\n".join(
         b" " * rng.choice([0, 4, 8, 8, 12, 16])
         + b" ".join(rng.choice(words) for _ in range(rng.randint(1, 5)))
-        for _ in range(1500)) + b"\n"
+        for _ in range(lines)) + b"\n"
+
+
+def test_encoded_locate_over_wide_codeword_ranges():
+    # each search's upper bound comes from the stream's fences
+    text = _indented_text(random.Random(0x1DE), 1500)
     params = SamplingParams(8, 2)
     dictionary, encoded = encode_text(text, params)
     patterns = [b" " * 15, b" " * 16, b"\n" + b" " * 16]
@@ -228,6 +233,115 @@ def test_encoded_locate_over_wide_codeword_ranges():
                              stats)
         assert got == naive_locate(text, pattern), pattern
         assert stats.candidates >= 2 * core.FENCE_STRIDE, (pattern, stats)
+
+
+WIDE = phrase._WIDE_MIN_CANDIDATES
+NEVER = 1 << 40  # a kernel threshold above every codeword range
+
+
+def _answers(dictionary, encoded, text, patterns, params):
+    out = []
+    for pattern in patterns:
+        stats = QueryStats()
+        got = encoded_locate(dictionary, encoded, len(text), pattern, params,
+                             stats)
+        out.append((got, stats))
+    return out
+
+
+def _kernel_patterns(rng, text, params):
+    # cuts of the text at and near whitespace runs, at its first and
+    # last bytes, altered cuts, and the one-boundary patterns
+    q, p = params.q, params.p
+    n = len(text)
+    runs = [i + 1 for i in range(n) if text.startswith(b"\n    ", i)]
+    out = [b" " * 15, b" " * 16, b"\n" + b" " * 16, b" " * 16 + b"x"]
+    for t in range(300):
+        m = rng.randint(2 * q - p + 1, 3 * q + 8)
+        i = (rng.choice(runs) + rng.randint(-6, 6) if t % 3 else
+             rng.randint(1, n - m + 1))
+        i = min(max(i, 1), n - m + 1)
+        pattern = bytearray(text[i - 1:i - 1 + m])
+        if t % 7 == 3:
+            pattern[rng.randrange(m)] = rng.choice(b" x\n")
+        out.append(bytes(pattern))
+    out += [text[:m] for m in (2 * q - p + 1, 3 * q)]
+    out += [text[-m:] for m in (2 * q - p + 1, 3 * q)]
+    return out + _one_boundary_cases(rng, text, params, 300)
+
+
+@pytest.mark.parametrize("threshold", [1, WIDE, NEVER],
+                         ids=["every-range", "default", "never"])
+def test_wide_kernel_matches_naive_and_walker_stats(monkeypatch, threshold):
+    # with threshold 1 every codeword range is verified by columns, down
+    # to the last candidate; the walker path (NEVER) gives QueryStats
+    # that every threshold must repeat
+    params = SamplingParams(8, 2)
+    rng = random.Random(0x3C01)
+    for text in (_indented_text(rng, 400), b"        " + _code_text(16384)
+                 + b"\n        "):
+        dictionary, encoded = encode_text(text, params)
+        patterns = _kernel_patterns(rng, text, params)
+        monkeypatch.setattr(phrase, "_WIDE_MIN_CANDIDATES", NEVER)
+        walked = _answers(dictionary, encoded, text, patterns, params)
+        monkeypatch.setattr(phrase, "_WIDE_MIN_CANDIDATES", threshold)
+        got = _answers(dictionary, encoded, text, patterns, params)
+        assert got == walked
+        for pattern, (hits, _) in zip(patterns, got):
+            assert hits == naive_locate(text, pattern), pattern
+        # the search kinds and the edge cases were all reached
+        counts = [(len(_stable_boundaries(pattern, params)), stats)
+                  for pattern, (_, stats) in zip(patterns, got)]
+        assert any(c == 1 and st.candidates for c, st in counts)
+        wide = [st for c, st in counts if c > 1 and st.candidates >= WIDE]
+        assert len(wide) > 20
+        # candidates whose occurrence would start before 1 or end past n
+        assert any(st.text_verifications < st.candidates for st in wide)
+        assert (dictionary._table is not None) == (threshold != NEVER)
+
+
+def test_wide_kernel_randomized_at_threshold_one(monkeypatch):
+    # every q, p and alphabet, ranges of one candidate included, and
+    # occurrences at both ends of the text
+    rng = random.Random(0xC011)
+    for _ in range(150):
+        alphabet = rng.choice([1, 2, 4, 26])
+        q = rng.randint(2, 8)
+        p = rng.randint(1, q)
+        floor = 2 * q - p + 1
+        n = rng.randint(floor, 400)
+        text = random_text(rng, n, alphabet)
+        params = SamplingParams(q, p)
+        dictionary, encoded = encode_text(text, params)
+        patterns = []
+        for _ in range(6):
+            m = rng.randint(floor, min(n, floor + 24))
+            i = rng.choice([1, n - m + 1, rng.randint(1, n - m + 1)])
+            patterns.append(text[i - 1:i - 1 + m])
+        monkeypatch.setattr(phrase, "_WIDE_MIN_CANDIDATES", NEVER)
+        walked = _answers(dictionary, encoded, text, patterns, params)
+        monkeypatch.setattr(phrase, "_WIDE_MIN_CANDIDATES", 1)
+        assert _answers(dictionary, encoded, text, patterns, params) == walked
+        for pattern, (hits, _) in zip(patterns, walked):
+            assert hits == naive_locate(text, pattern), (text, pattern, q, p)
+
+
+def test_wide_kernel_first_query_on_a_loaded_bundle():
+    # the suffix order's view and the dictionary's byte table are built
+    # by the first query of a loaded bundle, not by load
+    text = _indented_text(random.Random(0x10AD), 1500)
+    params = SamplingParams(8, 2)
+    bundle = load(io.BytesIO(serialized_bytes(
+        build_bundle(text, params, with_phrase=True))), text)
+    dictionary, encoded = bundle.dictionary, bundle.encoded
+    assert encoded._order_view is None and dictionary._table is None
+    pattern = b"\n" + b" " * 16 + b"self"
+    stats = QueryStats()
+    got = encoded_locate(dictionary, encoded, len(text), pattern, params,
+                         stats)
+    assert got == naive_locate(text, pattern)
+    assert stats.candidates >= WIDE
+    assert encoded._order_view is not None and dictionary._table is not None
 
 
 def test_encoded_locate_sparse_boundary_fallback():
