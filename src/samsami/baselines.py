@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QueryStats, _fences, _prefix_range, _verify_candidates
+from .core import (QueryStats, _fences, _left_column, _prefix_range,
+                   _verify_candidates)
 from .errors import InvalidParams, PatternTooShort
 from .suffix_sort import build_full_sa, sort_starts
 
@@ -49,6 +50,9 @@ class SparseSuffixArray:
     sa: np.ndarray = field(repr=False)
     n: int = 0
     sa_view: memoryview = field(init=False, repr=False)
+    # for step > 1, the _left_column of sa, as SamsamiIndex.left; step 1
+    # skips no prefix, so it needs none
+    left: np.ndarray | None = field(init=False, repr=False)
     # filled in by the first search, as SamsamiIndex.fences: the fence
     # list for step 1, and for step > 1 heads, each kept suffix's first
     # 8 bytes (zero-padded at the text end) as a big-endian number, in
@@ -58,6 +62,8 @@ class SparseSuffixArray:
 
     def __post_init__(self):
         self.sa_view = memoryview(self.sa)  # items read as Python ints
+        self.left = (_left_column(self.text, self.sa) if self.step > 1
+                     else None)
 
 
 def spasa_build(text: bytes, step: int) -> SparseSuffixArray:
@@ -125,7 +131,8 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
             ranks = _prefix_range(text, sa, lo, hi, seq)
             if ranks[0] == ranks[1]:
                 continue
-        out += _verify_candidates(text, sa, pattern, off, ranks, stats=stats)
+        out += _verify_candidates(text, sa, pattern, off, ranks, stats,
+                                  spasa.left)
     out.sort()
     return out
 

@@ -19,10 +19,6 @@ DEFAULT_PAIRS = [
     (40, 2), (40, 3), (64, 2), (64, 3), (64, 4), (80, 2), (80, 3), (80, 4),
 ]
 
-# bench runs the first five by default; phrase, which needs m >= 2q-p+1,
-# only when named
-VARIANTS = ("samsami", "samsami2", "samsami-hash", "spasa", "sa", "phrase")
-
 
 def _read_text(path: str) -> bytes:
     with open(path, "rb") as fh:
@@ -167,10 +163,8 @@ def cmd_bench(args) -> int:
         names = args.variant.split(",") if args.variant else [None]
         targets = [variants.from_bundle(bundle, name) for name in names]
     else:
-        names = args.variant.split(",") if args.variant else VARIANTS[:5]
-        for name in names:
-            if name not in VARIANTS:
-                raise SamsamiError(f"unknown variant {name!r}")
+        names = (args.variant.split(",") if args.variant
+                 else variants.NAMES[:5])
         targets = variants.build_variants(text, names, args.q, args.p,
                                           args.k, args.step)
 
@@ -285,10 +279,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except SamsamiError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SamsamiError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

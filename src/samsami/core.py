@@ -49,11 +49,7 @@ class SamsamiIndex:
 
     Two fields are derived on construction and never stored in an index
     file: sa_view, a memoryview of sa whose items read as Python ints,
-    and left, the 4 text bytes before each sampled suffix as one uint32
-    (the byte next to the suffix in the top bits, zero bytes before the
-    text start), so that verification can compare the end of a
-    pattern's skipped prefix in one contiguous scan. left costs 4 bytes
-    of memory per sampled suffix.
+    and left, the _left_column of sa.
 
     fences, the fence list of _fences, is filled in by the first search
     and never stored either. samsami and samsami-hash share it: the hash
@@ -75,16 +71,26 @@ class SamsamiIndex:
 
     def __post_init__(self):
         self.sa_view = memoryview(self.sa)
-        # padded[s:s + 4] holds the 4 bytes before 1-based position s;
-        # clipping only matters for stub indexes whose sa outruns text
-        padded = bytes(5) + self.text
-        words = np.ndarray((len(padded) - 3,), "<u4", buffer=padded,
-                           strides=(1,))
-        self.left = words.take(self.sa, mode="clip")
+        self.left = _left_column(self.text, self.sa)
 
     @property
     def n_sampled(self) -> int:
         return len(self.sa)
+
+
+def _left_column(text: bytes, sa: np.ndarray) -> np.ndarray:
+    """The left-context column of the 1-based suffix positions sa: the 4
+    text bytes before each suffix as one uint32, in sa order, with the
+    byte next to the suffix in the top bits and zero bytes before the
+    text start. Verification compares the end of a pattern's skipped
+    prefix against it in one contiguous scan. It costs 4 bytes of
+    memory per suffix."""
+    # padded[s:s + 4] holds the 4 bytes before 1-based position s;
+    # clipping only matters for stub indexes whose sa outruns text
+    padded = bytes(5) + text
+    words = np.ndarray((len(padded) - 3,), "<u4", buffer=padded,
+                       strides=(1,))
+    return words.take(sa, mode="clip")
 
 
 def build(text: bytes, params: SamplingParams) -> SamsamiIndex:
@@ -188,17 +194,15 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
 
 # Ranges with fewer candidates than this are verified one by one, at
 # about 0.15 us per candidate, and the kernel finishes fewer survivors
-# than this in Python. On 512 KiB of stdlib source (q=40, p=2, m=50;
-# 2 vCPU, Python 3.11, numpy 2.4), timed on its own, the kernel costs
-# about 2.5 us with the left-context column and breaks even with the
-# loop at about 16 candidates; without a column (spasa with step > 1)
-# it costs 7-11 us and breaks even at about 70. That break-even does
-# not carry over to whole queries: entering the column kernel from 16
-# candidates left count p50 as it was and moved count p99 from 14.8 to
-# 16.7 us on perfbench's code-phrase patterns and from 17.0 to 16.6 us
-# on code-anchor's (16,384 patterns, 4 interleaved rounds, best of 4
-# per pattern); 16 for both entry and finish gave 18.3 and 20.6 us. One
-# constant serves both.
+# than this in Python. On 512 KiB of stdlib source (q=40, p=2, m=50; 2
+# vCPU, Python 3.11, numpy 2.4), timed on its own, the kernel costs
+# about 2.5 us and breaks even with the loop at about 16 candidates.
+# That break-even does not carry over to whole queries: entering the
+# column kernel from 16 candidates left count p50 as it was and moved
+# count p99 from 14.8 to 16.7 us on perfbench's code-phrase patterns and
+# from 17.0 to 16.6 us on code-anchor's (16,384 patterns, 4 interleaved
+# rounds, best of 4 per pattern); 16 for both entry and finish gave 18.3
+# and 20.6 us. One constant serves both.
 _VECTOR_MIN_CANDIDATES = 48
 
 
@@ -213,8 +217,8 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     _prefix_range. The suffix at sa[r] matches pattern[j-1:]; the
     occurrence it stands for starts j-1 bytes earlier, which must lie
     inside the text and agree with the skipped prefix pattern[:j-1].
-    left, an index's left-context column in sa order, lets large ranges
-    check the prefix's last 4 bytes without touching the text. The
+    left, the _left_column of sa, lets large ranges check the prefix's
+    last 4 bytes without touching the text; only j = 1 needs none. The
     result is in rank order. stats gets QueryStats' model of the range.
     """
     lo, hi = ranks
@@ -223,24 +227,19 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     shift = j - 1
     if stats is not None:
         stats.candidates += hi - lo
+        if shift:
+            stats.text_verifications += int(
+                np.count_nonzero(np.asarray(sa[lo:hi]) >= j))
     if not shift:  # every candidate is an occurrence
         return sa[lo:hi].tolist()
     if hi - lo >= _VECTOR_MIN_CANDIDATES:
-        if stats is not None:
-            stats.text_verifications += int(
-                np.count_nonzero(np.asarray(sa[lo:hi]) >= j))
         return _verify_vector(text, sa, pattern, j, lo, hi, left)
     prefix = pattern[:shift]
     out = []
-    inside = hi - lo
     for s in sa[lo:hi]:
         start = s - shift
-        if start < 1:
-            inside -= 1
-        elif text[start - 1:s - 1] == prefix:
+        if start >= 1 and text[start - 1:s - 1] == prefix:
             out.append(start)
-    if stats is not None:
-        stats.text_verifications += inside
     return out
 
 
@@ -251,44 +250,33 @@ def _verify_vector(text, sa, pattern, j, lo, hi, left):
     # finishes them. The first step reads no scattered text: the
     # left-context column holds up to 4 prefix bytes in sa order, so one
     # contiguous compare leaves few candidates, which are finished in
-    # Python before any other array is made. Without a column, one byte
-    # is gathered after the start check (gathering aligned bytes costs
-    # about a third of gathering unaligned words, and on source text one
-    # byte already rejects most candidates). Then 8-byte words come
+    # Python before any other array is made. Then 8-byte words come
     # through an in-place view of the text at every offset, or single
     # bytes when the rest of the prefix is shorter than a word.
-    rest = shift  # pattern[:rest] is still to compare
-    if left is None:
-        anchors = np.asarray(sa[lo:hi])
-    else:
-        tail = min(shift, 4)
-        want = int.from_bytes(pattern[shift - tail:shift].rjust(4, b"\0"),
-                              "little")
-        column = left[lo:hi]
-        if tail < 4:  # the low bytes lie before the occurrence: ignore
-            column = column & ((0xFFFFFFFF << 8 * (4 - tail)) & 0xFFFFFFFF)
-        kept = (column == want).nonzero()[0]
-        rest -= tail
-        if len(kept) < _VECTOR_MIN_CANDIDATES:
-            prefix = pattern[:rest]
-            out = []
-            for r in kept.tolist():
-                s = sa[lo + r]  # s >= j: the occurrence starts in the text
-                if s >= j and text[s - j:s - j + rest] == prefix:
-                    out.append(s - shift)
-            return out
-        anchors = np.asarray(sa[lo:hi])[kept]
+    tail = min(shift, 4)
+    want = int.from_bytes(pattern[shift - tail:shift].rjust(4, b"\0"),
+                          "little")
+    column = left[lo:hi]
+    if tail < 4:  # the low bytes lie before the occurrence: ignore
+        column = column & ((0xFFFFFFFF << 8 * (4 - tail)) & 0xFFFFFFFF)
+    kept = (column == want).nonzero()[0]
+    rest = shift - tail  # pattern[:rest] is still to compare
+    if len(kept) < _VECTOR_MIN_CANDIDATES:
+        prefix = pattern[:rest]
+        out = []
+        for r in kept.tolist():
+            s = sa[lo + r]  # s >= j: the occurrence starts in the text
+            if s >= j and text[s - j:s - j + rest] == prefix:
+                out.append(s - shift)
+        return out
+    anchors = np.asarray(sa[lo:hi])[kept]
     begin = anchors[anchors >= j].astype(np.int64) - j  # starts in text
-    symbols = np.frombuffer(text, dtype=np.uint8)
-    if left is None:
-        begin = begin[symbols[begin + (rest - 1)] == pattern[rest - 1]]
-        rest -= 1
     if rest >= 8 and len(begin) >= _VECTOR_MIN_CANDIDATES:
         view, width = np.ndarray((len(text) - 7,), "<u8", buffer=text,
                                  strides=(1,)), 8
         steps = (max(off, 0) for off in range(rest - 8, -8, -8))
     else:
-        view, width = symbols, 1
+        view, width = np.frombuffer(text, dtype=np.uint8), 1
         steps = range(rest - 1, -1, -1)
     for off in steps:
         if len(begin) < _VECTOR_MIN_CANDIDATES:

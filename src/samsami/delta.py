@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
 from .core import QueryStats, SamsamiIndex, _anchor_range, _verify_candidates
 from .errors import TextTooLargeForDeltaVariant
 from .minimizer import prune_mask
@@ -68,21 +67,9 @@ def _pruned_hits(idx, ann, pattern, stats):
     lo, hi = ranks
     if stats is None or lo == hi:
         return hits
-    # a pruned candidate skips its text verification; a short range
-    # reads the mask once per distinct nibble, a long one its whole table
-    mask = prune_mask(pattern, idx.params, j)
-    if hi - lo >= core._VECTOR_MIN_CANDIDATES:
-        ruled_out = ~mask.table()[ann.delta[lo:hi]]
-        pruned = int(np.count_nonzero(ruled_out
-                                      & (np.asarray(sa[lo:hi]) >= j)))
-    else:
-        ds = ann.delta[lo:hi].tolist()
-        bad = {d for d in set(ds) if not mask[d]}
-        pruned = 0
-        if bad:
-            for s, d in zip(sa[lo:hi], ds):
-                if d in bad and s >= j:
-                    pruned += 1
+    # a pruned candidate skips its text verification
+    ruled_out = ~prune_mask(pattern, idx.params, j).table()[ann.delta[lo:hi]]
+    pruned = int(np.count_nonzero(ruled_out & (np.asarray(sa[lo:hi]) >= j)))
     stats.pruned += pruned
     stats.text_verifications -= pruned
     return hits

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SamsamiIndex, build
-from .delta import MAX_DELTA_TEXT, DeltaAnnotation, annotate
+from .delta import DeltaAnnotation, annotate
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import PrefixRangeTable, build_table
 from .minimizer import SamplingParams, window_minimizer
@@ -281,8 +281,6 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         raise CorruptIndex(f"invalid sampling params in header: {exc}") from exc
     if q > n:
         raise CorruptIndex(f"window length q={q} exceeds the {n}-byte text")
-    if flags & FLAG_DELTA and n > MAX_DELTA_TEXT:
-        raise CorruptIndex("delta flag set but text exceeds the packed limit")
     if flags & FLAG_HASH and k < 1:
         raise CorruptIndex(f"hash flag set but prefix length k={k}")
     if not flags & FLAG_HASH and k:

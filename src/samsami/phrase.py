@@ -482,13 +482,14 @@ def _compare_columns(dictionary, encoded, pattern, columns, pis, k):
     return state[0], True
 
 
+# Every caller keeps only candidates whose occurrence lies inside the
+# text (j1 <= s <= last), so neither walk passes the first or the last
+# phrase.
 def _match_backward(phrases, ids, pi, pattern, need):
     """Compare pattern[..need] against the text ending before phrase pi;
     ids reads the phrase ids in text order."""
     idx = pi - 1
     while need > 0:
-        if idx < 0:
-            return False
         ph = phrases[ids[idx]]
         take = min(len(ph), need)
         if ph[len(ph) - take:] != pattern[need - take:need]:
@@ -501,11 +502,8 @@ def _match_backward(phrases, ids, pi, pattern, need):
 def _match_forward(phrases, ids, pi, pattern, done):
     """Compare pattern[done..] against the text starting at phrase pi."""
     m = len(pattern)
-    count = len(ids)
     idx = pi
     while done < m:
-        if idx >= count:
-            return False
         ph = phrases[ids[idx]]
         take = min(len(ph), m - done)
         if ph[:take] != pattern[done:done + take]:

@@ -17,6 +17,10 @@ from . import baselines, core, delta, hashindex, persistence, phrase
 from .errors import SamsamiError
 from .minimizer import SamplingParams
 
+# bench runs the first five by default; phrase, which needs m >= 2q-p+1,
+# only when named
+NAMES = ("samsami", "samsami2", "samsami-hash", "spasa", "sa", "phrase")
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -84,8 +88,11 @@ def build_variants(text: bytes, names, q: int, p: int, k: int,
     The samsami variants share one index sampled with (q, p), the hash
     table keys k bytes, and spasa keeps every step-th suffix; each value
     is read only by the variants that use it, and only sa sorts every
-    suffix. from_bundle rejects an unknown name.
+    suffix. An unknown name is rejected before anything is built.
     """
+    for name in names:
+        if name not in NAMES:
+            raise SamsamiError(f"unknown variant {name!r}")
     idx = None
     out = []
     for name in names:

@@ -427,5 +427,5 @@ def reference_spasa_locate(spasa, pattern: bytes, stats=None) -> list[int]:
         ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:])
         if ranks[0] != ranks[1]:
             out += _verify_candidates(text, sa, pattern, off, ranks,
-                                      stats=stats)
+                                      stats, spasa.left)
     return sorted(out)

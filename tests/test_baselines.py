@@ -6,6 +6,7 @@ import pytest
 from samsami import (InvalidParams, PatternTooShort, QueryStats,
                      build_full_sa, naive_count, naive_locate, spasa_build,
                      spasa_count, spasa_locate)
+from samsami import core
 
 from helpers import (brute_locate, brute_suffix_array, random_text,
                      reference_spasa_heads, reference_spasa_locate)
@@ -160,3 +161,55 @@ def test_spasa_heads_are_non_decreasing_in_suffix_order():
                 assert heads.tolist() == reference_spasa_heads(text,
                                                                spasa.sa)
                 assert bool(np.all(heads[1:] >= heads[:-1]))
+
+
+@pytest.mark.parametrize("threshold", [0, core._VECTOR_MIN_CANDIDATES])
+def test_spasa_column_kernel_matches_naive_and_rank_ranges(threshold,
+                                                           monkeypatch):
+    # spasa with step > 1 verifies through the left-context column as
+    # samsami does. Per alignment off, each kept suffix that starts with
+    # pattern[off-1:] is a candidate and, when off > 1 and the
+    # occurrence would start inside the text, a text verification; the
+    # kept suffix at position 1 stands for one that would start before
+    # it. On 1-letter texts every range holds n/step candidates.
+    monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", threshold)
+    entered = []
+    real = core._verify_vector
+
+    def spy(*args):
+        entered.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "_verify_vector", spy)
+    rng = random.Random(0xC07)
+    before_text = 0
+    for alphabet in (1, 2, 4):
+        text = random_text(rng, 900, alphabet)
+        assert spasa_build(text, 1).left is None  # j is always 1
+        for step in range(2, 9):
+            spasa = spasa_build(text, step)
+            kept = spasa.sa.tolist()
+            padded = bytes(4) + text
+            assert spasa.left.tolist() == [
+                int.from_bytes(padded[s - 1:s + 3], "little") for s in kept]
+            for m in (step, step + 3, step + 7):
+                at = rng.randint(0, len(text) - m)
+                for pattern in (text[:m], text[-m:], text[at:at + m],
+                                random_text(rng, m, alphabet)):
+                    want = QueryStats()
+                    for off in range(1, step + 1):
+                        seq = pattern[off - 1:]
+                        hits = [s for s in kept
+                                if text[s - 1:s - 1 + len(seq)] == seq]
+                        want.candidates += len(hits)
+                        if off > 1:
+                            want.text_verifications += sum(
+                                s >= off for s in hits)
+                            before_text += sum(s < off for s in hits)
+                    stats = QueryStats()
+                    assert spasa_locate(spasa, pattern, stats) == \
+                        naive_locate(text, pattern), (step, pattern)
+                    assert stats == want, (step, pattern)
+    assert before_text > 0
+    # at the default threshold, every range of 48 or more reaches it
+    assert len(entered) > 20

@@ -253,6 +253,7 @@ def test_bench_m_below_minimum_fails(corpus, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["bench", "--variant", "samsami,samsami-hash", "--q", "10", "--m", "9"],
+    ["bench", "--variant", "samsami,fm-index"],
     ["stats", "--pairs", "4:2,0:0"],
     ["stats", "--mode", "qgrams", "--q-list", "1,0"],
 ])
@@ -262,6 +263,37 @@ def test_failed_run_prints_no_csv_header(corpus, capsys, argv):
     assert code == 1
     assert stdout == ""
     assert err.startswith("error: ")
+
+
+def test_missing_text_file_is_an_error_line(tmp_path, capsys):
+    code, stdout, err = _run(capsys, [
+        "count", "--index", str(tmp_path / "c.ssmi"), "--text",
+        str(tmp_path / "missing.txt"), "abc"])
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and "missing.txt" in err
+    assert "Traceback" not in err
+
+
+def test_bench_exits_on_disagreement(corpus, capsys, monkeypatch):
+    # sa answers one pattern off by one: the report is printed, then the
+    # first pattern the two counts differ on is named
+    path, text = corpus
+    patterns = extract_patterns(text, 10, 20, seed=4)
+    bad = patterns.index(patterns[7])
+    real = baselines.spasa_count
+
+    def off_by_one(spasa, pattern, stats=None):
+        return real(spasa, pattern, stats) + (pattern == patterns[bad])
+
+    monkeypatch.setattr(baselines, "spasa_count", off_by_one)
+    code, stdout, err = _run(capsys, [
+        "bench", "--text", str(path), "--variant", "samsami,sa", "--m", "10",
+        "--patterns", "20", "--seed", "4"])
+    assert code == 1
+    assert [row["variant"] for row in _bench_rows(stdout)] == ["samsami",
+                                                               "sa"]
+    assert err == f"error: sa and samsami disagree on pattern {bad}\n"
 
 
 def test_bench_prebuilt_index(corpus, tmp_path, capsys):

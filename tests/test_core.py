@@ -1,4 +1,3 @@
-import copy
 import io
 import math
 import random
@@ -19,7 +18,8 @@ from samsami import core, hashindex
 from samsami.persistence import serialized_bytes
 
 from helpers import (brute_group, brute_suffix_array, random_text,
-                     reference_groups, reference_spasa_heads)
+                     reference_groups, reference_locate2,
+                     reference_spasa_heads)
 
 ABRA = b"abracadabra"
 
@@ -530,12 +530,6 @@ def test_threads_racing_on_the_first_search_agree():
     assert all(groups == expect_groups for groups in groups_seen)
 
 
-def _without_column(idx):
-    bare = copy.copy(idx)
-    bare.left = None
-    return bare
-
-
 def test_left_context_column_holds_the_four_bytes_before_each_suffix():
     rng = random.Random(0xC01)
     for text in (ABRA, b"\x00" * 30,
@@ -550,16 +544,15 @@ def test_left_context_column_holds_the_four_bytes_before_each_suffix():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 12])
 def test_column_filter_matches_text_compare(q, monkeypatch):
-    # every range goes through the kernel; with the column and without
-    # it the answers and QueryStats agree and equal the naive scan, for
-    # prefixes of 0-3 bytes (partial masks) and longer ones
+    # every range goes through the kernel; the answers equal the naive
+    # scan and QueryStats the values of the rank range, for prefixes of
+    # 0-3 bytes (partial masks) and longer ones
     monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", 0)
     rng = random.Random(q)
     text = b"\x00\x00\x01" + bytes(rng.choice(b"\x00\x01\x02\xff")
                                     for _ in range(3000))
     params = SamplingParams(q, 2)
     idx = build(text, params)
-    bare = _without_column(idx)
     ann = annotate(idx)
     table = build_table(idx, 2)
     starts = list(range(1, 7)) + [rng.randint(1, len(text) - q - 8)
@@ -573,15 +566,23 @@ def test_column_filter_matches_text_compare(q, monkeypatch):
     shifts = set()
     for pattern in patterns:
         expect = naive_locate(text, pattern)
-        shifts.add(window_minimizer(pattern[:q], 2) - 1)
-        for ask in (lambda i, st: locate(i, pattern, st),
-                    lambda i, st: locate2(i, ann, pattern, st),
-                    lambda i, st: locate_hash(i, table, pattern, st)):
-            with_column, without = QueryStats(), QueryStats()
-            assert ask(idx, with_column) == expect, pattern
-            assert ask(bare, without) == expect, pattern
-            assert with_column == without, pattern
-            assert ask(idx, None) == expect, pattern  # no statistics pass
+        j = window_minimizer(pattern[:q], 2)
+        shifts.add(j - 1)
+        ranked = idx.sa[slice(*suffix_range(idx, pattern[j - 1:]))]
+        verified = int((ranked >= j).sum()) if j > 1 else 0
+        _, _, pruned, _ = reference_locate2(text, idx.sa, ann.delta,
+                                            pattern, q, 2)
+        for ask, model in (
+                (lambda st: locate(idx, pattern, st), QueryStats(
+                    len(ranked), verified)),
+                (lambda st: locate2(idx, ann, pattern, st), QueryStats(
+                    len(ranked), verified - pruned, pruned)),
+                (lambda st: locate_hash(idx, table, pattern, st), QueryStats(
+                    len(ranked), verified))):
+            stats = QueryStats()
+            assert ask(stats) == expect, pattern
+            assert stats == model, pattern
+            assert ask(None) == expect, pattern  # no statistics pass
     assert set(range(min(q - 1, 5))) <= shifts
 
 
@@ -634,14 +635,13 @@ def test_column_first_kernel_at_the_real_threshold():
                      if padded[s + 3 - len(tail):s + 3] == tail]
         expect = [s - shift for s in sa[lo:hi]
                   if s >= j and text[s - j:s - 1] == pattern[:shift]]
-        for left in (idx.left, None):
-            stats = QueryStats()
-            got = core._verify_candidates(text, sa, pattern, j, (lo, hi),
-                                          stats, left)
-            assert got == expect, (pattern, left is None)
-            assert stats == QueryStats(
-                candidates=hi - lo,
-                text_verifications=sum(s >= j for s in sa[lo:hi]))
+        stats = QueryStats()
+        got = core._verify_candidates(text, sa, pattern, j, (lo, hi), stats,
+                                      idx.left)
+        assert got == expect, pattern
+        assert stats == QueryStats(
+            candidates=hi - lo,
+            text_verifications=sum(s >= j for s in sa[lo:hi]))
         assert sorted(expect) == naive_locate(text, pattern)
         seen.add((min(shift, 4), len(survivors) >= cutoff))
         if any(s < j for s in survivors):

@@ -90,8 +90,16 @@ def test_from_bundle_rejects_missing_sections_and_unknown_names():
                           ("fm-index", "unknown variant 'fm-index'")]:
         with pytest.raises(SamsamiError, match=message):
             from_bundle(bundle, name)
-    with pytest.raises(SamsamiError, match="unknown variant"):
-        build_variants(text, ["sa", "fm-index"], 6, 2, 3, 4)
+
+def test_build_variants_rejects_an_unknown_name_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("built before the names were checked")
+
+    monkeypatch.setattr(baselines, "spasa_build", refuse)
+    monkeypatch.setattr(core, "build", refuse)
+    text = bytes(random.Random(7).choice(b"acgt") for _ in range(200))
+    with pytest.raises(SamsamiError, match="unknown variant 'fm-index'"):
+        build_variants(text, ["sa", "samsami", "fm-index"], 6, 2, 3, 4)
 
 
 def test_build_variants_sorts_the_text_once(monkeypatch):
