@@ -10,8 +10,8 @@ representation searchable without decoding.
 
 from .baselines import (SparseSuffixArray, naive_count, naive_locate,
                         spasa_build, spasa_count, spasa_locate)
-from .core import (MatchRange, QueryStats, SamsamiIndex, build, count,
-                   locate, suffix_range)
+from .core import (QueryStats, SamsamiIndex, build, count, locate,
+                   suffix_range)
 from .delta import DeltaAnnotation, annotate, count2, locate2
 from .errors import (CorruptEncoding, CorruptIndex, InvalidParams,
                      PatternTooShort, SamsamiError, TextMismatch,
@@ -19,8 +19,8 @@ from .errors import (CorruptEncoding, CorruptIndex, InvalidParams,
                      UnsupportedFormat)
 from .hashindex import (PrefixRangeTable, build_table, count_hash,
                         locate_hash, min_pattern_length)
-from .minimizer import (PruneMask, SamplingParams, prune_mask,
-                        sampled_positions, window_minimizer)
+from .minimizer import (SamplingParams, prune_mask, sampled_positions,
+                        window_minimizer)
 from .persistence import IndexBundle, build_bundle, load, save
 from .phrase import (EncodedText, PhraseDictionary, decode_text,
                      encode_text, encoded_locate, parse_phrases)
@@ -31,10 +31,10 @@ from .variants import Variant, build_variants, from_bundle
 __version__ = "0.1.0"
 
 __all__ = [
-    "SamplingParams", "PruneMask",
+    "SamplingParams",
     "window_minimizer", "sampled_positions", "prune_mask",
     "build_full_sa", "extract_sampled",
-    "SamsamiIndex", "MatchRange", "QueryStats", "build", "suffix_range",
+    "SamsamiIndex", "QueryStats", "build", "suffix_range",
     "locate", "count",
     "DeltaAnnotation", "annotate", "locate2", "count2",
     "PrefixRangeTable", "build_table", "locate_hash", "count_hash",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,16 +18,6 @@ from .errors import InvalidParams, PatternTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
 # build_full_sa is never called here: benchmark tracing wraps it by name
 from .suffix_sort import build_full_sa, extract_sampled  # noqa: F401
-
-
-class MatchRange(NamedTuple):
-    """Half-open rank interval [lo, hi) of suffixes sharing a prefix."""
-
-    lo: int
-    hi: int
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
 
 
 @dataclass
@@ -100,15 +89,14 @@ def build(text: bytes, params: SamplingParams) -> SamsamiIndex:
     return SamsamiIndex(text=text, params=params, sa=sa, n=len(text))
 
 
-def suffix_range(idx: SamsamiIndex, seq: bytes) -> MatchRange:
-    """Maximal rank interval whose suffixes start with seq."""
+def suffix_range(idx: SamsamiIndex, seq: bytes) -> tuple[int, int]:
+    """Maximal rank interval (first, end) whose suffixes start with seq."""
     if len(seq) == 0:
         raise InvalidParams("empty search string")
     if idx.fences is None:
         idx.fences = _fences(idx.text, idx.sa_view)
-    lo, hi = _prefix_range(idx.text, idx.sa_view, 0, len(idx.sa), seq,
-                           idx.fences)
-    return MatchRange(lo, hi)
+    return _prefix_range(idx.text, idx.sa_view, 0, len(idx.sa), seq,
+                         idx.fences)
 
 
 # A fence list holds the first FENCE_WIDTH bytes of every FENCE_STRIDE-th
@@ -288,32 +276,29 @@ def _verify_vector(text, sa, pattern, j, lo, hi, left):
     return (begin + 1).tolist()
 
 
-def _anchor_range(idx: SamsamiIndex, pattern: bytes) -> tuple[int, MatchRange]:
-    """The pattern's q-prefix minimizer offset j and the ranks of pattern[j-1:]."""
+def _query(idx: SamsamiIndex, pattern: bytes,
+           stats: QueryStats | None) -> tuple[int, tuple[int, int], list[int]]:
+    """The pattern's q-prefix minimizer offset j, the ranks (first, end)
+    of pattern[j-1:] and the occurrence starts among them, in rank order:
+    the one search and verification behind samsami and samsami2."""
     q, p = idx.params.q, idx.params.p
     if len(pattern) < q:
         raise PatternTooShort(f"pattern length {len(pattern)} < q={q}")
     j = window_minimizer(pattern[:q], p)
-    return j, suffix_range(idx, pattern[j - 1:])
-
-
-def _locate_impl(idx: SamsamiIndex, pattern: bytes,
-                 stats: QueryStats | None = None, sort: bool = True):
-    j, ranks = _anchor_range(idx, pattern)
-    hits = _verify_candidates(idx.text, idx.sa_view, pattern, j, ranks,
-                              stats=stats, left=idx.left)
-    if sort:
-        hits.sort()
-    return hits
+    ranks = suffix_range(idx, pattern[j - 1:])
+    return j, ranks, _verify_candidates(idx.text, idx.sa_view, pattern, j,
+                                        ranks, stats, idx.left)
 
 
 def locate(idx: SamsamiIndex, pattern: bytes,
            stats: QueryStats | None = None) -> list[int]:
     """All occurrence positions of pattern in the text, ascending."""
-    return _locate_impl(idx, pattern, stats=stats)
+    hits = _query(idx, pattern, stats)[2]
+    hits.sort()
+    return hits
 
 
 def count(idx: SamsamiIndex, pattern: bytes,
           stats: QueryStats | None = None) -> int:
     """Number of occurrences of pattern in the text."""
-    return len(_locate_impl(idx, pattern, stats=stats, sort=False))
+    return len(_query(idx, pattern, stats)[2])

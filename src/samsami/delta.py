@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QueryStats, SamsamiIndex, _anchor_range, _verify_candidates
+from .core import QueryStats, SamsamiIndex, _query
 from .errors import TextTooLargeForDeltaVariant
 from .minimizer import prune_mask
 
@@ -60,16 +60,13 @@ def count2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,
 
 
 def _pruned_hits(idx, ann, pattern, stats):
-    j, ranks = _anchor_range(idx, pattern)
-    sa = idx.sa_view
-    hits = _verify_candidates(idx.text, sa, pattern, j, ranks, stats,
-                              idx.left)
-    lo, hi = ranks
+    j, (lo, hi), hits = _query(idx, pattern, stats)
     if stats is None or lo == hi:
         return hits
     # a pruned candidate skips its text verification
-    ruled_out = ~prune_mask(pattern, idx.params, j).table()[ann.delta[lo:hi]]
-    pruned = int(np.count_nonzero(ruled_out & (np.asarray(sa[lo:hi]) >= j)))
+    ruled_out = ~prune_mask(pattern, idx.params, j)[ann.delta[lo:hi]]
+    pruned = int(np.count_nonzero(ruled_out
+                                  & (np.asarray(idx.sa_view[lo:hi]) >= j)))
     stats.pruned += pruned
     stats.text_verifications -= pruned
     return hits

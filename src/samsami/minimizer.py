@@ -28,49 +28,6 @@ class SamplingParams:
             raise InvalidParams(f"need 1 <= p <= q, got q={self.q} p={self.p}")
 
 
-class PruneMask:
-    """Per-pattern verification filter for the delta-annotated variant:
-    mask[d] is False when a candidate carrying delta nibble d (0..15)
-    is a proven mismatch (see prune_mask).
-
-    mask[d] is True for d = 0 (no recorded predecessor) and for d >= j
-    (no pattern offset to test). Otherwise it is True exactly when the
-    p-gram at pattern offset g = j-d is a prefix-minimum record: the
-    leftmost smallest of the first g p-grams. Each read is one
-    leftmost-smallest scan; table() decides all 16 at once.
-    """
-
-    __slots__ = ("pattern", "p", "j")
-
-    def __init__(self, pattern: bytes, p: int, j: int):
-        self.pattern, self.p, self.j = pattern, p, j
-
-    def __getitem__(self, d: int) -> bool:
-        if not 0 <= d <= 15:
-            raise IndexError(f"delta {d} outside 0..15")
-        g = self.j - d
-        return (d == 0 or g < 1
-                or _leftmost_smallest(self.pattern, self.p, g) == g - 1)
-
-    def table(self) -> np.ndarray:
-        """All 16 decisions as a bool array indexed by the delta nibble."""
-        pattern, p, j = self.pattern, self.p, self.j
-        out = np.ones(16, dtype=bool)
-        out[1:j] = False
-        # The leftmost smallest of the first j-1 p-grams is the nearest
-        # record left of j, and the leftmost smallest of the grams
-        # before a record is the next one; only records within 15 of j
-        # fit a nibble.
-        starts = j - 1
-        while starts:
-            g = _leftmost_smallest(pattern, p, starts) + 1
-            if j - g > 15:
-                break
-            out[j - g] = True
-            starts = g - 1
-        return out
-
-
 def window_minimizer(s: bytes, p: int) -> int:
     """Return the 1-based start of the leftmost smallest p-gram of s."""
     if p < 1:
@@ -173,9 +130,10 @@ def _ranks(words: np.ndarray) -> np.ndarray:
 
 
 def prune_mask(pattern: bytes, params: SamplingParams,
-               j: int | None = None) -> PruneMask:
-    """The pattern's prune mask; no p-gram is compared until a distance
-    is read.
+               j: int | None = None) -> np.ndarray:
+    """The pattern's prune mask: a bool array indexed by the delta nibble
+    (0..15), False where a candidate carrying that nibble is a proven
+    mismatch.
 
     With the pattern's q-prefix minimizer at offset j, a candidate text
     alignment may show a sampled position d places earlier, at pattern
@@ -186,9 +144,9 @@ def prune_mask(pattern: bytes, params: SamplingParams,
     covers every fully-known p-gram left of g; the shortest one covers
     none right of g. g's p-gram therefore survives exactly when it is
     smaller than every p-gram before it (ties go to the leftmost): when
-    the leftmost smallest of the first j-d p-grams is the (j-d)-th. So
-    each distance is settled by one scan of the pattern's first j-d
-    p-grams, independently of the others.
+    it is a prefix-minimum record, the leftmost smallest of the first
+    j-d p-grams. d = 0 (no recorded predecessor) and d >= j (no pattern
+    offset to test) stay True.
 
     A caller that has already computed j, the q-prefix minimizer, may
     pass it to skip the second computation.
@@ -198,4 +156,16 @@ def prune_mask(pattern: bytes, params: SamplingParams,
         raise PatternTooShort(f"pattern length {len(pattern)} < q={q}")
     if j is None:
         j = window_minimizer(pattern[:q], p)
-    return PruneMask(pattern, p, j)
+    out = np.ones(16, dtype=bool)
+    out[1:j] = False
+    # The leftmost smallest of the first j-1 p-grams is the nearest
+    # record left of j, and the leftmost smallest of the grams before a
+    # record is the next one; only records within 15 of j fit a nibble.
+    starts = j - 1
+    while starts:
+        g = _leftmost_smallest(pattern, p, starts) + 1
+        if j - g > 15:
+            break
+        out[j - g] = True
+        starts = g - 1
+    return out

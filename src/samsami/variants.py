@@ -71,6 +71,9 @@ def from_bundle(bundle: persistence.IndexBundle,
 
         def count(pattern):
             return len(locate(pattern))
+    elif name in ("spasa", "sa"):
+        raise SamsamiError(f"variant {name!r} is built from the text, "
+                           "not read from an index file")
     else:
         section = {"samsami2": "delta", "samsami-hash": "hash",
                    "phrase": "phrase"}.get(name)

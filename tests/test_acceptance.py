@@ -24,7 +24,7 @@ from samsami import (QueryStats, SamplingParams, SamsamiIndex,
                      extract_sampled, load, locate, locate2, locate_hash,
                      min_pattern_length, naive_locate, prune_mask,
                      sampled_positions, sampling_ratio, spasa_build,
-                     spasa_count, spasa_locate)
+                     spasa_count, spasa_locate, window_minimizer)
 from samsami.baselines import SparseSuffixArray
 from samsami.cli import extract_patterns
 from samsami.persistence import serialized_bytes
@@ -263,10 +263,10 @@ def test_criterion_3_worked_examples():
                         n=24)
     assert list(annotate(stub).delta) == [0, 7, 2, 3, 5]
     mask = prune_mask(b"ctgccact", SamplingParams(5, 2))
-    assert mask.j == 4
-    assert mask[1] is False
-    assert mask[2] is False
-    assert mask[3] is True
+    assert window_minimizer(b"ctgcc", 2) == 4
+    assert not mask[1]
+    assert not mask[2]
+    assert mask[3]
     print("\nACCEPTANCE 3 PASS: delta list 0,7,2,3,5 and prune mask "
           "(j=4, 1/2 impossible, 3 possible) reproduced")
 

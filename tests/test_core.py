@@ -7,13 +7,13 @@ import threading
 import numpy as np
 import pytest
 
-from samsami import (MatchRange, PatternTooShort, QueryStats, SamplingParams,
-                     TextTooShort, annotate, build, build_bundle,
-                     build_full_sa, build_table, count, count_hash,
-                     encode_text, encoded_locate, load, locate, locate2,
-                     locate_hash, naive_locate, parse_phrases,
-                     sampled_positions, spasa_build, spasa_locate,
-                     suffix_range, window_minimizer)
+from samsami import (PatternTooShort, QueryStats, SamplingParams, TextTooShort,
+                     annotate, build, build_bundle, build_full_sa,
+                     build_table, count, count2, count_hash, encode_text,
+                     encoded_locate, load, locate, locate2, locate_hash,
+                     naive_locate, parse_phrases, sampled_positions,
+                     spasa_build, spasa_locate, suffix_range,
+                     window_minimizer)
 from samsami import core, hashindex
 from samsami.persistence import serialized_bytes
 
@@ -60,10 +60,10 @@ def test_too_short_text_has_one_message():
 
 
 def test_suffix_range_examples(abra_index):
-    assert suffix_range(abra_index, b"ab") == MatchRange(0, 2)
+    assert suffix_range(abra_index, b"ab") == (0, 2)
     lo, hi = suffix_range(abra_index, b"zz")
     assert lo == hi
-    assert suffix_range(abra_index, b"acad") == MatchRange(2, 3)
+    assert suffix_range(abra_index, b"acad") == (2, 3)
 
 
 def test_suffix_range_ignores_short_suffixes():
@@ -671,3 +671,33 @@ def test_anchor_at_pattern_start_skips_the_kernel(monkeypatch):
     assert locate(idx, b"ababab", stats) == naive_locate(text, b"ababab")
     assert stats.candidates >= core._VECTOR_MIN_CANDIDATES
     assert stats.text_verifications == 0
+
+
+def test_one_suffix_range_call_per_query(monkeypatch):
+    # perfbench's core.search_us is the time per suffix_range call and
+    # stands for one search per samsami or samsami2 query, with or
+    # without QueryStats, absent patterns and empty ranges included
+    calls = []
+    original = core.suffix_range
+
+    def counted(idx, seq):
+        calls.append(seq)
+        return original(idx, seq)
+
+    monkeypatch.setattr(core, "suffix_range", counted)
+    rng = random.Random(0x51F7)
+    text = random_text(rng, 3000, 4)
+    idx = build(text, SamplingParams(8, 2))
+    ann = annotate(idx)
+    patterns = [text[i:i + 12] for i in range(0, 2900, 97)]
+    patterns += [random_text(rng, 12, 4) for _ in range(10)]
+    asks = [lambda pattern, st: locate(idx, pattern, st),
+            lambda pattern, st: count(idx, pattern, st),
+            lambda pattern, st: locate2(idx, ann, pattern, st),
+            lambda pattern, st: count2(idx, ann, pattern, st)]
+    for ask in asks:
+        for pattern in patterns:
+            for stats in (None, QueryStats()):
+                calls.clear()
+                ask(pattern, stats)
+                assert len(calls) == 1, (pattern, stats)

@@ -188,17 +188,16 @@ def test_sampled_positions_every_window_width(p):
 
 def test_prune_mask_paper_example():
     mask = prune_mask(b"ctgccact", SamplingParams(5, 2))
-    assert mask.j == 4
-    assert mask[1] is False   # "gc" can never be a minimizer here
-    assert mask[2] is False   # neither can "tg"
-    assert mask[3] is True    # "ct" at the pattern start may be
+    assert window_minimizer(b"ctgcc", 2) == 4
+    assert not mask[1]  # "gc" can never be a minimizer here
+    assert not mask[2]  # neither can "tg"
+    assert mask[3]      # "ct" at the pattern start may be
 
 
 def test_prune_mask_minimizer_at_front():
     mask = prune_mask(b"aazzzzzz", SamplingParams(4, 2))
-    assert mask.j == 1
-    assert list(mask) == [True] * 16  # no offset left of j to test
-    assert mask.table().all()
+    assert window_minimizer(b"aazz", 2) == 1
+    assert mask.tolist() == [True] * 16  # no offset left of j to test
 
 
 def test_prune_mask_errors():
@@ -223,13 +222,14 @@ def test_prune_mask_is_sound():
         i = rng.randint(1, n - m + 1)
         pattern = text[i - 1:i - 1 + m]
         mask = prune_mask(pattern, SamplingParams(q, p))
-        s = i + mask.j - 1
+        j = window_minimizer(pattern[:q], p)
+        s = i + j - 1
         assert s in pos  # every occurrence is reachable
         at = pos.index(s)
         if at == 0:
             continue
         d = s - pos[at - 1]
-        if 1 <= d <= min(15, mask.j - 1):
+        if 1 <= d <= min(15, j - 1):
             assert mask[d], (text, pattern, q, p, d)
             checked += 1
     assert checked > 20
@@ -243,9 +243,10 @@ def test_prune_mask_distances_within_cap(seed, q, p):
     rng = random.Random(seed)
     pattern = random_text(rng, q + 4, 4)
     mask = prune_mask(pattern, SamplingParams(q, p))
+    j = window_minimizer(pattern[:q], p)
+    assert mask.dtype == bool and mask.shape == (16,)
     # only d in 1..min(15, j-1) has a pattern offset to test
-    assert all(mask[d] for d in range(16) if d == 0 or d >= mask.j)
-    assert list(mask) == mask.table().tolist()
+    assert all(mask[d] for d in range(16) if d == 0 or d >= j)
 
 
 def _prune_possible_reference(pattern, q, p):
@@ -283,35 +284,31 @@ def test_prune_mask_matches_window_reference():
         pattern = random_text(rng, q + rng.randint(0, 10), alphabet)
         mask = prune_mask(pattern, SamplingParams(q, p))
         reference = _prune_possible_reference(pattern, q, p)
-        assert list(mask) == [reference.get(d, True) for d in range(16)], (
+        assert mask.tolist() == [reference.get(d, True) for d in range(16)], (
             pattern, q, p)
-        given_j = prune_mask(pattern, SamplingParams(q, p), mask.j)
-        assert given_j.j == mask.j
-        assert list(given_j) == list(mask) == mask.table().tolist()
+        j = window_minimizer(pattern[:q], p)
+        given_j = prune_mask(pattern, SamplingParams(q, p), j)
+        assert given_j.tolist() == mask.tolist()
 
 
 def test_prune_mask_distances_decided_one_at_a_time():
-    # each read of a fresh mask decides one distance on its own; it must
-    # agree with the one-pass table, the eager reference and the direct
-    # statement, whichever distances were read before it
+    # the one-pass table, given j or not, must agree with the eager
+    # reference and with the direct statement at every distance
     rng = random.Random(0x1A2F)
     for q in range(2, 46):
         for p in range(1, min(4, q) + 1):
             for alphabet in (2, 3, 4, 26, 256):
                 pattern = random_text(rng, q + rng.randint(0, 6), alphabet)
                 params = SamplingParams(q, p)
-                table = prune_mask(pattern, params).table()
+                table = prune_mask(pattern, params).tolist()
                 j = window_minimizer(pattern[:q], p)
                 expect = reference_prune_table(pattern, p, j)
-                assert table.tolist() == expect, (pattern, q, p)
+                assert table == expect, (pattern, q, p)
+                assert prune_mask(pattern, params, j).tolist() == expect
                 reference = _prune_possible_reference(pattern, q, p)
-                order = list(range(16))
-                rng.shuffle(order)
-                shared = prune_mask(pattern, params)
-                for d in order:
-                    fresh = prune_mask(pattern, params, j)[d]
-                    assert fresh == shared[d] == expect[d] == \
-                        reference.get(d, True), (pattern, q, p, d)
+                for d in range(16):
+                    assert expect[d] == reference.get(d, True), (
+                        pattern, q, p, d)
 
 
 def test_prune_mask_decides_nothing_until_read(monkeypatch):
@@ -323,26 +320,12 @@ def test_prune_mask_decides_nothing_until_read(monkeypatch):
         return original(s, p, starts)
 
     monkeypatch.setattr(minimizer, "_leftmost_smallest", counted)
-    pattern = b"ctgccact"
-    mask = prune_mask(pattern, SamplingParams(5, 2), 4)
-    assert calls == []
-    assert mask[0] and mask[4] and mask[15]
-    assert calls == []  # d = 0 and d >= j need no p-gram
-    assert mask[2] is False
-    assert calls == [2]  # one scan of the first j-2 p-grams
-    calls.clear()
     # "ct" is the only record among "ct", "tg", "gc": the table walks to
-    # it with one scan, and no scan is left once it reaches offset 1
-    assert mask.table().tolist() == [True, False, False] + [True] * 13
+    # it with one scan, and no scan is left once it reaches offset 1; a
+    # given j is not computed again
+    mask = prune_mask(b"ctgccact", SamplingParams(5, 2), 4)
+    assert mask.tolist() == [True, False, False] + [True] * 13
     assert calls == [3]
-
-
-@pytest.mark.parametrize("d", [-1, 16, 1 << 40])
-def test_prune_mask_reads_outside_the_nibble_raise(d):
-    mask = prune_mask(b"ctgccact", SamplingParams(5, 2))
-    with pytest.raises(IndexError):
-        mask[d]
-    assert len(list(mask)) == 16  # iteration stops at the first raise
 
 
 def _repetitive_text(rng: random.Random, n: int, alphabet: int) -> bytes:

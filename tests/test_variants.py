@@ -87,9 +87,14 @@ def test_from_bundle_rejects_missing_sections_and_unknown_names():
     for name, message in [("phrase", "index has no phrase section"),
                           ("samsami2", "index has no delta section"),
                           ("samsami-hash", "index has no hash section"),
+                          ("sa", "variant 'sa' is built from the text, "
+                                 "not read from an index file"),
+                          ("spasa", "variant 'spasa' is built from the text, "
+                                    "not read from an index file"),
                           ("fm-index", "unknown variant 'fm-index'")]:
         with pytest.raises(SamsamiError, match=message):
             from_bundle(bundle, name)
+
 
 def test_build_variants_rejects_an_unknown_name_before_building(monkeypatch):
     def refuse(*args):
