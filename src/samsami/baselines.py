@@ -14,15 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (QueryStats, _fences, _left_column, _prefix_range,
-                   _verify_candidates)
+from .core import (_BIG_U8, QueryStats, _fences, _heads, _left_column,
+                   _prefix_range, _verify_candidates)
 from .errors import InvalidParams, PatternTooShort
 from .suffix_sort import build_full_sa, sort_starts
-
-
-# positional arguments and a dtype object: ndarray's keywords and a dtype
-# string cost about 1 us per call
-_BIG_U8 = np.dtype(">u8")
 
 
 def naive_locate(text: bytes, pattern: bytes) -> list[int]:
@@ -106,12 +101,7 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
         hits.sort()
         return hits
     if spasa.heads is None:
-        # words[s] packs text[s-1:s+7], so the 1-based sa indexes it as
-        # is; one gather, then its bytes are swapped in place to native
-        words = np.ndarray((len(text) + 1,), _BIG_U8,
-                           bytes(1) + text + bytes(7), 0, (1,))
-        heads = words[spasa.sa].byteswap(inplace=True)
-        spasa.heads = heads.view(heads.dtype.newbyteorder())
+        spasa.heads = _heads(text, spasa.sa)
     # row 0 packs each seq[:8] padded with 0x00, row 1 padded with 0xFF
     keys = np.ndarray((2, step), _BIG_U8, pattern + bytes(7) + pattern
                       + b"\xff" * 7, 0, (m + 7, 1)).astype(np.uint64)

@@ -31,21 +31,25 @@ class DeltaAnnotation:
     delta: np.ndarray = field(repr=False)
 
 
-def annotate(idx: SamsamiIndex) -> DeltaAnnotation:
-    """Compute per-entry distances to the previous sampled position."""
+def annotate(idx: SamsamiIndex,
+             ascending: np.ndarray | None = None) -> DeltaAnnotation:
+    """Compute per-entry distances to the previous sampled position.
+
+    ascending, the index's positions sorted, spares the sort when the
+    caller has it.
+    """
     if idx.n > MAX_DELTA_TEXT:
         raise TextTooLargeForDeltaVariant(
             f"text of {idx.n} bytes exceeds the {MAX_DELTA_TEXT} delta limit")
-    sa = idx.sa.astype(np.int64)
-    order = np.argsort(sa, kind="stable")
-    text_order = sa[order]
-    gaps = np.zeros(len(sa), dtype=np.int64)
-    if len(sa) > 1:
-        gaps[1:] = text_order[1:] - text_order[:-1]
-    gaps[(gaps < 1) | (gaps > 15)] = 0
-    delta = np.zeros(len(sa), dtype=np.uint8)
-    delta[order] = gaps.astype(np.uint8)
-    return DeltaAnnotation(delta=delta)
+    if ascending is None:
+        ascending = np.sort(idx.sa)
+    gaps = np.diff(ascending, prepend=ascending[:1])  # the first gets 0
+    gaps[gaps > 15] = 0
+    # each gap goes to its position, and from there to its rank; intp
+    # indices and uint8 values take numpy's fast scatter
+    by_position = np.zeros(idx.n + 1, dtype=np.uint8)
+    by_position[ascending.astype(np.intp)] = gaps.astype(np.uint8)
+    return DeltaAnnotation(delta=by_position.take(idx.sa))
 
 
 def locate2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (QueryStats, SamsamiIndex, _fences, _prefix_range,
-                   _verify_candidates)
+from .core import (QueryStats, SamsamiIndex, _fences, _heads,
+                   _prefix_range, _verify_candidates)
 from .errors import InvalidParams, PatternTooShort
 from .minimizer import _gram_keys, window_minimizer
 
@@ -51,21 +51,27 @@ def build_table(idx: SamsamiIndex, k: int) -> PrefixRangeTable:
     """
     if k < 1:
         raise InvalidParams(f"prefix length k must be >= 1, got {k}")
-    text, sa, n = idx.text, idx.sa, idx.n
-    # ranks of the sampled suffixes with at least k bytes, and the rank of
-    # each one's k-byte prefix among all k-grams of the text
-    ranks = np.flatnonzero(sa <= n - k + 1)
-    head = np.ones(len(ranks), dtype=bool)
-    if len(ranks):
-        keys = _gram_keys(text, k, n - k + 1)[sa[ranks] - 1]
-        # a group starts where the prefix changes; no shorter suffix lies
-        # inside a group, since one between two suffixes that share k
-        # bytes would share them too
-        head[1:] = keys[1:] != keys[:-1]
-    los = ranks[head]
-    # each group ends just before the next head, the last at the last rank
-    his = ranks[np.roll(head, -1)] + 1
-    slots = np.stack([los, his], axis=1).astype(np.uint32)
+    text, sa = idx.text, idx.sa
+    long = sa <= max(idx.n - k + 1, 0)  # the suffixes of k bytes or more
+    # same[r]: the suffixes at ranks r and r + 1 are long and agree on k
+    # bytes: their first min(k, 8) bytes, then, for the pairs still equal
+    # when k > 8, the ranks of their k-grams
+    heads = _heads(text, sa)
+    heads >>= np.uint64(64 - 8 * min(k, 8))
+    same = long[1:] & long[:-1] & (heads[1:] == heads[:-1])
+    if k > 8 and same.any():
+        pairs = np.flatnonzero(same)
+        keys = _gram_keys(text, k, idx.n - k + 1)
+        same[pairs] = keys[sa[pairs] - 1] == keys[sa[pairs + 1] - 1]
+    # a run starts at each rank that shares nothing with the one before
+    # and ends where the next starts; a short suffix is a run of its own
+    head = np.ones(len(sa), dtype=bool)
+    head[1:] = ~same
+    runs = np.flatnonzero(head)
+    ends = np.roll(runs, -1)
+    ends[-1:] = len(sa)
+    keep = long[runs]
+    slots = np.stack([runs[keep], ends[keep]], axis=1).astype(np.uint32)
     return PrefixRangeTable(k=k, slots=slots)
 
 

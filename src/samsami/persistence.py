@@ -295,30 +295,16 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
     at += _packed_size(n_sampled, width)
     nibbles = None
     if flags & FLAG_DELTA:
-        b = width - 4
-        nibbles = (positions >> np.uint32(b)).astype(np.uint8)
-        # one sort gives the positions and, in the low 4 bits of
-        # (offset << (32 - b)) | nibble, their nibbles in text order
-        keyed = np.sort((positions << np.uint32(32 - b)) | nibbles)
-        ascending = (keyed >> np.uint32(32 - b)) + np.uint32(1)
-        positions &= np.uint32((1 << b) - 1)
+        nibbles = (positions >> np.uint32(width - 4)).astype(np.uint8)
+        positions &= np.uint32((1 << (width - 4)) - 1)
     # at 32 bits, offset 0xFFFFFFFF wraps to position 0
     positions += np.uint32(1)
-    if nibbles is None:
-        ascending = np.sort(positions)
+    ascending = np.sort(positions)
     if len(ascending) and (int(ascending[-1]) > n or int(ascending[0]) == 0):
         raise CorruptIndex("offset beyond the end of the text")
     # a position named twice would count its occurrences twice
     if (ascending[1:] == ascending[:-1]).any():
         raise CorruptIndex("offsets name a position more than once")
-    if nibbles is not None:
-        # a wrong nibble prunes an occurrence that is there
-        gaps = np.zeros(len(ascending), dtype=np.uint32)
-        np.subtract(ascending[1:], ascending[:-1], out=gaps[1:])
-        gaps[gaps > 15] = 0
-        if (gaps != (keyed & np.uint32(15))).any():
-            raise CorruptIndex("delta nibbles differ from the gaps between "
-                               "sampled positions")
     # Only the first window can select position 1, and no later check
     # sees it: the phrase starts are the same with or without it.
     if ((len(ascending) > 0 and int(ascending[0]) == 1)
@@ -326,40 +312,35 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         raise CorruptIndex("offsets disagree with the first window on "
                            "whether position 1 is sampled")
 
+    # The nibbles and the hash rows are functions of the offsets: each
+    # must be exactly what the builder computes from them.
     idx = SamsamiIndex(text=text, params=params, sa=positions, n=n)
     bundle = IndexBundle(index=idx)
     if nibbles is not None:
-        bundle.delta = DeltaAnnotation(delta=nibbles)
+        bundle.delta = annotate(idx, ascending)
+        if not np.array_equal(bundle.delta.delta, nibbles):
+            raise CorruptIndex("delta nibbles differ from the gaps between "
+                               "sampled positions")
 
     if flags & FLAG_HASH:
         _need(data, at, 8)
         (count,) = _U64.unpack_from(data, at)
         at += 8
         _need(data, at, 8 * count)
-        slots = np.frombuffer(data, dtype="<u4", count=2 * count, offset=at)
-        slots = slots.reshape(count, 2).copy()
+        rows = np.frombuffer(data, dtype="<u4", count=2 * count,
+                             offset=at).reshape(count, 2)
         at += 8 * count
-        lo, hi = slots.T
-        if (hi > n_sampled).any():
-            raise CorruptIndex("hash range beyond the sampled array")
-        if (lo >= hi).any():
-            raise CorruptIndex("hash range with lo >= hi")
-        # ascending, disjoint rows of exact groups are distinct groups
-        behind = lo[1:] < hi[:-1]
-        if behind.any():
-            row = int(np.argmax(behind)) + 1
-            how = ("overlaps" if lo[row] > lo[row - 1] else
-                   "repeats" if lo[row] == lo[row - 1] else "precedes")
-            raise CorruptIndex(f"hash row {row} {how} the row before it")
-        if not _one_prefix_each(text, positions, lo, hi, k):
-            raise CorruptIndex(f"hash ranges are not the groups of "
-                               f"{k}-byte suffix prefixes")
-        # then they miss no group only if they hold every suffix of k
-        # bytes or more
-        if (int((hi - lo).sum())
-                != int(np.count_nonzero(positions <= n - k + 1))):
-            raise CorruptIndex(f"hash rows miss a {k}-byte prefix group")
-        bundle.table = PrefixRangeTable(k=k, slots=slots)
+        bundle.table = build_table(idx, k)
+        groups = bundle.table.slots
+        if count != len(groups):
+            raise CorruptIndex(f"{count} hash rows for the {len(groups)} "
+                               f"groups of {k}-byte suffix prefixes")
+        differ = np.flatnonzero((rows != groups).any(axis=1))
+        if len(differ):
+            row = int(differ[0])
+            raise CorruptIndex(f"hash row {row} is {rows[row].tolist()} "
+                               f"where the groups of {k}-byte suffix "
+                               f"prefixes give {groups[row].tolist()}")
 
     if flags & FLAG_PHRASE:
         # the phrase section is the file's last: it runs to the end
@@ -368,38 +349,6 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
     elif at != len(data):
         raise CorruptIndex(f"{len(data) - at} bytes after the last section")
     return bundle
-
-
-def _one_prefix_each(text: bytes, sa: np.ndarray, lo: np.ndarray,
-                     hi: np.ndarray, k: int) -> bool:
-    """Whether each rank range [lo, hi) of the sorted suffix positions sa
-    is exactly the ranks whose suffixes start with one k-byte string.
-
-    The suffixes at lo and hi-1 must have k bytes and agree on them, and
-    the neighbours at lo-1 and hi, where they exist, must be shorter
-    than k or differ from them within k bytes. One byte gather per
-    prefix offset checks every range at once.
-    """
-    if not len(lo):  # nothing to check, and k may be anything
-        return True
-    last = len(text) - k + 1  # the last start of a suffix with k bytes
-    padded = np.append(sa, 0).astype(np.int64)  # rank -1 and n' read 0
-    lo = lo.astype(np.int64)
-    hi = hi.astype(np.int64)
-    # per range: its first and last suffix, then the two neighbours
-    rows = padded[np.stack([lo, hi - 1, lo - 1, hi])]
-    if (rows[:2] > last).any():
-        return False
-    # a missing or shorter neighbour cannot share the prefix: it reads
-    # the range's first suffix instead and is excused
-    short = (rows < 1) | (rows > last)
-    starts = np.where(short, rows[:1], rows) - 1
-    same = np.ones(rows.shape, dtype=bool)
-    symbols = np.frombuffer(text, dtype=np.uint8)
-    for t in range(k):
-        heads = symbols[starts + t]
-        same &= heads == heads[0]
-    return bool((same[1] & (short[2:] | ~same[2:]).all(axis=0)).all())
 
 
 def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,

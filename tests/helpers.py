@@ -149,6 +149,19 @@ def reference_build_table(text: bytes, sa, k: int) -> np.ndarray:
     return np.array(rows, dtype=np.uint32).reshape(len(rows), 2)
 
 
+def reference_annotate(positions) -> list[int]:
+    """Reference for delta.annotate: one nibble per sampled position, in
+    the given order, found by scanning every other position for the
+    nearest smaller one; the distance back to it, 0 when there is none
+    or it exceeds 15."""
+    out = []
+    for s in positions:
+        before = [t for t in positions if t < s]
+        gap = s - max(before) if before else 0
+        out.append(gap if gap <= 15 else 0)
+    return out
+
+
 def brute_suffix_array(text: bytes) -> list[int]:
     """Comparison sort of all suffixes (implicit smallest sentinel)."""
     return sorted(range(1, len(text) + 1), key=lambda i: text[i - 1:])

@@ -11,7 +11,7 @@ from samsami import core, delta
 from samsami.core import _VECTOR_MIN_CANDIDATES, SamsamiIndex
 from samsami.delta import MAX_DELTA_TEXT
 
-from helpers import random_text, reference_locate2
+from helpers import random_text, reference_annotate, reference_locate2
 
 
 def _index_with_positions(positions, n):
@@ -44,6 +44,27 @@ def test_annotate_gap_above_fifteen_becomes_zero():
     assert list(ann.delta) == [0, 0]
     ann = annotate(_index_with_positions([1, 16], 20))
     assert list(ann.delta) == [0, 15]
+
+
+def test_annotate_matches_reference_loop():
+    # one sample (at position 1 and elsewhere), gaps of 15 and 16 on
+    # either side of the cut to 0, then random sample sets in rank order
+    cases = {(1,): [0], (7,): [0], (16, 1): [15, 0], (1, 17): [0, 0],
+             (31, 1, 16, 47): [15, 0, 15, 0]}
+    for positions, nibbles in cases.items():
+        assert reference_annotate(positions) == nibbles
+    rng = random.Random(0xA11)
+    for _ in range(60):
+        n = rng.randint(1, 200)
+        spread = rng.choice([2, 8, 16, 24])
+        positions = sorted({rng.randint(1, n)
+                            for _ in range(max(1, n // spread))})
+        rng.shuffle(positions)
+        cases[tuple(positions)] = reference_annotate(positions)
+    for positions, nibbles in cases.items():
+        got = annotate(_index_with_positions(list(positions),
+                                             max(positions) + 3))
+        assert got.delta.tolist() == nibbles, positions
 
 
 def test_annotate_text_size_limit():

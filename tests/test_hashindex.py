@@ -126,19 +126,30 @@ def test_locate_hash_equals_locate_randomized():
 
 def test_build_table_matches_reference_loop():
     # the numpy grouping must give the per-suffix loop's slots byte for
-    # byte, over every alphabet size (0x00 included), k from 1 to 17,
-    # k = n, and k beyond the text
+    # byte, over every alphabet size (0x00 included), k from 1 to 24
+    # across the 8-byte word boundaries, k = n, and k beyond the text;
+    # then over texts that repeat a block, whose neighbours share far
+    # more than the first 8 bytes, some fewer than k
     rng = random.Random(0x7AB1)
+    cases = []
     for alphabet in (1, 2, 4, 26, 256):
         for _ in range(10):
             n = rng.randint(1, 300)
             q = rng.randint(1, min(n, 12))
             p = rng.randint(1, q)
             text = random_text(rng, n, alphabet)
-            idx = build(text, SamplingParams(q, p))
-            for k in (*range(1, 10), 12, 17, n, n + 1):
-                table = build_table(idx, k)
-                expect = reference_build_table(text, idx.sa, k)
-                assert table.capacity == len(expect), (text, q, p, k)
-                assert table.slots.tobytes() == expect.tobytes(), (
-                    text, q, p, k)
+            cases.append((text, q, p, (*range(1, 10), 12, 16, 17, 24, n,
+                                       n + 1)))
+    for alphabet in (1, 2, 4):
+        for _ in range(4):
+            block = random_text(rng, rng.randint(70, 120), alphabet)
+            text = block + block + random_text(rng, rng.randint(0, 40),
+                                               alphabet)
+            cases.append((text, 4, 2, (64, 65, 72, 100, 130)))
+    for text, q, p, ks in cases:
+        idx = build(text, SamplingParams(q, p))
+        for k in ks:
+            table = build_table(idx, k)
+            expect = reference_build_table(text, idx.sa, k)
+            assert table.capacity == len(expect), (text, q, p, k)
+            assert table.slots.tobytes() == expect.tobytes(), (text, q, p, k)

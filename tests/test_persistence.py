@@ -511,7 +511,10 @@ _RANDOM_HASHED_TEXT = random_text(random.Random(0x3A7), 400, 4)
     # the rewritten k made count_hash(b"abracadabra") answer 0, not 55
     (_HASHED_TEXT, SamplingParams(6, 2), 2),
     (_RANDOM_HASHED_TEXT, SamplingParams(8, 2), 4),
-], ids=["lowered", "raised"])
+    # no sampled suffix has k bytes, so the rows belong to no group
+    (_HASHED_TEXT, SamplingParams(6, 2), len(_HASHED_TEXT) + 1),
+    (_HASHED_TEXT, SamplingParams(6, 2), 2**31),
+], ids=["lowered", "raised", "past-the-text", "2**31"])
 def test_hash_k_rewritten_rejected(text, params, header_k):
     data = bytearray(serialized_bytes(build_bundle(text, params, hash_k=3)))
     assert load(io.BytesIO(bytes(data)), text).table.k == 3
@@ -545,6 +548,24 @@ def test_hash_k_raised_onto_equal_groups_loads_exact():
     assert len(locate_hash(back.index, back.table, b"abracadabra")) == 55
 
 
+def test_unary_hash_file_with_long_keys_loads_exact(tmp_path):
+    # every sampled suffix of 1,024 bytes or more agrees with its
+    # neighbour on all of them, so each pair stays equal through the
+    # first 8 bytes and then through the 1,024-gram ranks, at build and
+    # again at load
+    text = b"a" * 4096
+    bundle = build_bundle(text, SamplingParams(8, 2), hash_k=1024)
+    assert len(bundle.table.slots) == 1
+    save(bundle, tmp_path / "unary.ssmi")
+    back = load(tmp_path / "unary.ssmi", text)
+    assert back.table.slots.tolist() == bundle.table.slots.tolist()
+    for m in (1030, 1031, 2048, 4095, 4096):
+        for pattern in (b"a" * m, b"a" * (m - 1) + b"b",
+                        b"b" + b"a" * (m - 1)):
+            assert locate_hash(back.index, back.table, pattern) == \
+                naive_locate(text, pattern)
+
+
 # row 10 of this table's 3-byte groups ends where row 11 begins
 _ROWS_TEXT = random_text(random.Random(0x3A8), 3000, 4)
 _ROWS_BUNDLE = build_bundle(_ROWS_TEXT, SamplingParams(8, 2), hash_k=3)
@@ -566,8 +587,8 @@ def _edited_rows(change: str) -> np.ndarray:
 
 
 @pytest.mark.parametrize("change, message", [
-    ("out-of-order", "hash row 11 precedes the row before it"),
-    ("overlapping", "hash row 11 overlaps the row before it"),
+    ("out-of-order", r"hash row 10 is \[466, 509\] where"),
+    ("overlapping", r"hash row 10 is \[434, 467\] where"),
 ], ids=["out-of-order", "overlapping"])
 def test_hash_rows_out_of_order_or_overlapping_rejected(change, message):
     # each row is still one whole group, or only overlaps its neighbour;
@@ -579,9 +600,9 @@ def test_hash_rows_out_of_order_or_overlapping_rejected(change, message):
 
 @pytest.mark.parametrize("change, message", [
     # patterns anchored on the missing group would answer 0
-    ("emptied", "hash rows miss a 3-byte prefix group"),
+    ("emptied", "36 hash rows for the 37 groups of 3-byte"),
     # misses no answer, but the file is not one build_table writes
-    ("doubled", "hash row 11 repeats the row before it"),
+    ("doubled", "38 hash rows for the 37 groups of 3-byte"),
 ], ids=["emptied", "doubled"])
 def test_hash_group_missing_or_doubled_rejected(change, message):
     with pytest.raises(CorruptIndex, match=message):
@@ -598,7 +619,8 @@ def test_hash_slot_with_empty_range_rejected(shift):
     lo = int(bundle.table.slots[-1, 0])
     assert lo > 0
     struct.pack_into("<I", data, len(data) - 4, lo + shift)
-    with pytest.raises(CorruptIndex, match="lo >= hi"):
+    with pytest.raises(CorruptIndex,
+                       match=rf"hash row 3 is \[{lo}, {lo + shift}\] where"):
         load(io.BytesIO(reseal(data)), _HASHED_TEXT)
 
 
@@ -771,7 +793,7 @@ def test_crc_mismatch_rejected():
     with pytest.raises(TextMismatch):
         load(io.BytesIO(bytes(data)), b"abracadabrX")
     # past the crc, the structural checks read every hash byte
-    with pytest.raises(CorruptIndex, match="beyond the sampled array"):
+    with pytest.raises(CorruptIndex, match="hash row 2 is"):
         load(io.BytesIO(reseal(data)), ABRA)
 
 
