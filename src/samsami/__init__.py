@@ -15,8 +15,7 @@ from .core import (QueryStats, SamsamiIndex, build, count, locate,
 from .delta import DeltaAnnotation, annotate, count2, locate2
 from .errors import (CorruptEncoding, CorruptIndex, InvalidParams,
                      PatternTooShort, SamsamiError, TextMismatch,
-                     TextTooLargeForDeltaVariant, TextTooShort,
-                     UnsupportedFormat)
+                     TextTooShort, UnsupportedFormat)
 from .hashindex import (PrefixRangeTable, build_table, count_hash,
                         locate_hash, min_pattern_length)
 from .minimizer import (SamplingParams, prune_mask, sampled_positions,
@@ -47,7 +46,6 @@ __all__ = [
     "IndexBundle", "build_bundle", "save", "load",
     "Variant", "from_bundle", "build_variants",
     "SamsamiError", "InvalidParams", "TextTooShort", "PatternTooShort",
-    "TextTooLargeForDeltaVariant", "UnsupportedFormat", "CorruptIndex",
-    "TextMismatch", "CorruptEncoding",
+    "UnsupportedFormat", "CorruptIndex", "TextMismatch", "CorruptEncoding",
     "__version__",
 ]

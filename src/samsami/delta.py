@@ -6,9 +6,9 @@ The pattern's prune mask proves a candidate with an infeasible distance
 a mismatch without reading the text. Pruning only drops mismatches, so
 answers go through core's kernel and only a query given QueryStats
 builds the mask, to count the pruned candidates: in pure Python the mask
-costs more than the compares it saves. An index file keeps the 4 bits
-above the position bits of each offset field, which holds at most 32
-bits, so texts are capped at 2^28 bytes.
+costs more than the compares it saves. The nibbles are held in memory
+only, one byte per entry: an index file keeps just the delta flag, and
+loading recomputes them from the offsets.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import QueryStats, SamsamiIndex, _query
-from .errors import TextTooLargeForDeltaVariant
 from .minimizer import prune_mask
-
-MAX_DELTA_TEXT = 1 << 28  # position bits left beside the nibble in 32
 
 
 @dataclass(eq=False)
@@ -38,9 +35,6 @@ def annotate(idx: SamsamiIndex,
     ascending, the index's positions sorted, spares the sort when the
     caller has it.
     """
-    if idx.n > MAX_DELTA_TEXT:
-        raise TextTooLargeForDeltaVariant(
-            f"text of {idx.n} bytes exceeds the {MAX_DELTA_TEXT} delta limit")
     if ascending is None:
         ascending = np.sort(idx.sa)
     gaps = np.diff(ascending, prepend=ascending[:1])  # the first gets 0

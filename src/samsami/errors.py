@@ -17,10 +17,6 @@ class PatternTooShort(SamsamiError):
     """The pattern is shorter than the variant's minimum query length."""
 
 
-class TextTooLargeForDeltaVariant(SamsamiError):
-    """Texts above 2^28 bytes cannot carry 4-bit deltas in 32-bit offsets."""
-
-
 class UnsupportedFormat(SamsamiError):
     """Index file magic or version not recognized."""
 

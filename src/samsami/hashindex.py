@@ -2,9 +2,10 @@
 
 The sampled suffixes are grouped by their first k bytes, so a query
 starts its binary search from its group's rank interval instead of the
-whole array. A query looks the group up in a dict. Index files store
-only the groups' (lo, hi) rank ranges, one row per group in rank
-order; a group's key is the first k bytes of the suffix at its lo.
+whole array. A query looks the group up in a dict. The table holds the
+groups' (lo, hi) rank ranges, one row per group in rank order; a
+group's key is the first k bytes of the suffix at its lo. Index files
+store only k, and loading recomputes the rows from the offsets.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .minimizer import _gram_keys, window_minimizer
 class PrefixRangeTable:
     """Map from k-byte prefixes to sa rank ranges.
 
-    slots holds one (lo, hi) row per group in rank order, the rows an
-    index file stores. Queries read groups, a dict from each row's key
-    to lo << 32 | hi, which the first search builds and nothing stores,
-    as with SamsamiIndex.fences (no lock needed).
+    slots holds one (lo, hi) row per group in rank order. Queries read
+    groups, a dict from each row's key to lo << 32 | hi, which the first
+    search builds and nothing stores, as with SamsamiIndex.fences (no
+    lock needed).
     """
 
     k: int
@@ -36,7 +37,7 @@ class PrefixRangeTable:
 
     @property
     def capacity(self) -> int:
-        """Rows stored; every row is occupied, as perfbench reads them."""
+        """Rows held; every row is occupied, as perfbench reads them."""
         return len(self.slots)
 
     occupied = capacity

@@ -1,21 +1,20 @@
 """Index file serialization.
 
-Layout of version 4, the one version written and read (all integers
+Layout of version 5, the one version written and read (all integers
 little-endian):
 
     magic   4 bytes  "SSMI"
-    version u32      4
-    flags   u32      bit0 delta nibbles, bit1 hash table, bit2 phrase section
+    version u32      5
+    flags   u32      bit0 delta annotation, bit1 hash table, bit2 phrase
+                     section
     q, p, k u32      sampling params; k = 0 when no hash table
     n       u64      text length
     n'      u32      number of sampled suffixes
     crc32   u32      zlib.crc32 of every file byte except these four
     digest  u64      blake2b of the text, 8-byte digest (the text itself
                      is not stored)
-    offsets n' fields of b = max(1, (n - 1).bit_length()) bits, 4 more
-            with bit0: (delta << b) | (position - 1); delta 0 unless bit0
-    [hash]  group count u64, then one (lo u32, hi u32) rank range per
-            k-byte prefix group, in rank order
+    offsets n' fields of b = max(1, (n - 1).bit_length()) bits, each
+            position - 1
     [phrase] phrase count u32, then one q.bit_length()-bit length per
             phrase and the phrases' bytes back to back, both in id order,
             then stream length u64 + stream bytes
@@ -24,7 +23,11 @@ A run of w-bit fields is packed little-endian: field i holds bits
 [i * w, (i + 1) * w) of the run read as one little-endian number, and
 zero bits pad it to a whole byte. Eight fields fill exactly w bytes.
 
-Versions 1 to 3 are refused with UnsupportedFormat: since loading
+The delta nibbles and the hash groups are functions of the offsets, so
+the file keeps only their flags and k, and load computes them with the
+builder's own annotate and build_table.
+
+Versions 1 to 4 are refused with UnsupportedFormat: since loading
 needs the text, rebuilding the index from it replaces such a file.
 
 Loading requires the original text (digest-verified); a rebuilt index
@@ -51,7 +54,7 @@ from .phrase import (EncodedText, PhraseDictionary, _phrase_starts,
                      rebuild_positions)
 
 MAGIC = b"SSMI"
-VERSION = 4
+VERSION = 5
 FLAG_DELTA = 1
 FLAG_HASH = 2
 FLAG_PHRASE = 4
@@ -74,10 +77,9 @@ def offsets_file_bytes(n: int, count: int) -> int:
     return _HEADER.size + _packed_size(count, _offset_bits(n))
 
 
-def _offset_bits(n: int, delta: bool = False) -> int:
-    """Bits in each offsets field of the index file of an n-byte text,
-    the 4 nibble bits included when delta."""
-    return max(1, (n - 1).bit_length()) + 4 * delta
+def _offset_bits(n: int) -> int:
+    """Bits in each offsets field of the index file of an n-byte text."""
+    return max(1, (n - 1).bit_length())
 
 
 def _packed_size(count: int, width: int) -> int:
@@ -212,20 +214,13 @@ def _write(bundle: IndexBundle, fh) -> int:
         MAGIC, VERSION, bundle.flags, idx.params.q, idx.params.p, k, idx.n,
         n_sampled, 0, text_checksum(idx.text)))
 
-    width = _offset_bits(idx.n, bundle.delta is not None)
+    width = _offset_bits(idx.n)
     if width > 32:
         raise SamsamiError(f"a {idx.n}-byte text overflows the index "
                            "file's 32-bit offsets")
     offsets = idx.sa.astype(np.uint32)
     offsets -= np.uint32(1)
-    if bundle.delta is not None:
-        nibbles = bundle.delta.delta.astype(np.uint32)
-        offsets |= nibbles << np.uint32(width - 4)
     data += _pack(offsets, width)
-
-    if bundle.table is not None:
-        data += _U64.pack(len(bundle.table.slots))
-        data += bundle.table.slots.astype("<u4").tobytes()
 
     if bundle.dictionary is not None:
         phrases = bundle.dictionary.phrases
@@ -286,17 +281,13 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
     if not flags & FLAG_HASH and k:
         raise CorruptIndex(f"prefix length k={k} but no hash flag")
 
-    width = _offset_bits(n, flags & FLAG_DELTA)
+    width = _offset_bits(n)
     if width > 32:
         raise CorruptIndex(f"a {n}-byte text overflows the 32-bit offsets")
     at = _HEADER.size
     # the fields become the positions in place
     positions = _unpack(data, at, n_sampled, width)
     at += _packed_size(n_sampled, width)
-    nibbles = None
-    if flags & FLAG_DELTA:
-        nibbles = (positions >> np.uint32(width - 4)).astype(np.uint8)
-        positions &= np.uint32((1 << (width - 4)) - 1)
     # at 32 bits, offset 0xFFFFFFFF wraps to position 0
     positions += np.uint32(1)
     ascending = np.sort(positions)
@@ -312,35 +303,12 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         raise CorruptIndex("offsets disagree with the first window on "
                            "whether position 1 is sampled")
 
-    # The nibbles and the hash rows are functions of the offsets: each
-    # must be exactly what the builder computes from them.
     idx = SamsamiIndex(text=text, params=params, sa=positions, n=n)
     bundle = IndexBundle(index=idx)
-    if nibbles is not None:
+    if flags & FLAG_DELTA:
         bundle.delta = annotate(idx, ascending)
-        if not np.array_equal(bundle.delta.delta, nibbles):
-            raise CorruptIndex("delta nibbles differ from the gaps between "
-                               "sampled positions")
-
     if flags & FLAG_HASH:
-        _need(data, at, 8)
-        (count,) = _U64.unpack_from(data, at)
-        at += 8
-        _need(data, at, 8 * count)
-        rows = np.frombuffer(data, dtype="<u4", count=2 * count,
-                             offset=at).reshape(count, 2)
-        at += 8 * count
         bundle.table = build_table(idx, k)
-        groups = bundle.table.slots
-        if count != len(groups):
-            raise CorruptIndex(f"{count} hash rows for the {len(groups)} "
-                               f"groups of {k}-byte suffix prefixes")
-        differ = np.flatnonzero((rows != groups).any(axis=1))
-        if len(differ):
-            row = int(differ[0])
-            raise CorruptIndex(f"hash row {row} is {rows[row].tolist()} "
-                               f"where the groups of {k}-byte suffix "
-                               f"prefixes give {groups[row].tolist()}")
 
     if flags & FLAG_PHRASE:
         # the phrase section is the file's last: it runs to the end
@@ -396,7 +364,7 @@ def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,
     dictionary = PhraseDictionary(phrases=phrases, ids=ids,
                                   codewords=codeword_table(count))
     try:
-        encoded = rebuild_positions(dictionary, stream)
+        encoded = rebuild_positions(dictionary, stream, sizes)
     except SamsamiError as exc:
         raise CorruptIndex(f"phrase stream does not decode: {exc}") from exc
 

@@ -273,12 +273,12 @@ def decode_text(dictionary: PhraseDictionary, encoded: EncodedText) -> bytes:
     return bytes(out)
 
 
-def rebuild_positions(dictionary: PhraseDictionary, stream: bytes) -> EncodedText:
-    """Reconstruct the per-phrase metadata of a bare codeword stream."""
-    count = len(dictionary.phrases)
-    ids, offsets = _split_stream(stream, count)
-    spans = np.fromiter(map(len, dictionary.phrases), dtype=np.int64,
-                        count=count)[ids]
+def rebuild_positions(dictionary: PhraseDictionary, stream: bytes,
+                      sizes: np.ndarray) -> EncodedText:
+    """Reconstruct the per-phrase metadata of a bare codeword stream;
+    sizes holds each phrase's length, by id, as int64."""
+    ids, offsets = _split_stream(stream, len(dictionary.phrases))
+    spans = sizes[ids]
     np.cumsum(spans, out=spans)  # now each phrase's end in the text
     if len(spans) and int(spans[-1]) > 0xFFFFFFFF:
         raise CorruptEncoding("phrases span more than 2**32 bytes")

@@ -151,13 +151,14 @@ def reference_build_table(text: bytes, sa, k: int) -> np.ndarray:
 
 def reference_annotate(positions) -> list[int]:
     """Reference for delta.annotate: one nibble per sampled position, in
-    the given order, found by scanning every other position for the
-    nearest smaller one; the distance back to it, 0 when there is none
-    or it exceeds 15."""
+    the given order: the distance back to the nearest smaller position,
+    the one before it in the distinct positions sorted, 0 when there is
+    none or it exceeds 15."""
+    ranked = sorted(set(positions))
+    before = dict(zip(ranked[1:], ranked))
     out = []
     for s in positions:
-        before = [t for t in positions if t < s]
-        gap = s - max(before) if before else 0
+        gap = s - before[s] if s in before else 0
         out.append(gap if gap <= 15 else 0)
     return out
 
@@ -280,16 +281,17 @@ def unpack_fields(data: bytes, count: int, width: int) -> list[int]:
 def offsets_span(data: bytes) -> tuple[int, int, int]:
     """(n', field width in bits, end byte) of the offsets section of an
     index file: n' fields just wide enough for every offset 0..n-1 (one
-    bit at least), 4 bits wider with the delta flag, after the 48-byte
-    header."""
-    (flags,) = struct.unpack_from("<I", data, 8)
+    bit at least) after the 48-byte header, 4 bits wider with the delta
+    flag in a version-4 file."""
+    version, flags = struct.unpack_from("<2I", data, 4)
     n, count = struct.unpack_from("<QI", data, 24)
-    width = max(1, (n - 1).bit_length()) + (4 if flags & 1 else 0)
+    nibble = 4 if version == 4 and flags & 1 else 0
+    width = max(1, (n - 1).bit_length()) + nibble
     return count, width, 48 + -(-count * width // 8)
 
 
 def read_offsets(data: bytes) -> list[int]:
-    """The offsets fields of an index file, nibbles included."""
+    """The offsets fields of an index file, version-4 nibbles included."""
     count, width, _ = offsets_span(data)
     return unpack_fields(data[48:], count, width)
 
@@ -301,6 +303,30 @@ def with_offsets(data: bytes, fields) -> bytes:
     head = bytearray(data[:48])
     struct.pack_into("<I", head, 32, len(fields))
     return reseal(bytes(head) + pack_fields(fields, width) + data[end:])
+
+
+def as_version_4(data: bytes, text: bytes) -> bytes:
+    """The version-4 file of the version-5 file data over text: with the
+    delta flag, each offsets field widened by 4 bits above the position
+    bits that hold its reference_annotate nibble; with the hash flag, the
+    reference_build_table rows in rank order after the offsets, preceded
+    by their count as a u64."""
+    flags, _, _, k = struct.unpack_from("<4I", data, 8)
+    _, b, at = offsets_span(data)
+    fields = read_offsets(data)
+    positions = [f + 1 for f in fields]
+    out = bytearray(data[:48])
+    struct.pack_into("<I", out, 4, 4)
+    if flags & 1:
+        nibbles = reference_annotate(positions)
+        out += pack_fields([nib << b | f for f, nib in zip(fields, nibbles)],
+                           b + 4)
+    else:
+        out += data[48:at]
+    if flags & 2:
+        rows = reference_build_table(text, positions, k)
+        out += struct.pack("<Q", len(rows)) + rows.astype("<u4").tobytes()
+    return reseal(bytes(out + data[at:]))
 
 
 def as_version_3(data: bytes) -> bytes:

@@ -1,15 +1,12 @@
 import random
 
 import numpy as np
-import pytest
 
-from samsami import (DeltaAnnotation, QueryStats, SamplingParams,
-                     TextTooLargeForDeltaVariant, annotate, build,
-                     build_table, count2, locate, locate2, locate_hash,
-                     min_pattern_length, naive_locate)
+from samsami import (DeltaAnnotation, QueryStats, SamplingParams, annotate,
+                     build, build_table, count2, locate, locate2,
+                     locate_hash, min_pattern_length, naive_locate)
 from samsami import core, delta
 from samsami.core import _VECTOR_MIN_CANDIDATES, SamsamiIndex
-from samsami.delta import MAX_DELTA_TEXT
 
 from helpers import random_text, reference_annotate, reference_locate2
 
@@ -65,12 +62,6 @@ def test_annotate_matches_reference_loop():
         got = annotate(_index_with_positions(list(positions),
                                              max(positions) + 3))
         assert got.delta.tolist() == nibbles, positions
-
-
-def test_annotate_text_size_limit():
-    idx = _index_with_positions([1], MAX_DELTA_TEXT + 1)
-    with pytest.raises(TextTooLargeForDeltaVariant):
-        annotate(idx)
 
 
 def test_locate2_equals_locate_randomized():

@@ -156,7 +156,7 @@ def test_encode_text_matches_reference():
 
 def test_rebuild_positions_matches_encoder():
     dictionary, encoded = encode_text(ABRA, P42)
-    rebuilt = rebuild_positions(dictionary, encoded.stream)
+    rebuilt = _rebuild(dictionary, encoded.stream)
     assert list(rebuilt.stream_offsets) == list(encoded.stream_offsets)
     assert list(rebuilt.text_positions) == list(encoded.text_positions)
     assert list(rebuilt.phrase_ids) == list(encoded.phrase_ids)
@@ -175,7 +175,7 @@ def test_suffix_order_equals_filtered_full_sort():
             while len(ids) < 400:
                 ids += block if rng.random() < 0.7 else [rng.randrange(count)]
             stream = b"".join(dictionary.codewords[i] for i in ids)
-            encoded = rebuild_positions(dictionary, stream)
+            encoded = _rebuild(dictionary, stream)
             full = build_full_sa(stream).astype(np.int64) - 1
             is_start = np.zeros(len(stream), dtype=bool)
             is_start[encoded.stream_offsets] = True
@@ -471,6 +471,12 @@ def test_codeword_table_matches_encode_id():
         assert codeword_table(count) == [encode_id(i) for i in range(count)]
 
 
+def _rebuild(dictionary, stream):
+    """rebuild_positions given the phrase lengths a phrase section holds."""
+    sizes = np.array([len(ph) for ph in dictionary.phrases], dtype=np.int64)
+    return rebuild_positions(dictionary, stream, sizes)
+
+
 def _dictionary(rng, count):
     phrases = [bytes([i % 251]) * rng.randint(1, 6) + i.to_bytes(3, "big")
                for i in range(count)]
@@ -483,7 +489,7 @@ def _check_against_reference(dictionary, stream):
     expect = reference_rebuild_positions(dictionary.phrases,
                                          dictionary.codewords, stream)
     assert decode_ids(stream) == reference_decode_ids(stream)
-    got = rebuild_positions(dictionary, stream)
+    got = _rebuild(dictionary, stream)
     assert got.stream_offsets.tolist() == expect[0]
     assert got.text_positions.tolist() == expect[1]
     assert got.phrase_ids.tolist() == expect[2]
@@ -518,7 +524,7 @@ def test_decoder_empty_stream():
     dictionary = _dictionary(random.Random(1), 5)
     _check_against_reference(dictionary, b"")
     assert decode_ids(b"") == []
-    assert decode_text(dictionary, rebuild_positions(dictionary, b"")) == b""
+    assert decode_text(dictionary, _rebuild(dictionary, b"")) == b""
 
 
 @pytest.mark.parametrize("stream", [b"\x01", b"\x80\x01", b"\x85\x00\x00",
@@ -529,7 +535,7 @@ def test_decoder_truncated_stream(stream):
     with pytest.raises(CorruptEncoding):
         decode_ids(stream)
     with pytest.raises(CorruptEncoding):
-        rebuild_positions(_dictionary(random.Random(2), 200), stream)
+        _rebuild(_dictionary(random.Random(2), 200), stream)
 
 
 def test_decoder_rejects_zero_padded_codeword():
@@ -545,7 +551,7 @@ def test_decoder_rejects_zero_padded_codeword():
     for bad in (stream, b"\x00\x80", b"\x00\x01\x80",
                 encode_id(5) + b"\x00\x00\x85"):
         with pytest.raises(CorruptEncoding):
-            rebuild_positions(dictionary, bad)
+            _rebuild(dictionary, bad)
         with pytest.raises(CorruptEncoding):
             decode_ids(bad)
 
@@ -556,7 +562,7 @@ def test_decoder_rejects_overlong_codewords():
     for count, stream in ((128, encode_id(128)), (200, encode_id(16384)),
                           (200, encode_id(5) + encode_id(1 << 14))):
         with pytest.raises(CorruptEncoding):
-            rebuild_positions(_dictionary(random.Random(4), count), stream)
+            _rebuild(_dictionary(random.Random(4), count), stream)
     # 6 bytes, and 10 bytes whose 70 bits would wrap to id 0 in 64
     for stream in (encode_id(1 << 35), b"\x02" + bytes(8) + b"\x80"):
         with pytest.raises(CorruptEncoding):
@@ -568,7 +574,7 @@ def test_decoder_rejects_ids_outside_dictionary():
     dictionary = _dictionary(random.Random(5), 200)
     for stream in (encode_id(200), encode_id(3) + encode_id(16383)):
         with pytest.raises(CorruptEncoding):
-            rebuild_positions(dictionary, stream)
+            _rebuild(dictionary, stream)
         empty = np.zeros(0, np.uint32)
         bare = EncodedText(stream=stream, stream_offsets=empty,
                            text_positions=empty, phrase_ids=empty)

@@ -152,11 +152,14 @@ def test_index_bytes_serialized_on_first_read(name, monkeypatch):
 def test_every_variant_sized_at_the_same_bits_per_suffix():
     # 300 bytes need 9 bits per offset (0..299): the suffix arrays are
     # sized as index files holding their kept suffixes' offsets, as a
-    # samsami file without sections holds its sampled ones
+    # samsami file holds its sampled ones, with the delta or hash flag
+    # or without
     text = random_text(random.Random("bits"), 300, 4)
-    samsami, sa, spasa = build_variants(text, ["samsami", "sa", "spasa"],
-                                        6, 2, 3, 4)
+    samsami, samsami2, hashed, sa, spasa = build_variants(
+        text, ["samsami", "samsami2", "samsami-hash", "sa", "spasa"],
+        6, 2, 3, 4)
     n_sampled = build_bundle(text, SamplingParams(6, 2)).index.n_sampled
-    for variant, kept in ((samsami, n_sampled), (sa, 300), (spasa, 75)):
+    for variant, kept in ((samsami, n_sampled), (samsami2, n_sampled),
+                          (hashed, n_sampled), (sa, 300), (spasa, 75)):
         assert variant.index_bytes == 48 + -(-kept * 9 // 8), variant.name
     assert (sa.index_bytes, spasa.index_bytes) == (48 + 338, 48 + 85)
