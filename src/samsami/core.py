@@ -36,9 +36,14 @@ class QueryStats:
 class SamsamiIndex:
     """Immutable index over a text: safe to share across threads.
 
-    Two fields are derived on construction and never stored in an index
-    file: sa_view, a memoryview of sa whose items read as Python ints,
-    and left, the _left_column of sa.
+    Two fields are derived from sa and never stored in an index file:
+    sa_view, a memoryview of sa whose items read as Python ints, and
+    left, the _left_column of sa.
+
+    An index loaded from a file that holds no offsets has sa None and
+    its sampled positions, ascending, in ascending. sorted_sa sorts them
+    into sa, sa_view and left once; the first search calls it, so an
+    index that never searches never sorts.
 
     fences, the fence list of _fences, is filled in by the first search
     and never stored either. samsami and samsami-hash share it: the hash
@@ -52,19 +57,35 @@ class SamsamiIndex:
 
     text: bytes
     params: SamplingParams
-    sa: np.ndarray = field(repr=False)
+    sa: np.ndarray | None = field(repr=False)
     n: int = 0
-    sa_view: memoryview = field(init=False, repr=False)
-    left: np.ndarray | None = field(init=False, repr=False)
+    ascending: np.ndarray | None = field(default=None, repr=False)
+    sa_view: memoryview | None = field(init=False, repr=False, default=None)
+    left: np.ndarray | None = field(init=False, repr=False, default=None)
     fences: list[bytes] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        self.sa_view = memoryview(self.sa)
-        self.left = _left_column(self.text, self.sa)
+        if self.sa is not None:
+            self.sa_view = memoryview(self.sa)
+            self.left = _left_column(self.text, self.sa)
 
     @property
     def n_sampled(self) -> int:
-        return len(self.sa)
+        return len(self.ascending if self.sa is None else self.sa)
+
+
+def sorted_sa(idx: SamsamiIndex) -> np.ndarray:
+    """idx.sa, first sorted from idx.ascending if the index has none.
+
+    Two threads that race here sort equal arrays, and sa is set after
+    sa_view and left, so no reader of sa finds them missing.
+    """
+    if idx.sa is None:
+        sa = extract_sampled(idx.text, idx.ascending, idx.params)
+        idx.sa_view = memoryview(sa)
+        idx.left = _left_column(idx.text, sa)
+        idx.sa = sa
+    return idx.sa
 
 
 def _left_column(text: bytes, sa: np.ndarray) -> np.ndarray:
@@ -110,6 +131,7 @@ def suffix_range(idx: SamsamiIndex, seq: bytes) -> tuple[int, int]:
     if len(seq) == 0:
         raise InvalidParams("empty search string")
     if idx.fences is None:
+        sorted_sa(idx)
         idx.fences = _fences(idx.text, idx.sa_view)
     return _prefix_range(idx.text, idx.sa_view, 0, len(idx.sa), seq,
                          idx.fences)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QueryStats, SamsamiIndex, _query
+from .core import QueryStats, SamsamiIndex, _query, sorted_sa
 from .minimizer import prune_mask
 
 
@@ -35,15 +35,16 @@ def annotate(idx: SamsamiIndex,
     ascending, the index's positions sorted, spares the sort when the
     caller has it.
     """
+    sa = sorted_sa(idx)
     if ascending is None:
-        ascending = np.sort(idx.sa)
+        ascending = np.sort(sa)
     gaps = np.diff(ascending, prepend=ascending[:1])  # the first gets 0
     gaps[gaps > 15] = 0
     # each gap goes to its position, and from there to its rank; intp
     # indices and uint8 values take numpy's fast scatter
     by_position = np.zeros(idx.n + 1, dtype=np.uint8)
     by_position[ascending.astype(np.intp)] = gaps.astype(np.uint8)
-    return DeltaAnnotation(delta=by_position.take(idx.sa))
+    return DeltaAnnotation(delta=by_position.take(sa))
 
 
 def locate2(idx: SamsamiIndex, ann: DeltaAnnotation, pattern: bytes,

@@ -6,15 +6,17 @@ little-endian):
     magic   4 bytes  "SSMI"
     version u32      5
     flags   u32      bit0 delta annotation, bit1 hash table, bit2 phrase
-                     section
+                     section, bit3 no offsets section (set exactly when
+                     bit2 is and bit0 and bit1 are not)
     q, p, k u32      sampling params; k = 0 when no hash table
     n       u64      text length
-    n'      u32      number of sampled suffixes
+    n'      u32      number of sampled suffixes, whether or not the
+                     offsets are stored
     crc32   u32      zlib.crc32 of every file byte except these four
     digest  u64      blake2b of the text, 8-byte digest (the text itself
                      is not stored)
-    offsets n' fields of b = max(1, (n - 1).bit_length()) bits, each
-            position - 1
+    [offsets] n' fields of b = max(1, (n - 1).bit_length()) bits, each
+            position - 1, in suffix order; absent when bit3 is set
     [phrase] phrase count u32, then one q.bit_length()-bit length per
             phrase and the phrases' bytes back to back, both in id order,
             then stream length u64 + stream bytes
@@ -26,6 +28,16 @@ zero bits pad it to a whole byte. Eight fields fill exactly w bytes.
 The delta nibbles and the hash groups are functions of the offsets, so
 the file keeps only their flags and k, and load computes them with the
 builder's own annotate and build_table.
+
+A file with a phrase section and neither annotation stores no offsets:
+the phrases start at the sampled positions, after an unsampled leading
+piece when the first window does not select position 1. Load takes the
+samples from the stream's phrase starts, drops position 1 unless the
+first window selects it, and checks that n' of them remain. The index
+sorts them into suffix order on its first search (core.sorted_sa). As
+with stored offsets, only the crc32 guards the cut positions: a resealed
+file whose phrases start elsewhere but spell the text, with n' to
+match, loads.
 
 Versions 1 to 4 are refused with UnsupportedFormat: since loading
 needs the text, rebuilding the index from it replaces such a file.
@@ -44,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SamsamiIndex, build
+from .core import SamsamiIndex, build, sorted_sa
 from .delta import DeltaAnnotation, annotate
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import PrefixRangeTable, build_table
@@ -58,6 +70,7 @@ VERSION = 5
 FLAG_DELTA = 1
 FLAG_HASH = 2
 FLAG_PHRASE = 4
+FLAG_NO_OFFSETS = 8
 
 _HEADER = struct.Struct("<4s5IQIIQ")
 _CRC_AT = 36  # offset of the crc32 field in the header
@@ -164,6 +177,8 @@ class IndexBundle:
             flags |= FLAG_HASH
         if self.dictionary is not None:
             flags |= FLAG_PHRASE
+            if flags == FLAG_PHRASE:  # the phrase starts give the samples
+                flags |= FLAG_NO_OFFSETS
         return flags
 
 
@@ -204,23 +219,25 @@ def serialized_bytes(bundle: IndexBundle) -> bytes:
 
 
 def _write(bundle: IndexBundle, fh) -> int:
-    idx = bundle.index
-    n_sampled = len(idx.sa)
+    idx, flags = bundle.index, bundle.flags
+    sa = None if flags & FLAG_NO_OFFSETS else sorted_sa(idx)
+    n_sampled = idx.n_sampled if sa is None else len(sa)
     if n_sampled > 0xFFFFFFFF:
         raise SamsamiError(f"{n_sampled} sampled suffixes overflow the "
                            "header's u32 count")
     k = bundle.table.k if bundle.table is not None else 0
     data = bytearray(_HEADER.pack(
-        MAGIC, VERSION, bundle.flags, idx.params.q, idx.params.p, k, idx.n,
+        MAGIC, VERSION, flags, idx.params.q, idx.params.p, k, idx.n,
         n_sampled, 0, text_checksum(idx.text)))
 
     width = _offset_bits(idx.n)
     if width > 32:
         raise SamsamiError(f"a {idx.n}-byte text overflows the index "
                            "file's 32-bit offsets")
-    offsets = idx.sa.astype(np.uint32)
-    offsets -= np.uint32(1)
-    data += _pack(offsets, width)
+    if sa is not None:
+        offsets = sa.astype(np.uint32)
+        offsets -= np.uint32(1)
+        data += _pack(offsets, width)
 
     if bundle.dictionary is not None:
         phrases = bundle.dictionary.phrases
@@ -262,7 +279,7 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
                                 "the index from its text")
     (_, _, flags, q, p, k, n, n_sampled, crc,
      checksum) = _HEADER.unpack_from(data)
-    if flags & ~(FLAG_DELTA | FLAG_HASH | FLAG_PHRASE):
+    if flags & ~(FLAG_DELTA | FLAG_HASH | FLAG_PHRASE | FLAG_NO_OFFSETS):
         raise UnsupportedFormat(f"unknown flag bits in {flags:#x}")
     if n != len(text):
         raise TextMismatch(f"index built over {n} bytes, text has {len(text)}")
@@ -280,11 +297,30 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
         raise CorruptIndex(f"hash flag set but prefix length k={k}")
     if not flags & FLAG_HASH and k:
         raise CorruptIndex(f"prefix length k={k} but no hash flag")
-
+    if (flags & FLAG_NO_OFFSETS
+            and flags & (FLAG_DELTA | FLAG_HASH | FLAG_PHRASE) != FLAG_PHRASE):
+        raise CorruptIndex(f"flags {flags:#x} omit the offsets that only a "
+                           "phrase section without annotations can spare")
     width = _offset_bits(n)
     if width > 32:
         raise CorruptIndex(f"a {n}-byte text overflows the 32-bit offsets")
+    # Only the first window can select position 1, and no later check
+    # sees it: the phrase starts are the same with or without it.
+    first_sampled = window_minimizer(text[:q], p) == 1
+
     at = _HEADER.size
+    if flags & FLAG_NO_OFFSETS:
+        dictionary, encoded = _read_phrases(data[at:], text, q)
+        # the phrase starts are the ascending samples, after a leading
+        # piece at position 1 unless the first window selects it
+        ascending = encoded.text_positions[0 if first_sampled else 1:]
+        if len(ascending) != n_sampled:
+            raise CorruptIndex(f"the phrases start {len(ascending)} sampled "
+                               f"positions, the header counts {n_sampled}")
+        idx = SamsamiIndex(text=text, params=params, sa=None, n=n,
+                           ascending=ascending)
+        return IndexBundle(index=idx, dictionary=dictionary, encoded=encoded)
+
     # the fields become the positions in place
     positions = _unpack(data, at, n_sampled, width)
     at += _packed_size(n_sampled, width)
@@ -296,10 +332,7 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
     # a position named twice would count its occurrences twice
     if (ascending[1:] == ascending[:-1]).any():
         raise CorruptIndex("offsets name a position more than once")
-    # Only the first window can select position 1, and no later check
-    # sees it: the phrase starts are the same with or without it.
-    if ((len(ascending) > 0 and int(ascending[0]) == 1)
-            != (window_minimizer(text[:q], p) == 1)):
+    if (len(ascending) > 0 and int(ascending[0]) == 1) != first_sampled:
         raise CorruptIndex("offsets disagree with the first window on "
                            "whether position 1 is sampled")
 
@@ -312,29 +345,30 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
 
     if flags & FLAG_PHRASE:
         # the phrase section is the file's last: it runs to the end
-        bundle.dictionary, bundle.encoded = _read_phrases(data[at:], idx,
-                                                          ascending)
+        bundle.dictionary, bundle.encoded = _read_phrases(data[at:], text, q)
+        if not np.array_equal(bundle.encoded.text_positions,
+                              _phrase_starts(ascending)):
+            raise CorruptIndex("phrase starts differ from the sampled "
+                               "positions")
     elif at != len(data):
         raise CorruptIndex(f"{len(data) - at} bytes after the last section")
     return bundle
 
 
-def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,
+def _read_phrases(buf: bytes, text: bytes, q: int,
                   ) -> tuple[PhraseDictionary, EncodedText]:
-    """Parse a phrase section and check it against the loaded index,
-    whose sampled positions in ascending order are ascending.
+    """Parse a phrase section over text, sampled with windows of q bytes.
 
     Besides decoding, the section must give each phrase 1 to q bytes,
-    name each phrase once, start its phrases exactly at the index's
-    sampled positions (after an unsampled leading piece), and spell the
-    text byte for byte. A section that passes is the encoder's output up
-    to the numbering of its phrases, so phrase queries answer as on the
-    bundle that was saved.
+    name each phrase once, and spell the text byte for byte. A section
+    that passes, and whose phrases start at the sampled positions (after
+    an unsampled leading piece), is the encoder's output up to the
+    numbering of its phrases, so phrase queries answer as on the bundle
+    that was saved.
     """
     if len(buf) < 4:
         raise CorruptIndex("phrase section truncated before its count")
     (count,) = _U32.unpack_from(buf)
-    q = idx.params.q
     at = 4 + _packed_size(count, q.bit_length())
     # every phrase has a byte at least
     if at + count + 8 > len(buf):
@@ -372,12 +406,9 @@ def _read_phrases(buf: bytes, idx: SamsamiIndex, ascending: np.ndarray,
     if encoded.phrase_count:
         span = (int(encoded.text_positions[-1]) - 1
                 + int(sizes[encoded.phrase_ids[-1]]))
-    if span != idx.n:
+    if span != len(text):
         raise CorruptIndex("phrase stream does not span the text")
-    if not np.array_equal(encoded.text_positions,
-                          _phrase_starts(ascending)):
-        raise CorruptIndex("phrase starts differ from the sampled positions")
-    if not _spells(buf, first, sizes, encoded, idx.text):
+    if not _spells(buf, first, sizes, encoded, text):
         raise CorruptIndex("phrases do not spell the text")
     return dictionary, encoded
 

@@ -279,12 +279,15 @@ def unpack_fields(data: bytes, count: int, width: int) -> list[int]:
 
 
 def offsets_span(data: bytes) -> tuple[int, int, int]:
-    """(n', field width in bits, end byte) of the offsets section of an
-    index file: n' fields just wide enough for every offset 0..n-1 (one
-    bit at least) after the 48-byte header, 4 bits wider with the delta
-    flag in a version-4 file."""
+    """(fields, field width in bits, end byte) of the offsets section of
+    an index file: n' fields just wide enough for every offset 0..n-1
+    (one bit at least) after the 48-byte header, 4 bits wider with the
+    delta flag in a version-4 file, and no field when flag bit 3 says
+    the file stores no offsets."""
     version, flags = struct.unpack_from("<2I", data, 4)
     n, count = struct.unpack_from("<QI", data, 24)
+    if flags & 8:
+        count = 0
     nibble = 4 if version == 4 and flags & 1 else 0
     width = max(1, (n - 1).bit_length()) + nibble
     return count, width, 48 + -(-count * width // 8)

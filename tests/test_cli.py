@@ -1,10 +1,13 @@
 import random
+import struct
 import time
 
 import pytest
 
 from samsami import baselines, core
 from samsami.cli import extract_patterns, main, splitmix64
+
+from helpers import reseal
 
 
 @pytest.fixture()
@@ -272,6 +275,36 @@ def test_missing_text_file_is_an_error_line(tmp_path, capsys):
     assert code == 1
     assert stdout == ""
     assert err.startswith("error: ") and "missing.txt" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", ["delta flag", "hash flag", "n' - 1",
+                                  "n' + 1", "stream cut"])
+@pytest.mark.parametrize("command", ["count", "bench"])
+def test_bad_phrase_only_file_is_an_error_line(corpus, tmp_path, capsys,
+                                               edit, command):
+    path, text = corpus
+    out = tmp_path / "ph.ssmi"
+    assert _run(capsys, ["phrase-build", "--text", str(path), "--q", "4",
+                         "--p", "2", "--out", str(out)])[0] == 0
+    data = bytearray(out.read_bytes())
+    (n_sampled,) = struct.unpack_from("<I", data, 32)
+    if edit == "stream cut":
+        data = data[:-3]
+    else:
+        at, value = {"delta flag": (8, 4 | 8 | 1), "hash flag": (8, 4 | 8 | 2),
+                     "n' - 1": (32, n_sampled - 1),
+                     "n' + 1": (32, n_sampled + 1)}[edit]
+        struct.pack_into("<I", data, at, value)
+    out.write_bytes(reseal(data))
+    argv = ([command, "--index", str(out), "--text", str(path), "abcab"]
+            if command == "count" else
+            [command, "--index", str(out), "--text", str(path), "--variant",
+             "phrase,samsami", "--m", "8", "--patterns", "5"])
+    code, stdout, err = _run(capsys, argv)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -472,12 +472,16 @@ def test_fences_are_built_on_the_first_search_only():
 def test_threads_racing_on_the_first_search_agree():
     # Many threads run the first searches of shared fresh indexes at
     # once, switching often; whichever fence list is kept, every
-    # answer must equal the scan's.
+    # answer must equal the scan's. The index loaded from a phrase file
+    # sorts its samples in that first search too.
     rng = random.Random(0xFE2)
     text = random_text(rng, 3000, 4)
     params = SamplingParams(8, 2)
     idx = build(text, params)
     table = build_table(idx, 3)
+    lazy = load(io.BytesIO(serialized_bytes(build_bundle(
+        text, params, with_phrase=True))), text).index
+    assert lazy.sa is None
     # step 20 leaves 5-byte seeds for the last alignments of a 24-byte
     # pattern, which take the padded head keys
     spasas = [spasa_build(text, step) for step in (1, 4, 20)]
@@ -494,6 +498,7 @@ def test_threads_racing_on_the_first_search_agree():
         got = []
         for pat in patterns:
             got.append((count_hash(idx, table, pat), locate(idx, pat),
+                        locate(lazy, pat),
                         *(spasa_locate(spasa, pat) for spasa in spasas),
                         encoded_locate(dictionary, encoded, len(text), pat,
                                        params)))
@@ -515,9 +520,12 @@ def test_threads_racing_on_the_first_search_agree():
         sys.setswitchinterval(old)
     assert len(results) == 8
     for got in results:
-        assert got == [(len(hits), hits, hits, hits, hits, hits)
+        assert got == [(len(hits), hits, hits, hits, hits, hits, hits)
                        for hits in expect]
     assert idx.fences == core._fences(text, idx.sa_view)
+    assert lazy.sa.tolist() == idx.sa.tolist()
+    assert lazy.left.tolist() == idx.left.tolist()
+    assert lazy.fences == idx.fences
     assert spasas[0].fences == core._fences(text, spasas[0].sa_view)
     assert len(heads_seen) == 8
     for spasa in spasas[1:]:

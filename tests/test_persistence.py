@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from samsami import (CorruptIndex, DeltaAnnotation, PatternTooShort,
                      QueryStats, SamplingParams, SamsamiError, TextMismatch,
-                     UnsupportedFormat,
-                     build_bundle, count, count2, decode_text,
+                     UnsupportedFormat, annotate,
+                     build_bundle, build_table, count, count2, decode_text,
                      encoded_locate, from_bundle, load, locate, locate2,
-                     locate_hash, naive_count, naive_locate, save)
+                     locate_hash, naive_count, naive_locate, save,
+                     window_minimizer)
 from samsami.persistence import IndexBundle, serialized_bytes
 from samsami.phrase import encode_id
 
@@ -72,7 +73,8 @@ _DNA_TEXT = bytes(b"ACGT"[c] for c in random_text(random.Random(0xD17),
 def test_delta_and_hash_flags_change_only_the_header(build, phrase):
     # the nibbles and the rows are recomputed at load, so a file holds
     # neither: it differs from the one without them in the flags, k and
-    # crc32 alone
+    # crc32 alone, once the plain file's offsets are put back after the
+    # header of a phrase file, which stores none without annotations
     def outside_the_fields(d):
         return d[:8] + d[12:20] + d[24:36] + d[40:]
 
@@ -80,6 +82,9 @@ def test_delta_and_hash_flags_change_only_the_header(build, phrase):
     for text, params in ((ABRA, P42), (_DNA_TEXT, SamplingParams(8, 2))):
         bare = serialized_bytes(build_bundle(text, params,
                                              with_phrase=phrase))
+        if phrase:
+            plain = serialized_bytes(build_bundle(text, params))
+            bare = bare[:48] + plain[48:] + bare[48:]
         data = serialized_bytes(build_bundle(text, params,
                                              with_phrase=phrase, **build))
         assert len(data) == len(bare)
@@ -161,14 +166,18 @@ def test_rebuild_is_byte_identical():
         assert first == again
 
 
-def _golden_bundle():
+def _golden_text():
     rng = random.Random(2718)
     words = [b"def", b"return", b"self", b"    ", b"\n", b"import", b"(", b")",
              b":", b"x", b"value", b"for", b"in", b"range", b"=", b"+", b"1", b"0"]
     out = bytearray()
     while len(out) < 65536:
         out += rng.choice(words) + b" "
-    text = bytes(out[:65536])
+    return bytes(out[:65536])
+
+
+def _golden_bundle():
+    text = _golden_text()
     return text, build_bundle(text, SamplingParams(8, 2), with_delta=True,
                               hash_k=4, with_phrase=True)
 
@@ -220,6 +229,145 @@ def test_bundle_bytes_golden():
         built, loaded = from_bundle(bundle, name), from_bundle(back, name)
         for pattern in patterns:
             assert loaded.locate(pattern) == built.locate(pattern)
+
+
+def test_phrase_only_bytes_golden():
+    # The phrase-only layout, recorded when it stopped storing the
+    # offsets (flag bit 3); its samples are the phrase starts. Loading it
+    # and saving again writes the same bytes, and neither sorts them.
+    text = _golden_text()
+    bundle = build_bundle(text, SamplingParams(8, 2), with_phrase=True)
+    data = serialized_bytes(bundle)
+    assert hashlib.sha256(data).hexdigest() == (
+        "1ac530a2cc07a54a84d771415c6f5155"
+        "5389f4f2316a204707f160da9184afc1")
+    assert struct.unpack_from("<I", data, 8)[0] == 4 | 8
+    assert struct.unpack_from("<I", data, 32)[0] == bundle.index.n_sampled
+    back = load(io.BytesIO(data), text)
+    assert back.index.sa is None
+    assert back.index.n_sampled == bundle.index.n_sampled
+    out = io.BytesIO()
+    save(back, out)
+    assert out.getvalue() == data
+    assert back.index.sa is None
+    # the samples sorted by the first search are the built bundle's
+    assert count(back.index, text[:20]) == naive_count(text, text[:20])
+    assert back.index.sa.tolist() == bundle.index.sa.tolist()
+    assert serialized_bytes(back) == data
+
+
+@pytest.mark.parametrize("source, flags, k", [
+    ("phrase", 4 | 8 | 1, None), ("phrase", 4 | 8 | 2, 2),
+    ("phrase", 4 | 8 | 1 | 2, 2), ("delta+phrase", 4 | 8 | 1, None),
+    ("plain", 8, None)], ids=["delta", "hash", "delta+hash",
+                              "offsets-with-delta", "no-phrase"])
+def test_no_offsets_flag_only_with_a_bare_phrase_section(source, flags, k):
+    # the phrase starts stand in for the offsets only when nothing else
+    # reads them; a hash or delta flag, or a missing phrase section,
+    # leaves the file without its samples' order or without its samples
+    build = {"phrase": {"with_phrase": True},
+             "delta+phrase": {"with_phrase": True, "with_delta": True},
+             "plain": {}}[source]
+    data = bytearray(serialized_bytes(build_bundle(_DNA_TEXT,
+                                                   SamplingParams(8, 2),
+                                                   **build)))
+    struct.pack_into("<I", data, 8, flags)
+    if k is not None:
+        struct.pack_into("<I", data, 20, k)
+    with pytest.raises(CorruptIndex, match="omit the offsets"):
+        load(io.BytesIO(reseal(data)), _DNA_TEXT)
+
+
+@pytest.mark.parametrize("shift", [-1, 1, 1 << 20])
+def test_sample_count_off_the_phrase_starts_rejected(shift):
+    bundle = build_bundle(_DNA_TEXT, SamplingParams(8, 2), with_phrase=True)
+    data = bytearray(serialized_bytes(bundle))
+    assert load(io.BytesIO(bytes(data)), _DNA_TEXT)
+    struct.pack_into("<I", data, 32, bundle.index.n_sampled + shift)
+    with pytest.raises(CorruptIndex, match="sampled positions"):
+        load(io.BytesIO(reseal(data)), _DNA_TEXT)
+
+
+def test_phrase_only_files_answer_as_the_scan():
+    # both the stream and samsami's lazily sorted samples; texts with
+    # and without position 1 among the samples
+    rng = random.Random(0x0FF5)
+    first = set()
+    for _ in range(40):
+        q = rng.randint(1, 9)
+        p = rng.randint(1, q)
+        params = SamplingParams(q, p)
+        n = rng.randint(max(q, 2 * q - p + 1), 260)
+        text = random_text(rng, n, rng.choice([2, 4, 26]))
+        first.add(window_minimizer(text[:q], p) == 1)
+        data = serialized_bytes(build_bundle(text, params, with_phrase=True))
+        assert offsets_span(data)[2] == 48
+        back = load(io.BytesIO(data), text)
+        assert back.index.sa is None
+        for _ in range(12):
+            m = rng.randint(max(q, 2 * q - p + 1), min(n, 2 * q + 12))
+            i = rng.randint(0, n - m)
+            pattern = text[i:i + m]
+            if rng.random() < 0.3:
+                x = rng.randrange(m)
+                pattern = pattern[:x] + b"b" + pattern[x + 1:]
+            expect = naive_locate(text, pattern)
+            assert locate(back.index, pattern) == expect
+            assert encoded_locate(back.dictionary, back.encoded, n, pattern,
+                                  params) == expect
+        assert back.index.sa.tolist() == build_bundle(
+            text, params).index.sa.tolist()
+    assert first == {True, False}
+
+
+def test_first_search_of_a_phrase_only_index_sorts_once(monkeypatch):
+    # load leaves the samples in text order; the first samsami query
+    # sorts them with extract_sampled, and no later query sorts again
+    from samsami import core
+    text = _DNA_TEXT
+    params = SamplingParams(8, 2)
+    bundle = build_bundle(text, params, with_phrase=True)
+    calls = []
+    real = core.extract_sampled
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "extract_sampled", counting)
+    back = load(io.BytesIO(serialized_bytes(bundle)), text)
+    assert calls == [] and back.index.sa is None
+    assert back.index.fences is None and back.index.left is None
+    patterns = [text[i:i + m] for i in range(0, 2900, 37)
+                for m in (8, 13, 30)] + [b"ACGTACGTACGTAAAA"]
+    built, loaded = QueryStats(), QueryStats()
+    for pattern in patterns:
+        assert count(back.index, pattern, loaded) == count(
+            bundle.index, pattern, built)
+        assert locate(back.index, pattern) == locate(bundle.index, pattern)
+        assert len(calls) == 1
+    assert loaded == built and built.text_verifications > 0
+    assert back.index.sa.tolist() == bundle.index.sa.tolist()
+    assert back.index.left.tolist() == bundle.index.left.tolist()
+
+
+def test_phrase_only_index_serves_every_library_call():
+    # annotate, build_table and a save without the phrase section read
+    # the samples in suffix order: each sorts a fresh loaded index first
+    text, params = _DNA_TEXT, SamplingParams(8, 2)
+    built = build_bundle(text, params, with_delta=True, hash_k=3)
+    data = serialized_bytes(build_bundle(text, params, with_phrase=True))
+
+    def fresh():
+        idx = load(io.BytesIO(data), text).index
+        assert idx.sa is None
+        return idx
+
+    assert annotate(fresh()).delta.tolist() == built.delta.delta.tolist()
+    assert build_table(fresh(), 3).slots.tolist() == \
+        built.table.slots.tolist()
+    assert serialized_bytes(IndexBundle(index=fresh())) == \
+        serialized_bytes(build_bundle(text, params))
 
 
 def test_roundtrip_preserves_queries_across_variants():
@@ -302,6 +450,15 @@ def test_truncated_sections_rejected():
     phrased = serialized_bytes(build_bundle(ABRA, P42, with_phrase=True))
     with pytest.raises(CorruptIndex, match="phrase stream"):
         load(io.BytesIO(reseal(phrased[:-1])), ABRA)
+    # a phrase-only file's section runs from the header to the end:
+    # every cut, resealed or not, is refused
+    phrased = serialized_bytes(build_bundle(_DNA_TEXT, SamplingParams(8, 2),
+                                            with_phrase=True))
+    for cut in (49, 52, 60, len(phrased) // 2, len(phrased) - 8,
+                len(phrased) - 1):
+        for blob in (phrased[:cut], reseal(phrased[:cut])):
+            with pytest.raises(CorruptIndex):
+                load(io.BytesIO(blob), _DNA_TEXT)
 
 
 @pytest.mark.parametrize("build", [{}, {"hash_k": 2}, {"with_delta": True},
@@ -391,9 +548,10 @@ def test_packed_offsets_roundtrip_at_width_boundaries(n, delta):
 @pytest.mark.parametrize("section", ["offsets", "phrase lengths"])
 def test_set_padding_bit_rejected(section):
     # 3 offsets of 4 bits leave 4 padding bits in the section's last
-    # byte; the 3 phrases' 3-bit lengths (q=4) leave 7 in theirs
+    # byte; the 3 phrases' 3-bit lengths (q=4) leave 7 in theirs. The
+    # delta flag keeps the offsets in a file with a phrase section.
     text = b"mississippi"
-    bundle = build_bundle(text, P42, with_phrase=True)
+    bundle = build_bundle(text, P42, with_delta=True, with_phrase=True)
     data = bytearray(serialized_bytes(bundle))
     count, width, end = offsets_span(data)
     assert (count, width) == (3, 4)
@@ -431,10 +589,13 @@ def _offsets_edited(text, params, edit, **build):
     return with_offsets(data, offsets)
 
 
-@pytest.mark.parametrize("build", [{}, {"with_phrase": True}])
+@pytest.mark.parametrize("build", [{}, {"with_phrase": True,
+                                       "with_delta": True}])
 def test_dropped_position_one_rejected(build):
     # without the check the first file answers [4] for b"abca", where
-    # the scan finds [1, 4]; the second, left with no offsets, counts 0
+    # the scan finds [1, 4]; the second, left with no offsets, counts 0.
+    # With a phrase section the phrase starts are the same either way;
+    # the delta flag keeps the offsets in that file.
     for text, params in [(b"abcabcab", SamplingParams(4, 2)),
                          (b"abcab", SamplingParams(5, 1))]:
         assert 1 in build_bundle(text, params).index.sa
@@ -653,11 +814,11 @@ def test_phrases_off_the_sampled_positions_rejected():
 
 
 def test_phrase_file_without_samples_rejected():
-    # n' = 0 and no offsets: the phrase starts are checked against an
-    # empty sampled set, which must reject the file, not raise IndexError
+    # n' = 0: the phrase starts are checked against an empty sampled
+    # set, which must reject the file, not raise IndexError
     text, bundle = _phrase_bundle()
     data = bytearray(serialized_bytes(bundle))
-    del data[48:_phrase_section_start(bundle)]
+    assert _phrase_section_start(bundle) == 48
     struct.pack_into("<I", data, 32, 0)
     with pytest.raises(CorruptIndex, match="sampled positions"):
         load(io.BytesIO(reseal(data)), text)
