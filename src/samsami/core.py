@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParams, PatternTooShort
+from .errors import (CorruptIndex, InvalidParams, PatternTooShort,
+                     SamsamiError)
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
 # build_full_sa is never called here: benchmark tracing wraps it by name
 from .suffix_sort import build_full_sa, extract_sampled  # noqa: F401
@@ -41,9 +42,9 @@ class SamsamiIndex:
     left, the _left_column of sa.
 
     An index loaded from a file that holds no offsets has sa None and
-    its sampled positions, ascending, in ascending. sorted_sa sorts them
-    into sa, sa_view and left once; the first search calls it, so an
-    index that never searches never sorts.
+    its sampled positions, ascending, in ascending. The first search
+    sorts them into sa, sa_view and left (_sort_samples), so an index
+    that never searches never sorts; until then suffix_sa refuses it.
 
     fences, the fence list of _fences, is filled in by the first search
     and never stored either. samsami and samsami-hash share it: the hash
@@ -74,18 +75,31 @@ class SamsamiIndex:
         return len(self.ascending if self.sa is None else self.sa)
 
 
-def sorted_sa(idx: SamsamiIndex) -> np.ndarray:
-    """idx.sa, first sorted from idx.ascending if the index has none.
+def suffix_sa(idx: SamsamiIndex) -> np.ndarray:
+    """idx.sa, or SamsamiError while the index holds its samples unsorted."""
+    if idx.sa is None:
+        raise SamsamiError("the index sorts its samples on its first "
+                           "search and has not searched yet")
+    return idx.sa
 
-    Two threads that race here sort equal arrays, and sa is set after
+
+def _sort_samples(idx: SamsamiIndex) -> None:
+    """Sort idx.ascending into sa, sa_view and left.
+
+    extract_sampled sorts only the text's minimizer positions, and a
+    loaded file's cut positions are guarded by its crc32 alone, so they
+    are first compared with the positions sampled from the text. Two
+    threads that race here sort equal arrays, and sa is set after
     sa_view and left, so no reader of sa finds them missing.
     """
-    if idx.sa is None:
-        sa = extract_sampled(idx.text, idx.ascending, idx.params)
-        idx.sa_view = memoryview(sa)
-        idx.left = _left_column(idx.text, sa)
-        idx.sa = sa
-    return idx.sa
+    sampled = sampled_positions(idx.text, idx.params)
+    if not np.array_equal(sampled, idx.ascending):
+        raise CorruptIndex("the loaded samples differ from the text's "
+                           "minimizer positions")
+    sa = extract_sampled(idx.text, sampled, idx.params)
+    idx.sa_view = memoryview(sa)
+    idx.left = _left_column(idx.text, sa)
+    idx.sa = sa
 
 
 def _left_column(text: bytes, sa: np.ndarray) -> np.ndarray:
@@ -131,7 +145,8 @@ def suffix_range(idx: SamsamiIndex, seq: bytes) -> tuple[int, int]:
     if len(seq) == 0:
         raise InvalidParams("empty search string")
     if idx.fences is None:
-        sorted_sa(idx)
+        if idx.sa is None:
+            _sort_samples(idx)
         idx.fences = _fences(idx.text, idx.sa_view)
     return _prefix_range(idx.text, idx.sa_view, 0, len(idx.sa), seq,
                          idx.fences)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import QueryStats, SamsamiIndex, _query, sorted_sa
+from .core import QueryStats, SamsamiIndex, _query, suffix_sa
 from .minimizer import prune_mask
 
 
@@ -35,7 +35,7 @@ def annotate(idx: SamsamiIndex,
     ascending, the index's positions sorted, spares the sort when the
     caller has it.
     """
-    sa = sorted_sa(idx)
+    sa = suffix_sa(idx)
     if ascending is None:
         ascending = np.sort(sa)
     gaps = np.diff(ascending, prepend=ascending[:1])  # the first gets 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (QueryStats, SamsamiIndex, _fences, _heads,
-                   _prefix_range, _verify_candidates, sorted_sa)
+                   _prefix_range, _verify_candidates, suffix_sa)
 from .errors import InvalidParams, PatternTooShort
 from .minimizer import _gram_keys, window_minimizer
 
@@ -52,7 +52,7 @@ def build_table(idx: SamsamiIndex, k: int) -> PrefixRangeTable:
     """
     if k < 1:
         raise InvalidParams(f"prefix length k must be >= 1, got {k}")
-    text, sa = idx.text, sorted_sa(idx)
+    text, sa = idx.text, suffix_sa(idx)
     long = sa <= max(idx.n - k + 1, 0)  # the suffixes of k bytes or more
     # same[r]: the suffixes at ranks r and r + 1 are long and agree on k
     # bytes: their first min(k, 8) bytes, then, for the pairs still equal

@@ -34,10 +34,12 @@ the phrases start at the sampled positions, after an unsampled leading
 piece when the first window does not select position 1. Load takes the
 samples from the stream's phrase starts, drops position 1 unless the
 first window selects it, and checks that n' of them remain. The index
-sorts them into suffix order on its first search (core.sorted_sa). As
-with stored offsets, only the crc32 guards the cut positions: a resealed
-file whose phrases start elsewhere but spell the text, with n' to
-match, loads.
+sorts them into suffix order on its first search (core._sort_samples),
+which raises CorruptIndex unless they equal the positions it samples
+from the text. At load, as with stored offsets, only the crc32 guards
+the cut positions: a resealed file whose phrases start elsewhere but
+spell the text, with n' to match, loads, and its first samsami search
+refuses it.
 
 Versions 1 to 4 are refused with UnsupportedFormat: since loading
 needs the text, rebuilding the index from it replaces such a file.
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SamsamiIndex, build, sorted_sa
+from .core import SamsamiIndex, build, suffix_sa
 from .delta import DeltaAnnotation, annotate
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import PrefixRangeTable, build_table
@@ -220,7 +222,7 @@ def serialized_bytes(bundle: IndexBundle) -> bytes:
 
 def _write(bundle: IndexBundle, fh) -> int:
     idx, flags = bundle.index, bundle.flags
-    sa = None if flags & FLAG_NO_OFFSETS else sorted_sa(idx)
+    sa = None if flags & FLAG_NO_OFFSETS else suffix_sa(idx)
     n_sampled = idx.n_sampled if sa is None else len(sa)
     if n_sampled > 0xFFFFFFFF:
         raise SamsamiError(f"{n_sampled} sampled suffixes overflow the "

@@ -308,6 +308,35 @@ def with_offsets(data: bytes, fields) -> bytes:
     return reseal(bytes(head) + pack_fields(fields, width) + data[end:])
 
 
+def phrase_file_with_a_moved_cut(text: bytes, q: int, p: int) -> bytes:
+    """A phrase-only index file over text whose phrases start at the
+    sampled positions but one, moved by a byte. Its phrases spell the
+    text in 1 to q bytes each, n' counts their starts and the crc32
+    matches, so it passes every check of load."""
+    from samsami import SamplingParams, encode_text
+    from samsami.core import SamsamiIndex
+    from samsami.persistence import IndexBundle, serialized_bytes
+
+    params = SamplingParams(q, p)
+    sampled = reference_sampled(text, q, p)
+    bounds = ([] if sampled[0] == 1 else [1]) + sampled + [len(text) + 1]
+    for i, start in enumerate(sampled):
+        at = bounds.index(start)
+        if at == 0:  # position 1 is not moved
+            continue
+        for moved in (start - 1, start + 1):
+            if (moved > 1 and 0 < moved - bounds[at - 1] <= q
+                    and 0 < bounds[at + 1] - moved <= q):
+                cuts = np.array(sampled[:i] + [moved] + sampled[i + 1:],
+                                dtype=np.uint32)
+                dictionary, encoded = encode_text(text, params, cuts)
+                idx = SamsamiIndex(text=text, params=params, sa=None,
+                                   n=len(text), ascending=cuts)
+                return serialized_bytes(IndexBundle(
+                    index=idx, dictionary=dictionary, encoded=encoded))
+    raise ValueError("no cut of the text can move by a byte")
+
+
 def as_version_4(data: bytes, text: bytes) -> bytes:
     """The version-4 file of the version-5 file data over text: with the
     delta flag, each offsets field widened by 4 bits above the position

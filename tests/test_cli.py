@@ -7,7 +7,7 @@ import pytest
 from samsami import baselines, core
 from samsami.cli import extract_patterns, main, splitmix64
 
-from helpers import reseal
+from helpers import phrase_file_with_a_moved_cut, reseal
 
 
 @pytest.fixture()
@@ -279,7 +279,7 @@ def test_missing_text_file_is_an_error_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", ["delta flag", "hash flag", "n' - 1",
-                                  "n' + 1", "stream cut"])
+                                  "n' + 1", "stream cut", "moved cut"])
 @pytest.mark.parametrize("command", ["count", "bench"])
 def test_bad_phrase_only_file_is_an_error_line(corpus, tmp_path, capsys,
                                                edit, command):
@@ -291,6 +291,8 @@ def test_bad_phrase_only_file_is_an_error_line(corpus, tmp_path, capsys,
     (n_sampled,) = struct.unpack_from("<I", data, 32)
     if edit == "stream cut":
         data = data[:-3]
+    elif edit == "moved cut":  # loads; the first samsami search refuses it
+        data = phrase_file_with_a_moved_cut(text, 4, 2)
     else:
         at, value = {"delta flag": (8, 4 | 8 | 1), "hash flag": (8, 4 | 8 | 2),
                      "n' - 1": (32, n_sampled - 1),
@@ -303,8 +305,15 @@ def test_bad_phrase_only_file_is_an_error_line(corpus, tmp_path, capsys,
              "phrase,samsami", "--m", "8", "--patterns", "5"])
     code, stdout, err = _run(capsys, argv)
     assert code == 1
-    assert stdout == ""
+    if edit == "moved cut" and command == "bench":
+        # the file loads, so the phrase variant's row is printed before
+        # samsami's first search refuses the file
+        assert [row.split(",")[0]
+                for row in stdout.splitlines()[1:]] == ["phrase"]
+    else:
+        assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "minimizer positions" in err or edit != "moved cut"
     assert "Traceback" not in err
 
 

@@ -23,6 +23,7 @@ from samsami.phrase import encode_id
 from helpers import (as_version_1, as_version_2, as_version_3, as_version_4,
                      offsets_span, pack_fields, random_text, read_offsets,
                      reference_annotate, reference_build_table,
+                     phrase_file_with_a_moved_cut,
                      reference_rebuild_positions, reseal, unpack_fields,
                      with_offsets)
 
@@ -351,23 +352,34 @@ def test_first_search_of_a_phrase_only_index_sorts_once(monkeypatch):
     assert back.index.left.tolist() == bundle.index.left.tolist()
 
 
-def test_phrase_only_index_serves_every_library_call():
-    # annotate, build_table and a save without the phrase section read
-    # the samples in suffix order: each sorts a fresh loaded index first
+def test_unsorted_index_refused_until_its_first_search():
+    # annotate, build_table and a save that writes offsets read the
+    # samples in suffix order, which a loaded phrase-only index sorts on
+    # its first search; before it each raises one error that says so
     text, params = _DNA_TEXT, SamplingParams(8, 2)
-    built = build_bundle(text, params, with_delta=True, hash_k=3)
     data = serialized_bytes(build_bundle(text, params, with_phrase=True))
+    idx = load(io.BytesIO(data), text).index
+    for call in (lambda: annotate(idx), lambda: build_table(idx, 3),
+                 lambda: serialized_bytes(IndexBundle(index=idx))):
+        with pytest.raises(SamsamiError, match="has not searched yet"):
+            call()
+    count(idx, text[:8])
+    built = build_bundle(text, params, with_delta=True)
+    assert annotate(idx).delta.tolist() == built.delta.delta.tolist()
 
-    def fresh():
-        idx = load(io.BytesIO(data), text).index
-        assert idx.sa is None
-        return idx
 
-    assert annotate(fresh()).delta.tolist() == built.delta.delta.tolist()
-    assert build_table(fresh(), 3).slots.tolist() == \
-        built.table.slots.tolist()
-    assert serialized_bytes(IndexBundle(index=fresh())) == \
-        serialized_bytes(build_bundle(text, params))
+@pytest.mark.parametrize("q,p", [(8, 2), (4, 1), (10, 10)])
+def test_phrase_only_file_with_a_moved_cut_refused_by_samsami(q, p):
+    # only the crc32 guards the cut positions at load, but samsami's
+    # first search compares the samples with the text's minimizer
+    # positions before it sorts them, and refuses the file
+    text = random_text(random.Random(q * 31 + p), 600, 3)
+    data = phrase_file_with_a_moved_cut(text, q, p)
+    for query in (count, locate):
+        back = load(io.BytesIO(data), text)
+        with pytest.raises(CorruptIndex, match="minimizer positions"):
+            query(back.index, text[100:100 + q])
+        assert back.index.sa is None and back.index.fences is None
 
 
 def test_roundtrip_preserves_queries_across_variants():
@@ -747,9 +759,10 @@ def _with_phrase_section(bundle, phrases, stream, sizes=None):
     return reseal(data[:_phrase_section_start(bundle)] + b"".join(section))
 
 
-def _phrase_bundle(seed=0x9AD, n=2000):
+def _phrase_bundle(seed=0x9AD, n=2000, with_delta=False):
     text = random_text(random.Random(seed), n, 4)
-    return text, build_bundle(text, SamplingParams(8, 2), with_phrase=True)
+    return text, build_bundle(text, SamplingParams(8, 2),
+                              with_delta=with_delta, with_phrase=True)
 
 
 def test_phrase_section_rewritten_unchanged_loads():
@@ -798,30 +811,38 @@ def test_duplicate_dictionary_phrase_rejected():
         load(io.BytesIO(data), text)
 
 
+# A phrase-only file's samples are its phrase starts, so n' no longer
+# matches them; a file with offsets compares the starts with those.
+_OFF_THE_SAMPLES = [(False, "header counts"),
+                    (True, "differ from the sampled positions")]
+
+
 def test_phrases_off_the_sampled_positions_rejected():
     # two neighbouring phrases merged into one still spell the text,
     # but the merged phrase starts no sample
-    text, bundle = _phrase_bundle()
-    enc, phrases = bundle.encoded, bundle.dictionary.phrases
-    k = enc.phrase_count // 2
-    merged = phrases[enc.phrase_ids[k]] + phrases[enc.phrase_ids[k + 1]]
-    assert merged not in bundle.dictionary.ids
-    a, b = int(enc.stream_offsets[k]), int(enc.stream_offsets[k + 2])
-    stream = enc.stream[:a] + encode_id(len(phrases)) + enc.stream[b:]
-    data = _with_phrase_section(bundle, phrases + [merged], stream)
-    with pytest.raises(CorruptIndex, match="sampled positions"):
-        load(io.BytesIO(data), text)
+    for with_delta, message in _OFF_THE_SAMPLES:
+        text, bundle = _phrase_bundle(with_delta=with_delta)
+        enc, phrases = bundle.encoded, bundle.dictionary.phrases
+        k = enc.phrase_count // 2
+        merged = phrases[enc.phrase_ids[k]] + phrases[enc.phrase_ids[k + 1]]
+        assert merged not in bundle.dictionary.ids
+        a, b = int(enc.stream_offsets[k]), int(enc.stream_offsets[k + 2])
+        stream = enc.stream[:a] + encode_id(len(phrases)) + enc.stream[b:]
+        data = _with_phrase_section(bundle, phrases + [merged], stream)
+        with pytest.raises(CorruptIndex, match=message):
+            load(io.BytesIO(data), text)
 
 
 def test_phrase_file_without_samples_rejected():
     # n' = 0: the phrase starts are checked against an empty sampled
     # set, which must reject the file, not raise IndexError
-    text, bundle = _phrase_bundle()
-    data = bytearray(serialized_bytes(bundle))
-    assert _phrase_section_start(bundle) == 48
-    struct.pack_into("<I", data, 32, 0)
-    with pytest.raises(CorruptIndex, match="sampled positions"):
-        load(io.BytesIO(reseal(data)), text)
+    for with_delta, message in _OFF_THE_SAMPLES:
+        text, bundle = _phrase_bundle(with_delta=with_delta)
+        data = bytearray(serialized_bytes(bundle))
+        del data[48:_phrase_section_start(bundle)]
+        struct.pack_into("<I", data, 32, 0)
+        with pytest.raises(CorruptIndex, match=message):
+            load(io.BytesIO(reseal(data)), text)
 
 
 def test_misspelled_phrase_rejected():
