@@ -42,18 +42,16 @@ class SamsamiIndex:
     left, the _left_column of sa.
 
     An index loaded from a file that holds no offsets has sa None and
-    its sampled positions, ascending, in ascending. The first search
-    sorts them into sa, sa_view and left (_sort_samples), so an index
+    its sampled positions, ascending, in ascending. prepare, the first
+    search's step, sorts them into sa, sa_view and left, so an index
     that never searches never sorts; until then suffix_sa refuses it.
 
-    fences, the fence list of _fences, is filled in by the first search
-    and never stored either. samsami and samsami-hash share it: the hash
-    narrows inside its k-byte group through the same list. It needs no
-    lock: two threads that race on the first search build equal lists,
-    and either may be kept. It is a plain attribute, not a
-    functools.cached_property: reading __dict__, as that does, makes
-    every later attribute read of the index about 45 ns slower on
-    CPython 3.11.
+    fences, the fence list of _fences, is filled in by prepare and never
+    stored either. samsami and samsami-hash share it: the hash narrows
+    inside its k-byte group through the same list. It is a plain
+    attribute, not a functools.cached_property: reading __dict__, as
+    that does, makes every later attribute read of the index about 45 ns
+    slower on CPython 3.11.
     """
 
     text: bytes
@@ -83,23 +81,28 @@ def suffix_sa(idx: SamsamiIndex) -> np.ndarray:
     return idx.sa
 
 
-def _sort_samples(idx: SamsamiIndex) -> None:
-    """Sort idx.ascending into sa, sa_view and left.
-
-    extract_sampled sorts only the text's minimizer positions, and a
-    loaded file's cut positions are guarded by its crc32 alone, so they
-    are first compared with the positions sampled from the text. Two
-    threads that race here sort equal arrays, and sa is set after
-    sa_view and left, so no reader of sa finds them missing.
+def prepare(idx: SamsamiIndex) -> None:
+    """The first search's step: build, once, what idx's searches read
+    and no file stores. Samples loaded without offsets are guarded by the
+    file's crc32 alone and extract_sampled sorts only the text's
+    minimizer positions, so they must equal the positions sampled from
+    the text; then they are sorted into sa, sa_view and left. Then the
+    fence list is built. No lock is needed: threads that race here build
+    equal values, either may be kept, and sa is set after sa_view and
+    left, and fences last, so no reader finds what they imply missing.
     """
-    sampled = sampled_positions(idx.text, idx.params)
-    if not np.array_equal(sampled, idx.ascending):
-        raise CorruptIndex("the loaded samples differ from the text's "
-                           "minimizer positions")
-    sa = extract_sampled(idx.text, sampled, idx.params)
-    idx.sa_view = memoryview(sa)
-    idx.left = _left_column(idx.text, sa)
-    idx.sa = sa
+    if idx.fences is not None:
+        return
+    if idx.sa is None:
+        sampled = sampled_positions(idx.text, idx.params)
+        if not np.array_equal(sampled, idx.ascending):
+            raise CorruptIndex("the loaded samples differ from the text's "
+                               "minimizer positions")
+        sa = extract_sampled(idx.text, sampled, idx.params)
+        idx.sa_view = memoryview(sa)
+        idx.left = _left_column(idx.text, sa)
+        idx.sa = sa
+    idx.fences = _fences(idx.text, idx.sa_view)
 
 
 def _left_column(text: bytes, sa: np.ndarray) -> np.ndarray:
@@ -145,9 +148,7 @@ def suffix_range(idx: SamsamiIndex, seq: bytes) -> tuple[int, int]:
     if len(seq) == 0:
         raise InvalidParams("empty search string")
     if idx.fences is None:
-        if idx.sa is None:
-            _sort_samples(idx)
-        idx.fences = _fences(idx.text, idx.sa_view)
+        prepare(idx)
     return _prefix_range(idx.text, idx.sa_view, 0, len(idx.sa), seq,
                          idx.fences)
 

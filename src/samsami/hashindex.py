@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (QueryStats, SamsamiIndex, _fences, _heads,
-                   _prefix_range, _verify_candidates, suffix_sa)
+from .core import (QueryStats, SamsamiIndex, _heads, _prefix_range,
+                   _verify_candidates, prepare, suffix_sa)
 from .errors import InvalidParams, PatternTooShort
 from .minimizer import _gram_keys, window_minimizer
 
@@ -26,8 +26,8 @@ class PrefixRangeTable:
 
     slots holds one (lo, hi) row per group in rank order. Queries read
     groups, a dict from each row's key to lo << 32 | hi, which the first
-    search builds and nothing stores, as with SamsamiIndex.fences (no
-    lock needed).
+    search builds right after core.prepare and nothing stores, as with
+    SamsamiIndex.fences (no lock needed, for prepare's reasons).
     """
 
     k: int
@@ -108,14 +108,13 @@ def _locate_hash_impl(idx, table, pattern, stats):
             f"pattern length {len(pattern)} < max(q-p+k, q) = {need}")
     j = window_minimizer(pattern[:q], p)
     if table.groups is None:
+        # the index's own fences narrow the search inside the k-byte
+        # group, which on source text can hold thousands of suffixes
+        prepare(idx)
         table.groups = _groups(idx, table)
     group = table.groups.get(pattern[j - 1:j - 1 + k])
     if group is None:
         return []
-    # the index's own fences narrow the search inside the k-byte group,
-    # which on source text can hold thousands of suffixes
-    if idx.fences is None:
-        idx.fences = _fences(idx.text, idx.sa_view)
     narrowed = _prefix_range(idx.text, idx.sa_view, group >> 32,
                              group & 0xFFFFFFFF, pattern[j - 1:], idx.fences)
     return _verify_candidates(idx.text, idx.sa_view, pattern, j, narrowed,

@@ -26,15 +26,15 @@ A run of w-bit fields is packed little-endian: field i holds bits
 zero bits pad it to a whole byte. Eight fields fill exactly w bytes.
 
 The delta nibbles and the hash groups are functions of the offsets, so
-the file keeps only their flags and k, and load computes them with the
-builder's own annotate and build_table.
+the file keeps only their flags and k, and load computes them through
+annotate_index, the builder's own path.
 
 A file with a phrase section and neither annotation stores no offsets:
 the phrases start at the sampled positions, after an unsampled leading
 piece when the first window does not select position 1. Load takes the
 samples from the stream's phrase starts, drops position 1 unless the
 first window selects it, and checks that n' of them remain. The index
-sorts them into suffix order on its first search (core._sort_samples),
+sorts them into suffix order in its first search's step (core.prepare),
 which raises CorruptIndex unless they equal the positions it samples
 from the text. At load, as with stored offsets, only the crc32 guards
 the cut positions: a resealed file whose phrases start elsewhere but
@@ -192,11 +192,16 @@ def build_bundle(text: bytes, params: SamplingParams, *, with_delta=False,
 
 
 def annotate_index(idx: SamsamiIndex, *, with_delta=False,
-                   hash_k: int | None = None, with_phrase=False) -> IndexBundle:
-    """Bundle a built index with the requested annotations of it."""
+                   hash_k: int | None = None, with_phrase=False,
+                   ascending: np.ndarray | None = None) -> IndexBundle:
+    """Bundle an index with the requested annotations of it.
+
+    ascending, the index's positions sorted, spares annotate's sort when
+    the caller has it, as load does.
+    """
     bundle = IndexBundle(index=idx)
     if with_delta:
-        bundle.delta = annotate(idx)
+        bundle.delta = annotate(idx, ascending)
     if hash_k is not None:
         bundle.table = build_table(idx, hash_k)
     if with_phrase:
@@ -339,11 +344,9 @@ def _read(data: bytes, text: bytes) -> IndexBundle:
                            "whether position 1 is sampled")
 
     idx = SamsamiIndex(text=text, params=params, sa=positions, n=n)
-    bundle = IndexBundle(index=idx)
-    if flags & FLAG_DELTA:
-        bundle.delta = annotate(idx, ascending)
-    if flags & FLAG_HASH:
-        bundle.table = build_table(idx, k)
+    bundle = annotate_index(idx, with_delta=bool(flags & FLAG_DELTA),
+                            hash_k=k if flags & FLAG_HASH else None,
+                            ascending=ascending)
 
     if flags & FLAG_PHRASE:
         # the phrase section is the file's last: it runs to the end

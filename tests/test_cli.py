@@ -32,7 +32,7 @@ def _bench_rows(report):
     return [dict(zip(names, line.split(","))) for line in lines]
 
 
-TIMING = ("mean_us", "p50_us", "p99_us")  # vary run to run
+TIMING = ("mean_us", "p50_us", "p99_us", "first_us")  # vary run to run
 
 
 def test_splitmix64_reference_values():
@@ -190,7 +190,8 @@ def test_bench_determinism_and_agreement(corpus, capsys):
     assert code == 0
     lines = first.strip().split("\n")
     assert lines[0] == ("variant,q,p,k,m,patterns,mean_us,p50_us,p99_us,"
-                        "index_bytes,index_text_ratio,matches_total")
+                        "index_bytes,index_text_ratio,matches_total,"
+                        "first_us")
     assert len(lines) == 6  # header + five variants
     rows = _bench_rows(first)
     matches = [row["matches_total"] for row in rows]
@@ -222,7 +223,8 @@ def test_bench_single_variant(corpus, capsys):
 
 def test_bench_mean_leaves_out_the_fence_build(corpus, capsys, monkeypatch):
     # a variant's first search builds its fence list once; bench must not
-    # count that build in the mean over its timed queries
+    # count that build in the mean over its timed queries, and reports
+    # it as the first query's time
     path, _ = corpus
     sleep_s, patterns = 0.2, 4
     built = []
@@ -243,6 +245,7 @@ def test_bench_mean_leaves_out_the_fence_build(corpus, capsys, monkeypatch):
     row = _bench_rows(stdout)[0]
     assert float(row["mean_us"]) < sleep_s * 1e6 / patterns
     assert float(row["p99_us"]) < sleep_s * 1e6  # in no timed query
+    assert float(row["first_us"]) >= sleep_s * 1e6
 
 
 def test_bench_m_below_minimum_fails(corpus, capsys):

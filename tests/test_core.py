@@ -469,6 +469,33 @@ def test_fences_are_built_on_the_first_search_only():
                                            encoded._ordered_starts)
 
 
+def test_hash_first_query_builds_the_shared_fences_once(monkeypatch):
+    # core.prepare is the one first-search step: a samsami-hash query
+    # builds the fences through it, and samsami and samsami2 reuse them
+    text = random_text(random.Random(0xF1C), 3000, 4)
+    params = SamplingParams(8, 2)
+    built = []
+
+    def spy(text, sa):
+        built.append(len(sa))
+        return fences(text, sa)
+
+    fences = core._fences
+    monkeypatch.setattr(core, "_fences", spy)
+    bundle = build_bundle(text, params, with_delta=True, hash_k=3)
+    back = load(io.BytesIO(serialized_bytes(bundle)), text)
+    for fresh in (bundle, back):
+        idx = fresh.index
+        pat = text[100:120]
+        expect = len(naive_locate(text, pat))
+        assert count_hash(idx, fresh.table, pat) == expect
+        assert count(idx, pat) == expect
+        assert count2(idx, fresh.delta, pat) == expect
+        assert built == [idx.n_sampled]
+        assert idx.fences == fences(text, idx.sa_view)
+        built.clear()
+
+
 def test_threads_racing_on_the_first_search_agree():
     # Many threads run the first searches of shared fresh indexes at
     # once, switching often; whichever fence list is kept, every
