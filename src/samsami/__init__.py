@@ -5,7 +5,8 @@ positions, answers locate/count for patterns of length >= q with one
 binary search plus prefix verification, and comes in three flavors
 (plain, delta-annotated for verification pruning, hash-accelerated),
 alongside a sparse-suffix-array baseline and a phrase-compressed text
-representation searchable without decoding.
+representation whose codeword stream is searched without decoding and
+whose candidates are checked against the text.
 """
 
 from .baselines import (SparseSuffixArray, naive_count, naive_locate,

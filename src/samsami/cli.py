@@ -69,12 +69,8 @@ def cmd_build(args) -> int:
     text = _read_text(args.text)
     params = SamplingParams(args.q, args.p)
     variant = args.variant
-    bundle = persistence.build_bundle(
-        text, params,
-        with_delta=(variant == "samsami2"),
-        hash_k=(args.k if variant == "samsami-hash" else None),
-        with_phrase=(variant == "phrase"),
-    )
+    bundle = persistence.build_bundle(text, params,
+                                      **variants.sections(variant, args.k))
     idx = bundle.index
     if variant == "phrase":
         dict_bytes = sum(len(ph) for ph in bundle.dictionary.phrases)
@@ -220,7 +216,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     b = subs.add_parser("build", help="build and save an index")
     pb = subs.add_parser("phrase-build", help="build a phrase-compressed index")
-    pb.set_defaults(variant="phrase")
+    pb.set_defaults(variant="phrase", k=0)  # no --k: no hash table
     for sub in (b, pb):
         sub.add_argument("--text", required=True)
         sub.add_argument("--q", type=int, required=True)

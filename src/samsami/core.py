@@ -244,7 +244,11 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
 # count p99 from 14.8 to 16.7 us on perfbench's code-phrase patterns and
 # from 17.0 to 16.6 us on code-anchor's (16,384 patterns, 4 interleaved
 # rounds, best of 4 per pattern); 16 for both entry and finish gave 18.3
-# and 20.6 us. One constant serves both.
+# and 20.6 us. One constant serves both, and the phrase variant's
+# codeword ranges too: on 4,000 of perfbench's code-phrase patterns
+# (q=8, p=2, m=32, best of 4 per pattern) thresholds of 16, 32, 48, 64
+# and 128 gave phrase locate means of 15.9, 15.4, 15.2, 15.2 and 15.0
+# us and p50s of 13.4-13.8 us.
 _VECTOR_MIN_CANDIDATES = 48
 
 
@@ -287,14 +291,11 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
 
 def _verify_vector(text, sa, pattern, j, lo, hi, left):
     shift = j - 1
-    # Compare the prefix nearest the anchor first, shrinking the set
-    # after each step; once few candidates are left, the scalar compare
-    # finishes them. The first step reads no scattered text: the
-    # left-context column holds up to 4 prefix bytes in sa order, so one
-    # contiguous compare leaves few candidates, which are finished in
-    # Python before any other array is made. Then 8-byte words come
-    # through an in-place view of the text at every offset, or single
-    # bytes when the rest of the prefix is shorter than a word.
+    # Compare the prefix nearest the anchor first. The first step reads
+    # no scattered text: the left-context column holds up to 4 prefix
+    # bytes in sa order, so one contiguous compare leaves few
+    # candidates, which are finished in Python before any other array
+    # is made. _text_matches compares the rest.
     tail = min(shift, 4)
     want = int.from_bytes(pattern[shift - tail:shift].rjust(4, b"\0"),
                           "little")
@@ -313,6 +314,21 @@ def _verify_vector(text, sa, pattern, j, lo, hi, left):
         return out
     anchors = np.asarray(sa[lo:hi])[kept]
     begin = anchors[anchors >= j].astype(np.int64) - j  # starts in text
+    return _text_matches(text, begin, pattern[:rest])
+
+
+def _text_matches(text: bytes, begin: np.ndarray, prefix: bytes) -> list[int]:
+    """The 0-based starts b in begin, int64, where text holds prefix, as
+    the 1-based positions b + 1 in begin's order. Every b + len(prefix)
+    must be at most len(text).
+
+    The prefix is compared from its end, shrinking the set after each
+    step, in 8-byte words through an in-place view of the text at every
+    offset, or single bytes when the prefix is shorter than a word. Once
+    fewer than _VECTOR_MIN_CANDIDATES are left, a scalar compare finishes
+    them.
+    """
+    rest = len(prefix)
     if rest >= 8 and len(begin) >= _VECTOR_MIN_CANDIDATES:
         view, width = np.ndarray((len(text) - 7,), "<u8", buffer=text,
                                  strides=(1,)), 8
@@ -322,10 +338,9 @@ def _verify_vector(text, sa, pattern, j, lo, hi, left):
         steps = range(rest - 1, -1, -1)
     for off in steps:
         if len(begin) < _VECTOR_MIN_CANDIDATES:
-            prefix = pattern[:rest]
             return [b + 1 for b in begin.tolist()
                     if text[b:b + rest] == prefix]
-        want = int.from_bytes(pattern[off:off + width], "little")
+        want = int.from_bytes(prefix[off:off + width], "little")
         begin = begin[view[begin + off] == want]
     return (begin + 1).tolist()
 

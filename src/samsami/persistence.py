@@ -415,6 +415,7 @@ def _read_phrases(buf: bytes, text: bytes, q: int,
         raise CorruptIndex("phrase stream does not span the text")
     if not _spells(buf, first, sizes, encoded, text):
         raise CorruptIndex("phrases do not spell the text")
+    encoded.text = text  # what phrase queries check their candidates against
     return dictionary, encoded
 
 

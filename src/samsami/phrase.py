@@ -12,10 +12,10 @@ Searching parses the pattern the same way and keeps the boundaries that
 are guaranteed stable under any text alignment. With two or more, the
 phrases between them give one codeword string; with one, each phrase
 the text could place at it gives a codeword of its own. Each string is
-binary searched over phrase-aligned stream suffixes, and the uncovered
-pattern prefix and tail are verified by decoding the neighboring
-phrases: candidate by candidate, or one pattern column at a time in
-numpy for a wide range of candidates. No query walks every phrase.
+binary searched over phrase-aligned stream suffixes, and each candidate
+whose occurrence lies inside the text is checked against the text,
+through the kernel samsami's verification uses for a wide range. No
+query walks every phrase.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from operator import add
 
 import numpy as np
 
+from . import core
 from .core import QueryStats, _fences, _prefix_range
 from .errors import CorruptEncoding, PatternTooShort
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
@@ -44,51 +45,31 @@ _BIG_U2 = np.dtype(">u2")
 
 @dataclass(eq=False)
 class PhraseDictionary:
-    """Distinct phrases ranked by decreasing frequency (ties: first seen).
-
-    _byte_table, built by the first wide codeword range of a query and
-    never stored in an index file, lays the phrases out back to back.
-    It needs no lock: two threads that race on it build equal tables,
-    and either may be kept.
-    """
+    """Distinct phrases ranked by decreasing frequency (ties: first seen),
+    with each phrase's id and each id's codeword."""
 
     phrases: list[bytes]
     ids: dict[bytes, int] = field(repr=False)
     codewords: list[bytes] = field(repr=False)
-    _table: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False)
-
-    def _byte_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The phrases back to back as one uint8 array, the index in it
-        of each phrase's first byte by id plus the total length, as
-        int64, and the cuts: True at each of those indexes, else False.
-        """
-        if self._table is None:
-            count = len(self.phrases)
-            bounds = np.zeros(count + 1, dtype=np.int64)
-            np.cumsum(np.fromiter(map(len, self.phrases), dtype=np.int64,
-                                  count=count), out=bounds[1:])
-            cuts = np.zeros(int(bounds[-1]) + 1, dtype=bool)
-            cuts[bounds] = True
-            self._table = (np.frombuffer(b"".join(self.phrases),
-                                         dtype=np.uint8), bounds, cuts)
-        return self._table
 
 
 @dataclass(eq=False)
 class EncodedText:
     """Codeword stream plus per-phrase stream offsets and text positions.
 
-    id_view and position_view are memoryviews of phrase_ids and
-    text_positions whose items read as Python ints, derived on
-    construction for the per-phrase loops of a query. suffix_order
-    fills in the memoryview _order_view of its result as well.
+    text is the text the stream encodes, which queries check their
+    candidates against; it is never stored in an index file.
+    position_view is a memoryview of text_positions whose items read as
+    Python ints, derived on construction for the per-candidate loop of
+    a query. suffix_order fills in the memoryview _order_view of its
+    result as well.
     """
 
     stream: bytes = field(repr=False)
     stream_offsets: np.ndarray = field(repr=False)
     text_positions: np.ndarray = field(repr=False)
     phrase_ids: np.ndarray = field(repr=False)
+    text: bytes | None = field(repr=False)
     _suffix_order: np.ndarray | None = field(default=None, repr=False)
     _order_view: memoryview | None = field(default=None, repr=False)
     # 1-based stream positions of the phrases in suffix order, the
@@ -96,11 +77,9 @@ class EncodedText:
     # with the suffix order
     _ordered_starts: memoryview | None = field(default=None, repr=False)
     _fences: list[bytes] | None = field(default=None, repr=False)
-    id_view: memoryview = field(init=False, repr=False)
     position_view: memoryview = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.id_view = memoryview(self.phrase_ids)
         self.position_view = memoryview(self.text_positions)
 
     @property
@@ -220,6 +199,7 @@ def encode_text(text: bytes, params: SamplingParams,
         stream_offsets=offsets,
         text_positions=starts.astype(np.uint32),
         phrase_ids=ids_arr,
+        text=text,
     )
     return dictionary, encoded
 
@@ -276,7 +256,8 @@ def decode_text(dictionary: PhraseDictionary, encoded: EncodedText) -> bytes:
 def rebuild_positions(dictionary: PhraseDictionary, stream: bytes,
                       sizes: np.ndarray) -> EncodedText:
     """Reconstruct the per-phrase metadata of a bare codeword stream;
-    sizes holds each phrase's length, by id, as int64."""
+    sizes holds each phrase's length, by id, as int64. The result's text
+    is None until the caller has shown that the phrases spell it."""
     ids, offsets = _split_stream(stream, len(dictionary.phrases))
     spans = sizes[ids]
     np.cumsum(spans, out=spans)  # now each phrase's end in the text
@@ -285,7 +266,7 @@ def rebuild_positions(dictionary: PhraseDictionary, stream: bytes,
     positions = np.ones(len(ids), dtype=np.uint32)
     np.add(spans[:-1], 1, out=positions[1:], casting="unsafe")
     return EncodedText(stream=stream, stream_offsets=offsets,
-                       text_positions=positions, phrase_ids=ids)
+                       text_positions=positions, phrase_ids=ids, text=None)
 
 
 def _stable_boundaries(pattern: bytes, params: SamplingParams) -> list[int]:
@@ -327,8 +308,8 @@ def encoded_locate(dictionary: PhraseDictionary, encoded: EncodedText,
     """All occurrences of pattern, m >= 2q-p+1, via the encoded stream.
 
     stats, when given, gains the size of the codeword ranges searched
-    (candidates) and the candidates checked by decoding
-    (text_verifications).
+    (candidates) and the candidates whose occurrence lies inside the
+    text, each checked against encoded.text (text_verifications).
     """
     m = len(pattern)
     need = min_pattern_length(params)
@@ -339,11 +320,10 @@ def encoded_locate(dictionary: PhraseDictionary, encoded: EncodedText,
     if len(stable) >= 2:
         ids, words = dictionary.ids, dictionary.codewords
         try:
-            codewords = b"".join([words[ids[pattern[a - 1:b - 1]]]
-                                  for a, b in zip(stable, stable[1:])])
+            searches = [b"".join([words[ids[pattern[a - 1:b - 1]]]
+                                  for a, b in zip(stable, stable[1:])])]
         except KeyError:
             return []  # a phrase absent from the text cannot occur in it
-        searches = [(codewords, len(stable) - 1, stable[-1])]
     else:
         # One stable boundary. Inside an occurrence the text samples
         # nothing in (j1, m-q+2] either, and it samples the minimizer
@@ -357,157 +337,46 @@ def encoded_locate(dictionary: PhraseDictionary, encoded: EncodedText,
         for e in range(m - q + 3, last + 1):
             pid = dictionary.ids.get(pattern[j1 - 1:e - 1])
             if pid is not None:
-                searches.append((dictionary.codewords[pid], 1, e))
-    return _locate_by_codewords(dictionary, encoded, n, pattern, j1,
-                                searches, stats)
+                searches.append(dictionary.codewords[pid])
+    return _locate_by_codewords(encoded, n, pattern, j1, searches, stats)
 
 
-# Codeword ranges with at least this many candidates go to _verify_wide,
-# which finishes fewer survivors than this with the phrase walkers. On
-# 512 KiB of stdlib source (q=8, p=2, m=32, 4,000 patterns; 2 vCPU,
-# Python 3.11, numpy 2.4) thresholds of 8, 16, 32, 64 and 128 gave mean
-# locate times of 29.8, 26.5, 25.2, 25.4 and 26.3 us, against 48.0 us
-# with the walkers alone; p50 stayed at 15.6-15.8 us.
-_WIDE_MIN_CANDIDATES = 32
-
-
-def _locate_by_codewords(dictionary, encoded, n, pattern, j1, searches,
-                         stats):
-    # Each search is (codeword string, phrases it covers, the 1-based
-    # pattern offset the last of them ends before); its hits are
-    # phrase-aligned stream suffixes that the string prefixes, with the
-    # first of its phrases placed at pattern offset j1. A hit whose
-    # phrase starts at text position s stands for the occurrence at
-    # s - j1 + 1, which lies inside the text when j1 <= s <= last.
+def _locate_by_codewords(encoded, n, pattern, j1, searches, stats):
+    # Each search is a codeword string; its hits are phrase-aligned
+    # stream suffixes that it prefixes, with its first phrase placed at
+    # pattern offset j1. A hit whose phrase starts at text position s
+    # stands for the occurrence at 0-based b = s - j1, which lies inside
+    # the text when j1 <= s <= last. Ranges of core._VECTOR_MIN_CANDIDATES
+    # or more go to core's kernel, as samsami's wide ranges do; both
+    # names are read at call time.
     if encoded._order_view is None:
         encoded.suffix_order()
-    order, positions = encoded._order_view, encoded.position_view
-    phrases, ids = dictionary.phrases, encoded.id_view
-    last = n - len(pattern) + j1
+    order, positions, text = (encoded._order_view, encoded.position_view,
+                              encoded.text)
+    m = len(pattern)
+    last = n - m + j1
     out = []
     total = inside = 0
-    for codewords, covered, reached in searches:
+    for codewords in searches:
         lo, hi = _prefix_range(encoded.stream, encoded._ordered_starts, 0,
                                len(order), codewords, encoded._fences)
         total += hi - lo
-        if hi - lo >= _WIDE_MIN_CANDIDATES:
-            found, checked = _verify_wide(dictionary, encoded, pattern, j1,
-                                          covered, reached, lo, hi, last)
-            out += found
-            inside += checked
+        if hi - lo >= core._VECTOR_MIN_CANDIDATES:
+            starts = encoded.text_positions[encoded._suffix_order[lo:hi]]
+            starts = starts[(starts >= j1) & (starts <= last)]
+            inside += len(starts)
+            out += core._text_matches(text, starts.astype(np.int64) - j1,
+                                      pattern)
             continue
         for pi in order[lo:hi]:
             s = positions[pi]
             if j1 <= s <= last:
                 inside += 1
-                if _match_backward(phrases, ids, pi, pattern, j1 - 1) and \
-                   _match_forward(phrases, ids, pi + covered, pattern,
-                                  reached - 1):
-                    out.append(s - j1 + 1)
+                b = s - j1
+                if text[b:b + m] == pattern:
+                    out.append(b + 1)
     if stats is not None:
         stats.candidates += total
         stats.text_verifications += inside
     out.sort()
     return out
-
-
-def _verify_wide(dictionary, encoded, pattern, j1, covered, reached, lo, hi,
-                 last):
-    """The occurrences of the hits at suffix ranks [lo, hi) of one search
-    of _locate_by_codewords, and how many of them lie inside the text.
-
-    The pattern bytes left of the codeword string, then right of it, are
-    compared one column at a time by _compare_columns, nearest the
-    string first. Fewer than _WIDE_MIN_CANDIDATES survivors are finished
-    by the phrase walkers. No text is read.
-    """
-    positions = encoded.text_positions
-    pis = encoded._suffix_order[lo:hi]
-    starts = positions[pis]
-    pis = pis[(starts >= j1) & (starts <= last)].astype(np.int64)
-    inside = len(pis)
-    # the occurrence lies in the text, so no step passes the first or
-    # the last phrase
-    pis, done = _compare_columns(dictionary, encoded, pattern,
-                                 range(j1 - 2, -1, -1), pis, pis - 1)
-    if done:
-        pis, done = _compare_columns(dictionary, encoded, pattern,
-                                     range(reached - 1, len(pattern)), pis,
-                                     pis + covered)
-    if done:
-        return (positions[pis] - np.uint32(j1 - 1)).tolist(), inside
-    phrases, ids, pos = (dictionary.phrases, encoded.id_view,
-                         encoded.position_view)
-    return [pos[pi] - j1 + 1 for pi in pis.tolist()
-            if _match_backward(phrases, ids, pi, pattern, j1 - 1)
-            and _match_forward(phrases, ids, pi + covered, pattern,
-                               reached - 1)], inside
-
-
-def _compare_columns(dictionary, encoded, pattern, columns, pis, k):
-    """The candidates pis whose text agrees with pattern at each column
-    of columns, a range of consecutive pattern offsets stepping away
-    from the codeword string, and whether every column was compared:
-    the loop stops once fewer than _WIDE_MIN_CANDIDATES are left.
-
-    k holds, for each candidate, the text phrase that its first column
-    lies in: the phrase next to the string. Each candidate keeps one
-    column of a (3, count) array: pi, its text phrase k, and the index
-    at of the current byte in the dictionary's bytes. A step that
-    crosses a cut between dictionary phrases has left phrase k; k then
-    moves to the next text phrase and at to that phrase's near end.
-    """
-    if not columns:
-        return pis, True
-    step = columns.step
-    data, bounds, cuts = dictionary._byte_table()
-    ends = bounds[1:]
-    if step < 0:
-        cuts = cuts[1:]  # at has left its phrase when at + 1 is a cut
-    ids = encoded.phrase_ids
-    pid = ids[k]
-    state = np.stack((pis, k, bounds[pid] if step > 0 else ends[pid] - 1))
-    for c in columns:
-        if state.shape[1] < _WIDE_MIN_CANDIDATES:
-            return state[0], False
-        if c != columns[0]:  # step to column c
-            _, k, at = state
-            at += step
-            moved = cuts[at].nonzero()[0]
-            if len(moved):
-                k[moved] += step
-                pid = ids[k[moved]]
-                at[moved] = bounds[pid] if step > 0 else ends[pid] - 1
-        state = state.compress(data[state[2]] == pattern[c], axis=1)
-    return state[0], True
-
-
-# Every caller keeps only candidates whose occurrence lies inside the
-# text (j1 <= s <= last), so neither walk passes the first or the last
-# phrase.
-def _match_backward(phrases, ids, pi, pattern, need):
-    """Compare pattern[..need] against the text ending before phrase pi;
-    ids reads the phrase ids in text order."""
-    idx = pi - 1
-    while need > 0:
-        ph = phrases[ids[idx]]
-        take = min(len(ph), need)
-        if ph[len(ph) - take:] != pattern[need - take:need]:
-            return False
-        need -= take
-        idx -= 1
-    return True
-
-
-def _match_forward(phrases, ids, pi, pattern, done):
-    """Compare pattern[done..] against the text starting at phrase pi."""
-    m = len(pattern)
-    idx = pi
-    while done < m:
-        ph = phrases[ids[idx]]
-        take = min(len(ph), m - done)
-        if ph[:take] != pattern[done:done + take]:
-            return False
-        done += take
-        idx += 1
-    return True

@@ -84,6 +84,15 @@ def from_bundle(bundle: persistence.IndexBundle,
                    lambda: len(persistence.serialized_bytes(bundle)))
 
 
+def sections(name: str, k: int) -> dict:
+    """The keyword arguments of persistence.annotate_index and
+    build_bundle that add the section the variant name reads, if any;
+    a hash table keys k bytes."""
+    return {"with_delta": name == "samsami2",
+            "hash_k": k if name == "samsami-hash" else None,
+            "with_phrase": name == "phrase"}
+
+
 def build_variants(text: bytes, names, q: int, p: int, k: int,
                    step: int) -> list[Variant]:
     """One variant per name, built over text.
@@ -110,8 +119,6 @@ def build_variants(text: bytes, names, q: int, p: int, k: int,
             continue
         if idx is None:
             idx = core.build(text, SamplingParams(q, p))
-        out.append(from_bundle(persistence.annotate_index(
-            idx, with_delta=name == "samsami2",
-            hash_k=k if name == "samsami-hash" else None,
-            with_phrase=name == "phrase"), name))
+        out.append(from_bundle(
+            persistence.annotate_index(idx, **sections(name, k)), name))
     return out

@@ -10,8 +10,9 @@ import pytest
 from samsami import (CorruptEncoding, EncodedText, PatternTooShort,
                      QueryStats, SamplingParams, TextTooShort, decode_text,
                      build_full_sa, encode_text, encoded_locate,
-                     naive_locate, parse_phrases, sampled_positions)
-from samsami import build_bundle, core, load, phrase
+                     naive_locate, parse_phrases, sampled_positions,
+                     window_minimizer)
+from samsami import build_bundle, core, load, locate, phrase
 from samsami.persistence import serialized_bytes
 from samsami.phrase import (PhraseDictionary, _split_stream,
                             _stable_boundaries, codeword_table, encode_id,
@@ -235,7 +236,7 @@ def test_encoded_locate_over_wide_codeword_ranges():
         assert stats.candidates >= 2 * core.FENCE_STRIDE, (pattern, stats)
 
 
-WIDE = phrase._WIDE_MIN_CANDIDATES
+WIDE = core._VECTOR_MIN_CANDIDATES
 NEVER = 1 << 40  # a kernel threshold above every codeword range
 
 
@@ -273,18 +274,18 @@ def _kernel_patterns(rng, text, params):
 @pytest.mark.parametrize("threshold", [1, WIDE, NEVER],
                          ids=["every-range", "default", "never"])
 def test_wide_kernel_matches_naive_and_walker_stats(monkeypatch, threshold):
-    # with threshold 1 every codeword range is verified by columns, down
-    # to the last candidate; the walker path (NEVER) gives QueryStats
-    # that every threshold must repeat
+    # with threshold 1 every codeword range is verified by core's kernel,
+    # down to the last candidate; the scalar path (NEVER) gives
+    # QueryStats that every threshold must repeat
     params = SamplingParams(8, 2)
     rng = random.Random(0x3C01)
     for text in (_indented_text(rng, 400), b"        " + _code_text(16384)
                  + b"\n        "):
         dictionary, encoded = encode_text(text, params)
         patterns = _kernel_patterns(rng, text, params)
-        monkeypatch.setattr(phrase, "_WIDE_MIN_CANDIDATES", NEVER)
+        monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", NEVER)
         walked = _answers(dictionary, encoded, text, patterns, params)
-        monkeypatch.setattr(phrase, "_WIDE_MIN_CANDIDATES", threshold)
+        monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", threshold)
         got = _answers(dictionary, encoded, text, patterns, params)
         assert got == walked
         for pattern, (hits, _) in zip(patterns, got):
@@ -297,7 +298,6 @@ def test_wide_kernel_matches_naive_and_walker_stats(monkeypatch, threshold):
         assert len(wide) > 20
         # candidates whose occurrence would start before 1 or end past n
         assert any(st.text_verifications < st.candidates for st in wide)
-        assert (dictionary._table is not None) == (threshold != NEVER)
 
 
 def test_wide_kernel_randomized_at_threshold_one(monkeypatch):
@@ -318,30 +318,59 @@ def test_wide_kernel_randomized_at_threshold_one(monkeypatch):
             m = rng.randint(floor, min(n, floor + 24))
             i = rng.choice([1, n - m + 1, rng.randint(1, n - m + 1)])
             patterns.append(text[i - 1:i - 1 + m])
-        monkeypatch.setattr(phrase, "_WIDE_MIN_CANDIDATES", NEVER)
+        monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", NEVER)
         walked = _answers(dictionary, encoded, text, patterns, params)
-        monkeypatch.setattr(phrase, "_WIDE_MIN_CANDIDATES", 1)
+        monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", 1)
         assert _answers(dictionary, encoded, text, patterns, params) == walked
         for pattern, (hits, _) in zip(patterns, walked):
             assert hits == naive_locate(text, pattern), (text, pattern, q, p)
 
 
 def test_wide_kernel_first_query_on_a_loaded_bundle():
-    # the suffix order's view and the dictionary's byte table are built
-    # by the first query of a loaded bundle, not by load
+    # the suffix order's view is built by the first query of a loaded
+    # bundle, not by load; its candidates are checked against the text
+    # that load attached
     text = _indented_text(random.Random(0x10AD), 1500)
     params = SamplingParams(8, 2)
     bundle = load(io.BytesIO(serialized_bytes(
         build_bundle(text, params, with_phrase=True))), text)
     dictionary, encoded = bundle.dictionary, bundle.encoded
-    assert encoded._order_view is None and dictionary._table is None
+    assert encoded._order_view is None and encoded.text is text
     pattern = b"\n" + b" " * 16 + b"self"
     stats = QueryStats()
     got = encoded_locate(dictionary, encoded, len(text), pattern, params,
                          stats)
     assert got == naive_locate(text, pattern)
     assert stats.candidates >= WIDE
-    assert encoded._order_view is not None and dictionary._table is not None
+    assert encoded._order_view is not None
+
+
+def test_wide_phrase_and_samsami_ranges_share_one_kernel(monkeypatch):
+    # one function of core checks the wide ranges of both variants: the
+    # phrase variant's in-text candidates against the whole pattern,
+    # samsami's column survivors against the rest of the skipped prefix
+    text = _indented_text(random.Random(0x5A5A), 1500)
+    params = SamplingParams(8, 2)
+    bundle = build_bundle(text, params, with_phrase=True)
+    calls = []
+    real = core._text_matches
+
+    def spy(text_, begin, prefix):
+        calls.append((len(begin), prefix))
+        return real(text_, begin, prefix)
+
+    monkeypatch.setattr(core, "_text_matches", spy)
+    pattern = b"x None\n        "
+    expect = naive_locate(text, pattern)
+    assert encoded_locate(bundle.dictionary, bundle.encoded, len(text),
+                          pattern, params) == expect
+    assert [prefix for _, prefix in calls] == [pattern]
+    assert calls[0][0] >= WIDE
+    calls.clear()
+    assert locate(bundle.index, pattern) == expect
+    j = window_minimizer(pattern[:params.q], params.p)
+    assert [prefix for _, prefix in calls] == [pattern[:j - 1 - 4]]
+    assert calls[0][0] >= WIDE
 
 
 def test_encoded_locate_sparse_boundary_fallback():
@@ -493,7 +522,6 @@ def _check_against_reference(dictionary, stream):
     assert got.stream_offsets.tolist() == expect[0]
     assert got.text_positions.tolist() == expect[1]
     assert got.phrase_ids.tolist() == expect[2]
-    assert got.id_view.tolist() == expect[2]
     assert got.position_view.tolist() == expect[1]
 
 
@@ -577,7 +605,7 @@ def test_decoder_rejects_ids_outside_dictionary():
             _rebuild(dictionary, stream)
         empty = np.zeros(0, np.uint32)
         bare = EncodedText(stream=stream, stream_offsets=empty,
-                           text_positions=empty, phrase_ids=empty)
+                           text_positions=empty, phrase_ids=empty, text=b"")
         with pytest.raises(CorruptEncoding):
             decode_text(dictionary, bare)
 
