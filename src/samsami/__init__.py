@@ -13,7 +13,7 @@ from .baselines import (SparseSuffixArray, naive_count, naive_locate,
                         spasa_build, spasa_count, spasa_locate)
 from .core import (QueryStats, SamsamiIndex, build, count, locate,
                    suffix_range)
-from .delta import DeltaAnnotation, annotate, count2, locate2
+from .delta import annotate, count2, locate2
 from .errors import (CorruptEncoding, CorruptIndex, InvalidParams,
                      PatternTooShort, SamsamiError, TextMismatch,
                      TextTooShort, UnsupportedFormat)
@@ -36,7 +36,7 @@ __all__ = [
     "build_full_sa", "extract_sampled",
     "SamsamiIndex", "QueryStats", "build", "suffix_range",
     "locate", "count",
-    "DeltaAnnotation", "annotate", "locate2", "count2",
+    "annotate", "locate2", "count2",
     "PrefixRangeTable", "build_table", "locate_hash", "count_hash",
     "min_pattern_length",
     "SparseSuffixArray", "naive_locate", "naive_count", "spasa_build",

@@ -7,9 +7,10 @@ import os
 import sys
 import time
 
-from . import persistence, stats, variants
+from . import persistence, variants
 from .errors import PatternTooShort, SamsamiError
-from .minimizer import SamplingParams
+from .minimizer import SamplingParams, sampled_positions
+from .stats import distinct_qgrams
 
 # the canonical (q, p) evaluation grid for sampling-ratio reports
 DEFAULT_PAIRS = [
@@ -121,12 +122,13 @@ def cmd_stats(args) -> int:
     text = _read_text(args.text)
     if args.mode == "sample-ratio":
         pairs = DEFAULT_PAIRS if not args.pairs else _parse_pairs(args.pairs)
-        pairs = [(q, p) for q, p in pairs if q <= len(text)]
-        for q, p in pairs:  # a bad pair fails before the header is printed
-            SamplingParams(q, p)
+        # a bad pair fails before the header is printed
+        grid = [SamplingParams(q, p) for q, p in pairs if q <= len(text)]
         print("q,p,n_sampled,n,percent")
-        for q, p, kept, n, pct in stats.sampling_report(text, pairs):
-            print(f"{q},{p},{kept},{n},{pct:.4f}")
+        for params in grid:
+            kept = len(sampled_positions(text, params))
+            print(f"{params.q},{params.p},{kept},{len(text)},"
+                  f"{100.0 * kept / len(text):.4f}")
     else:
         if args.q_list:
             if not all(s.strip().isdigit() and int(s) > 0
@@ -137,8 +139,8 @@ def cmd_stats(args) -> int:
             lengths = range(1, 9)
         lengths = [q for q in lengths if q <= len(text)]
         print("q,count")
-        for q, cnt in stats.qgram_report(text, lengths):
-            print(f"{q},{cnt}")
+        for q in lengths:
+            print(f"{q},{distinct_qgrams(text, q)}")
     return 0
 
 

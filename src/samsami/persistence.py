@@ -59,13 +59,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SamsamiIndex, build, suffix_sa
-from .delta import DeltaAnnotation, annotate
+from .delta import annotate
 from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import PrefixRangeTable, build_table
 from .minimizer import SamplingParams, window_minimizer
 from .phrase import (EncodedText, PhraseDictionary, _phrase_starts,
-                     codeword_table, encode_text, gather_pieces,
-                     rebuild_positions)
+                     codeword_table, encode_text, rebuild_positions, spell)
 
 MAGIC = b"SSMI"
 VERSION = 5
@@ -165,7 +164,7 @@ class IndexBundle:
     """A loaded or freshly built index plus its optional annotations."""
 
     index: SamsamiIndex
-    delta: DeltaAnnotation | None = None
+    delta: np.ndarray | None = None
     table: PrefixRangeTable | None = None
     dictionary: PhraseDictionary | None = None
     encoded: EncodedText | None = None
@@ -196,10 +195,12 @@ def annotate_index(idx: SamsamiIndex, *, with_delta=False,
                    ascending: np.ndarray | None = None) -> IndexBundle:
     """Bundle an index with the requested annotations of it.
 
-    ascending, the index's positions sorted, spares annotate's sort when
-    the caller has it, as load does.
+    ascending, the index's positions sorted, spares the sort when the
+    caller has it, as load does; else the nibbles and phrases share one.
     """
     bundle = IndexBundle(index=idx)
+    if with_phrase and ascending is None:
+        ascending = np.sort(idx.sa)
     if with_delta:
         bundle.delta = annotate(idx, ascending)
     if hash_k is not None:
@@ -207,7 +208,7 @@ def annotate_index(idx: SamsamiIndex, *, with_delta=False,
     if with_phrase:
         # The index holds exactly the sampled positions, in suffix order.
         bundle.dictionary, bundle.encoded = encode_text(idx.text, idx.params,
-                                                        np.sort(idx.sa))
+                                                        ascending)
     return bundle
 
 
@@ -365,11 +366,11 @@ def _read_phrases(buf: bytes, text: bytes, q: int,
     """Parse a phrase section over text, sampled with windows of q bytes.
 
     Besides decoding, the section must give each phrase 1 to q bytes,
-    name each phrase once, and spell the text byte for byte. A section
-    that passes, and whose phrases start at the sampled positions (after
-    an unsampled leading piece), is the encoder's output up to the
-    numbering of its phrases, so phrase queries answer as on the bundle
-    that was saved.
+    name each phrase once, and spell the text byte for byte through
+    spell, decode_text's gather. A section that passes, and whose
+    phrases start at the sampled positions (after an unsampled leading
+    piece), is the encoder's output up to the numbering of its phrases,
+    so phrase queries answer as on the bundle that was saved.
     """
     if len(buf) < 4:
         raise CorruptIndex("phrase section truncated before its count")
@@ -413,26 +414,9 @@ def _read_phrases(buf: bytes, text: bytes, q: int,
                 + int(sizes[encoded.phrase_ids[-1]]))
     if span != len(text):
         raise CorruptIndex("phrase stream does not span the text")
-    if not _spells(buf, first, sizes, encoded, text):
+    # spell's output is span-sized, so it runs only once the span is known
+    if spell(np.frombuffer(buf, dtype=np.uint8), first, sizes,
+             encoded) != text:
         raise CorruptIndex("phrases do not spell the text")
     encoded.text = text  # what phrase queries check their candidates against
     return dictionary, encoded
-
-
-_SPELL_BLOCK = 1 << 15  # phrases compared per step, to bound the temporaries
-
-
-def _spells(buf: bytes, first: np.ndarray, sizes: np.ndarray,
-            encoded: EncodedText, text: bytes) -> bool:
-    """Whether the phrases of encoded, gathered from buf where first
-    says each id's bytes begin, spell text byte for byte."""
-    section = np.frombuffer(buf, dtype=np.uint8)
-    target = np.frombuffer(text, dtype=np.uint8)
-    for lo in range(0, encoded.phrase_count, _SPELL_BLOCK):
-        ids = encoded.phrase_ids[lo:lo + _SPELL_BLOCK]
-        starts = encoded.text_positions[lo:lo + _SPELL_BLOCK]
-        spelled = gather_pieces(section, first[ids], sizes[ids], starts)
-        at = int(starts[0]) - 1
-        if not np.array_equal(spelled, target[at:at + len(spelled)]):
-            return False
-    return True

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import core
 from .core import QueryStats, _fences, _prefix_range
-from .errors import CorruptEncoding, PatternTooShort
+from .errors import CorruptEncoding, PatternTooShort, SamsamiError
 from .minimizer import SamplingParams, sampled_positions, window_minimizer
 # build_full_sa is never called here: benchmark tracing wraps it by name
 from .suffix_sort import _suffix_order, build_full_sa  # noqa: F401
@@ -58,11 +58,11 @@ class EncodedText:
     """Codeword stream plus per-phrase stream offsets and text positions.
 
     text is the text the stream encodes, which queries check their
-    candidates against; it is never stored in an index file.
-    position_view is a memoryview of text_positions whose items read as
-    Python ints, derived on construction for the per-candidate loop of
-    a query. suffix_order fills in the memoryview _order_view of its
-    result as well.
+    candidates against; never stored in an index file, it is None on
+    rebuild_positions' output until load finds that the phrases spell
+    it. suffix_order also builds a query loop's memoryviews, whose items
+    read as Python ints, of its result (_order_view) and of
+    text_positions (position_view).
     """
 
     stream: bytes = field(repr=False)
@@ -77,10 +77,7 @@ class EncodedText:
     # with the suffix order
     _ordered_starts: memoryview | None = field(default=None, repr=False)
     _fences: list[bytes] | None = field(default=None, repr=False)
-    position_view: memoryview = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.position_view = memoryview(self.text_positions)
+    position_view: memoryview | None = field(default=None, repr=False)
 
     @property
     def phrase_count(self) -> int:
@@ -103,6 +100,7 @@ class EncodedText:
             self._fences = _fences(self.stream, self._ordered_starts)
             self._suffix_order = order.astype(np.uint32)
             self._order_view = memoryview(self._suffix_order)
+            self.position_view = memoryview(self.text_positions)
         return self._suffix_order
 
 
@@ -243,16 +241,6 @@ def _split_stream(stream: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
     return ids.astype(np.uint32, copy=False), starts
 
 
-def decode_text(dictionary: PhraseDictionary, encoded: EncodedText) -> bytes:
-    """Exact inverse of encode_text."""
-    ids, _ = _split_stream(encoded.stream, len(dictionary.phrases))
-    # bytes.join would hold an 80-byte buffer record per phrase
-    out = bytearray()
-    for pid in memoryview(ids):
-        out += dictionary.phrases[pid]
-    return bytes(out)
-
-
 def rebuild_positions(dictionary: PhraseDictionary, stream: bytes,
                       sizes: np.ndarray) -> EncodedText:
     """Reconstruct the per-phrase metadata of a bare codeword stream;
@@ -267,6 +255,33 @@ def rebuild_positions(dictionary: PhraseDictionary, stream: bytes,
     np.add(spans[:-1], 1, out=positions[1:], casting="unsafe")
     return EncodedText(stream=stream, stream_offsets=offsets,
                        text_positions=positions, phrase_ids=ids, text=None)
+
+
+_SPELL_BLOCK = 1 << 15  # phrases gathered per step, to bound the temporaries
+
+
+def spell(source: np.ndarray, first: np.ndarray, sizes: np.ndarray,
+          encoded: EncodedText) -> bytes:
+    """The bytes encoded's phrases spell, id i being the sizes[i] bytes
+    of source from first[i] on. The gather takes an 8-byte index per
+    output byte, so it runs by blocks; the result is span-sized."""
+    blocks = []
+    for lo in range(0, encoded.phrase_count, _SPELL_BLOCK):
+        block = slice(lo, lo + _SPELL_BLOCK)
+        ids = encoded.phrase_ids[block]
+        blocks.append(gather_pieces(source, first[ids], sizes[ids],
+                                    encoded.text_positions[block]))
+    return b"".join(blocks)
+
+
+def decode_text(dictionary: PhraseDictionary, encoded: EncodedText) -> bytes:
+    """Exact inverse of encode_text: rebuild_positions and spell, the
+    gather load checks a phrase section with, read the stream alone."""
+    phrases = dictionary.phrases
+    sizes = np.fromiter(map(len, phrases), dtype=np.int64, count=len(phrases))
+    rebuilt = rebuild_positions(dictionary, encoded.stream, sizes)
+    source = np.frombuffer(b"".join(phrases), dtype=np.uint8)
+    return spell(source, np.cumsum(sizes) - sizes, sizes, rebuilt)
 
 
 def _stable_boundaries(pattern: bytes, params: SamplingParams) -> list[int]:
@@ -315,6 +330,9 @@ def encoded_locate(dictionary: PhraseDictionary, encoded: EncodedText,
     need = min_pattern_length(params)
     if m < need:
         raise PatternTooShort(f"pattern length {m} < 2q-p+1 = {need}")
+    if encoded.text is None:
+        raise SamsamiError("phrase queries check the text, which load "
+                           "attaches once the phrases spell it")
     stable = _stable_boundaries(pattern, params)
     j1 = stable[0]
     if len(stable) >= 2:

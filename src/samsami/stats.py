@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
-
 import numpy as np
 
 from .errors import InvalidParams
@@ -24,16 +22,3 @@ def distinct_qgrams(text: bytes, q: int) -> int:
     keys = np.sort(_gram_keys(text, q, n - q + 1))
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
-
-def sampling_report(text: bytes, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple]:
-    """Rows of (q, p, n_sampled, n, percent) for each parameter pair."""
-    n = len(text)
-    for q, p in pairs:
-        kept = len(sampled_positions(text, SamplingParams(q, p)))
-        yield q, p, kept, n, 100.0 * kept / n
-
-
-def qgram_report(text: bytes, lengths: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """Rows of (q, count) for each gram length."""
-    for q in lengths:
-        yield q, distinct_qgrams(text, q)

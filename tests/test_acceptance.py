@@ -261,7 +261,7 @@ def test_criterion_3_worked_examples():
     stub = SamsamiIndex(text=b"", params=SamplingParams(1, 1),
                         sa=np.array([3, 10, 12, 15, 20], dtype=np.uint32),
                         n=24)
-    assert list(annotate(stub).delta) == [0, 7, 2, 3, 5]
+    assert list(annotate(stub)) == [0, 7, 2, 3, 5]
     mask = prune_mask(b"ctgccact", SamplingParams(5, 2))
     assert window_minimizer(b"ctgcc", 2) == 4
     assert not mask[1]

@@ -605,7 +605,7 @@ def test_column_filter_matches_text_compare(q, monkeypatch):
         shifts.add(j - 1)
         ranked = idx.sa[slice(*suffix_range(idx, pattern[j - 1:]))]
         verified = int((ranked >= j).sum()) if j > 1 else 0
-        _, _, pruned, _ = reference_locate2(text, idx.sa, ann.delta,
+        _, _, pruned, _ = reference_locate2(text, idx.sa, ann,
                                             pattern, q, 2)
         for ask, model in (
                 (lambda st: locate(idx, pattern, st), QueryStats(

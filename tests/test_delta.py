@@ -2,9 +2,9 @@ import random
 
 import numpy as np
 
-from samsami import (DeltaAnnotation, QueryStats, SamplingParams, annotate,
-                     build, build_table, count2, locate, locate2,
-                     locate_hash, min_pattern_length, naive_locate)
+from samsami import (QueryStats, SamplingParams, annotate, build,
+                     build_table, count2, locate, locate2, locate_hash,
+                     min_pattern_length, naive_locate)
 from samsami import core, delta
 from samsami.core import _VECTOR_MIN_CANDIDATES, SamsamiIndex
 
@@ -21,26 +21,26 @@ def test_annotate_worked_example():
     # sampled text positions 3, 10, 12, 15, 20 -> distances 0, 7, 2, 3, 5
     idx = _index_with_positions([3, 10, 12, 15, 20], 24)
     ann = annotate(idx)
-    assert list(ann.delta) == [0, 7, 2, 3, 5]
+    assert list(ann) == [0, 7, 2, 3, 5]
 
 
 def test_annotate_abracadabra_rank_alignment():
     idx = build(b"abracadabra", SamplingParams(4, 2))
     ann = annotate(idx)
     # text order 1,4,6,8 gives 0,3,2,2; sa order is [8,1,4,6]
-    assert list(ann.delta) == [2, 0, 3, 2]
+    assert list(ann) == [2, 0, 3, 2]
 
 
 def test_annotate_single_position():
     ann = annotate(_index_with_positions([5], 9))
-    assert list(ann.delta) == [0]
+    assert list(ann) == [0]
 
 
 def test_annotate_gap_above_fifteen_becomes_zero():
     ann = annotate(_index_with_positions([1, 17], 20))
-    assert list(ann.delta) == [0, 0]
+    assert list(ann) == [0, 0]
     ann = annotate(_index_with_positions([1, 16], 20))
-    assert list(ann.delta) == [0, 15]
+    assert list(ann) == [0, 15]
 
 
 def test_annotate_matches_reference_loop():
@@ -61,7 +61,21 @@ def test_annotate_matches_reference_loop():
     for positions, nibbles in cases.items():
         got = annotate(_index_with_positions(list(positions),
                                              max(positions) + 3))
-        assert got.delta.tolist() == nibbles, positions
+        assert got.tolist() == nibbles, positions
+
+
+def test_annotate_returns_the_nibble_array():
+    # the array a bundle holds and locate2 / count2 take
+    rng = random.Random(0xA12)
+    for _ in range(20):
+        text = random_text(rng, rng.randint(20, 400), rng.choice([2, 4, 26]))
+        q = rng.randint(2, 12)
+        p = rng.randint(1, min(4, q))
+        idx = build(text, SamplingParams(q, p))
+        got = annotate(idx)
+        assert isinstance(got, np.ndarray) and got.dtype == np.uint8
+        assert len(got) == idx.n_sampled
+        assert got.tolist() == reference_annotate(idx.sa.tolist())
 
 
 def test_locate2_equals_locate_randomized():
@@ -185,7 +199,7 @@ def test_locate2_stats_match_eager_reference_on_both_paths(monkeypatch):
             m = rng.randint(q, q + 10)
             pattern = _window_or_mutant(rng, text, m, alphabet)
             hits, candidates, pruned, verified = reference_locate2(
-                text, idx.sa, ann.delta, pattern, q, p)
+                text, idx.sa, ann, pattern, q, p)
             expect = QueryStats(candidates, verified, pruned)
             plain = QueryStats(candidates, verified + pruned, 0)
             for threshold in (1, 10**9):
@@ -246,14 +260,14 @@ def test_random_nibbles_never_change_answers(monkeypatch):
         q = rng.randint(4, 16)
         p = rng.randint(1, min(4, q))
         idx = build(text, SamplingParams(q, p))
-        noise = DeltaAnnotation(np.array(
-            [rng.randrange(16) for _ in range(idx.n_sampled)], np.uint8))
+        noise = np.array(
+            [rng.randrange(16) for _ in range(idx.n_sampled)], np.uint8)
         for _ in range(8):
             pattern = _window_or_mutant(rng, text, rng.randint(q, q + 10),
                                         alphabet)
             expect = naive_locate(text, pattern)
             _, candidates, pruned, verified = reference_locate2(
-                text, idx.sa, noise.delta, pattern, q, p)
+                text, idx.sa, noise, pattern, q, p)
             for threshold in (1, 10**9):
                 monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", threshold)
                 stats = QueryStats()

@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samsami import (CorruptIndex, DeltaAnnotation, PatternTooShort,
-                     QueryStats, SamplingParams, SamsamiError, TextMismatch,
+from samsami import (CorruptIndex, PatternTooShort, QueryStats,
+                     SamplingParams, SamsamiError, TextMismatch,
                      UnsupportedFormat, annotate,
                      build_bundle, build_table, count, count2, decode_text,
                      encoded_locate, from_bundle, load, locate, locate2,
                      locate_hash, naive_count, naive_locate, save,
                      window_minimizer)
+from samsami import persistence, phrase
 from samsami.persistence import IndexBundle, serialized_bytes
 from samsami.phrase import encode_id
 
@@ -95,7 +96,7 @@ def test_delta_and_hash_flags_change_only_the_header(build, phrase):
     back = load(io.BytesIO(serialized_bytes(build_bundle(
         ABRA, P42, with_phrase=phrase, **build))), ABRA)
     if back.delta is not None:
-        assert list(back.delta.delta) == [2, 0, 3, 2]
+        assert list(back.delta) == [2, 0, 3, 2]
         assert locate2(back.index, back.delta, b"adab") == [6]
     if back.table is not None:
         assert back.table.slots.tolist() == [[0, 2], [2, 3], [3, 4]]
@@ -107,7 +108,7 @@ def test_loaded_delta_file_prunes_as_the_built_bundle(q):
     # the same pruned candidates; q=24 leaves gaps above 15, which get 0
     bundle = build_bundle(_DNA_TEXT, SamplingParams(q, 2), with_delta=True)
     back = load(io.BytesIO(serialized_bytes(bundle)), _DNA_TEXT)
-    assert back.delta.delta.tolist() == bundle.delta.delta.tolist()
+    assert back.delta.tolist() == bundle.delta.tolist()
     sa = np.sort(bundle.index.sa.astype(np.int64))
     assert (np.diff(sa) > 15).any() == (q == 24)
     built, loaded = QueryStats(), QueryStats()
@@ -132,7 +133,7 @@ def test_loaded_annotations_match_the_reference_oracles(k):
         back = load(io.BytesIO(serialized_bytes(bundle)), text)
         sa = back.index.sa.tolist()
         assert sa == bundle.index.sa.tolist()
-        assert back.delta.delta.tolist() == reference_annotate(sa)
+        assert back.delta.tolist() == reference_annotate(sa)
         assert back.table.slots.tolist() == \
             reference_build_table(text, sa, k).tolist()
 
@@ -365,7 +366,7 @@ def test_unsorted_index_refused_until_its_first_search():
             call()
     count(idx, text[:8])
     built = build_bundle(text, params, with_delta=True)
-    assert annotate(idx).delta.tolist() == built.delta.delta.tolist()
+    assert annotate(idx).tolist() == built.delta.tolist()
 
 
 @pytest.mark.parametrize("q,p", [(8, 2), (4, 1), (10, 10)])
@@ -494,7 +495,6 @@ def test_position_past_text_end_rejected(monkeypatch):
             load(io.BytesIO(with_offsets(data, fields)), ABRA)
     # 32-bit fields, as in the file of a text over 2^31 bytes: the
     # largest offset wraps to position 0 in the u32 array
-    from samsami import persistence
     monkeypatch.setattr(persistence, "_offset_bits", lambda n: 32)
     wide = bytearray(serialized_bytes(build_bundle(ABRA, P42)))
     assert len(wide) == 48 + 4 * len(fields)
@@ -541,7 +541,7 @@ def test_packed_offsets_roundtrip_at_width_boundaries(n, delta):
         assert back.index.sa.dtype == np.uint32
         assert back.index.sa.tolist() == bundle.index.sa.tolist()
         if delta:
-            assert back.delta.delta.tolist() == bundle.delta.delta.tolist()
+            assert back.delta.tolist() == bundle.delta.tolist()
         assert serialized_bytes(back) == data
         for i in range(0, n - params.q + 1, max(1, n // 7)):
             pattern = text[i:i + params.q + 2]
@@ -856,6 +856,50 @@ def test_misspelled_phrase_rejected():
         load(io.BytesIO(data), text)
 
 
+def test_phrase_misspelled_only_in_a_later_block_rejected(monkeypatch):
+    # the one phrase misspelled first occurs in the second spell block
+    monkeypatch.setattr(phrase, "_SPELL_BLOCK", 7)
+    text, bundle = _phrase_bundle()
+    ids = bundle.encoded.phrase_ids.tolist()
+    i = next(ids[k] for k in range(7, 14) if ids[k] not in ids[:7])
+    phrases = list(bundle.dictionary.phrases)
+    phrases[i] = phrases[i][:-1] + b"x"
+    data = _with_phrase_section(bundle, phrases, bundle.encoded.stream)
+    with pytest.raises(CorruptIndex, match="spell"):
+        load(io.BytesIO(data), text)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_decode_text_in_spell_blocks(monkeypatch, block):
+    # built and loaded bundles, phrase-only and with offsets, over texts
+    # whose first window samples position 1 and texts it leaves in an
+    # unsampled leading piece
+    monkeypatch.setattr(phrase, "_SPELL_BLOCK", block)
+    first_sampled = set()
+    for seed in range(40):
+        text, bundle = _phrase_bundle(seed, 120, with_delta=seed % 2 == 1)
+        first_sampled.add(window_minimizer(text[:8], 2) == 1)
+        assert bundle.encoded.phrase_count > 2 * block
+        for b in (bundle, roundtrip(bundle, text)):
+            assert decode_text(b.dictionary, b.encoded) == text
+    assert first_sampled == {False, True}
+
+
+def test_load_and_decode_text_share_one_spell(monkeypatch):
+    text, bundle = _phrase_bundle()
+    calls = []
+
+    def spy(*args, spell=phrase.spell):
+        calls.append(args)
+        return spell(*args)
+    monkeypatch.setattr(phrase, "spell", spy)
+    monkeypatch.setattr(persistence, "spell", spy)
+    back = roundtrip(bundle, text)
+    assert len(calls) == 1
+    assert decode_text(back.dictionary, back.encoded) == text
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("change", ["zero", "above q", "swapped"])
 def test_rewritten_phrase_length_rejected(change):
     text, bundle = _phrase_bundle()
@@ -936,7 +980,7 @@ def test_writer_rejects_sampled_count_beyond_u32():
 def test_writer_rejects_offsets_beyond_32_bits():
     # offset n - 1 needs 33 bits past 2**32 bytes, with or without delta
     sa = np.array([1], dtype=np.uint32)
-    for delta in (None, DeltaAnnotation(np.zeros(1))):
+    for delta in (None, np.zeros(1)):
         stub = SimpleNamespace(text=b"", params=P42, n=(1 << 32) + 1, sa=sa)
         with pytest.raises(SamsamiError, match="32-bit offsets"):
             serialized_bytes(IndexBundle(index=stub, delta=delta))

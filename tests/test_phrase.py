@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from samsami import (CorruptEncoding, EncodedText, PatternTooShort,
-                     QueryStats, SamplingParams, TextTooShort, decode_text,
-                     build_full_sa, encode_text, encoded_locate,
+                     QueryStats, SamplingParams, SamsamiError, TextTooShort,
+                     build_full_sa, decode_text, encode_text, encoded_locate,
                      naive_locate, parse_phrases, sampled_positions,
                      window_minimizer)
 from samsami import build_bundle, core, load, locate, phrase
@@ -522,7 +522,27 @@ def _check_against_reference(dictionary, stream):
     assert got.stream_offsets.tolist() == expect[0]
     assert got.text_positions.tolist() == expect[1]
     assert got.phrase_ids.tolist() == expect[2]
-    assert got.position_view.tolist() == expect[1]
+    if got.phrase_count:  # an empty stream has no order to build
+        got.suffix_order()  # which builds the query views
+        assert got.position_view.tolist() == expect[1]
+
+
+def test_encoded_locate_without_text_is_an_error():
+    # rebuild_positions leaves the text to load, which attaches it once
+    # the phrases spell it; a query on its bare output cannot check
+    text = random_text(random.Random(0x7E1), 1500, 4)
+    params = SamplingParams(8, 2)
+    dictionary, encoded = encode_text(text, params)
+    bare = _rebuild(dictionary, encoded.stream)
+    assert bare.text is None
+    pattern = text[700:732]
+    expect = naive_locate(text, pattern)
+    assert expect
+    assert encoded_locate(dictionary, encoded, len(text), pattern,
+                          params) == expect
+    for _ in range(2):  # the refusal builds nothing that a retry skips
+        with pytest.raises(SamsamiError, match="load attaches"):
+            encoded_locate(dictionary, bare, len(text), pattern, params)
 
 
 def test_decoder_matches_reference_on_codeword_length_edges():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from samsami import InvalidParams, SamplingParams, distinct_qgrams, sampling_ratio
-from samsami.stats import qgram_report, sampling_report
+from samsami.cli import main
 
 from helpers import random_text
 
@@ -73,12 +73,19 @@ def test_distinct_qgrams_equals_set_of_slices():
                     assert distinct_qgrams(text, q) == len(grams), (text, q)
 
 
-def test_sampling_report_rows():
-    rows = list(sampling_report(b"abracadabra", [(4, 2), (4, 1)]))
-    assert rows[0] == (4, 2, 4, 11, pytest.approx(100 * 4 / 11))
-    assert rows[1][:2] == (4, 1)
+def _stats_rows(tmp_path, capsys, *options):
+    path = tmp_path / "abra.txt"
+    path.write_bytes(b"abracadabra")
+    assert main(["stats", "--text", str(path), *options]) == 0
+    return capsys.readouterr().out.strip().split("\n")[1:]
 
 
-def test_qgram_report_rows():
-    rows = list(qgram_report(b"abracadabra", [1, 2]))
-    assert rows == [(1, 5), (2, 7)]  # a, b, r, c, d
+def test_sampling_report_rows(tmp_path, capsys):
+    rows = _stats_rows(tmp_path, capsys, "--pairs", "4:2,4:1")
+    assert rows[0] == "4,2,4,11,36.3636"  # 100 * 4 / 11
+    assert rows[1].startswith("4,1,")
+
+
+def test_qgram_report_rows(tmp_path, capsys):
+    rows = _stats_rows(tmp_path, capsys, "--mode", "qgrams", "--q-list", "1,2")
+    assert rows == ["1,5", "2,7"]  # a, b, r, c, d
