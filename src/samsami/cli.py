@@ -9,8 +9,8 @@ import time
 
 from . import persistence, variants
 from .errors import PatternTooShort, SamsamiError
-from .minimizer import SamplingParams, sampled_positions
-from .stats import distinct_qgrams
+from .minimizer import SamplingParams
+from .stats import distinct_qgrams, sampled_share
 
 # the canonical (q, p) evaluation grid for sampling-ratio reports
 DEFAULT_PAIRS = [
@@ -126,9 +126,8 @@ def cmd_stats(args) -> int:
         grid = [SamplingParams(q, p) for q, p in pairs if q <= len(text)]
         print("q,p,n_sampled,n,percent")
         for params in grid:
-            kept = len(sampled_positions(text, params))
-            print(f"{params.q},{params.p},{kept},{len(text)},"
-                  f"{100.0 * kept / len(text):.4f}")
+            kept, percent = sampled_share(text, params)
+            print(f"{params.q},{params.p},{kept},{len(text)},{percent:.4f}")
     else:
         if args.q_list:
             if not all(s.strip().isdigit() and int(s) > 0

@@ -64,7 +64,8 @@ from .errors import CorruptIndex, SamsamiError, TextMismatch, UnsupportedFormat
 from .hashindex import PrefixRangeTable, build_table
 from .minimizer import SamplingParams, window_minimizer
 from .phrase import (EncodedText, PhraseDictionary, _phrase_starts,
-                     codeword_table, encode_text, rebuild_positions, spell)
+                     codeword_table, encode_text, rebuild_positions,
+                     spell)
 
 MAGIC = b"SSMI"
 VERSION = 5
@@ -408,15 +409,14 @@ def _read_phrases(buf: bytes, text: bytes, q: int,
     except SamsamiError as exc:
         raise CorruptIndex(f"phrase stream does not decode: {exc}") from exc
 
-    span = 0
-    if encoded.phrase_count:
-        span = (int(encoded.text_positions[-1]) - 1
-                + int(sizes[encoded.phrase_ids[-1]]))
-    if span != len(text):
+    # one block in memory at a time; the first that differs ends the check
+    target, at = np.frombuffer(text, dtype=np.uint8), 0
+    for piece in spell(np.frombuffer(buf, dtype=np.uint8), first, sizes,
+                       encoded):
+        if not np.array_equal(piece, target[at:at + len(piece)]):
+            raise CorruptIndex("phrases do not spell the text")
+        at += len(piece)
+    if at != len(text):
         raise CorruptIndex("phrase stream does not span the text")
-    # spell's output is span-sized, so it runs only once the span is known
-    if spell(np.frombuffer(buf, dtype=np.uint8), first, sizes,
-             encoded) != text:
-        raise CorruptIndex("phrases do not spell the text")
     encoded.text = text  # what phrase queries check their candidates against
     return dictionary, encoded

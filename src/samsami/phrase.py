@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import add
 
@@ -71,6 +72,7 @@ class EncodedText:
     phrase_ids: np.ndarray = field(repr=False)
     text: bytes | None = field(repr=False)
     _suffix_order: np.ndarray | None = field(default=None, repr=False)
+    # set last: a query that finds it set uses every view without a lock
     _order_view: memoryview | None = field(default=None, repr=False)
     # 1-based stream positions of the phrases in suffix order, the
     # searched column of a codeword lookup, and its fence list; built
@@ -91,16 +93,16 @@ class EncodedText:
         exactly when byte s+d-1 has its high bit set, and no run of
         codeword-length positions misses one.
         """
-        if self._suffix_order is None:
+        if self._order_view is None:
             starts = self.stream_offsets.astype(np.int32)
             longest = int(np.diff(starts, append=len(self.stream)).max())
             order = _suffix_order(self.stream, starts, 1, 0, longest)
+            self.position_view = memoryview(self.text_positions)
             self._ordered_starts = memoryview(
                 (starts[order] + 1).astype(np.uint32))
             self._fences = _fences(self.stream, self._ordered_starts)
             self._suffix_order = order.astype(np.uint32)
             self._order_view = memoryview(self._suffix_order)
-            self.position_view = memoryview(self.text_positions)
         return self._suffix_order
 
 
@@ -261,17 +263,14 @@ _SPELL_BLOCK = 1 << 15  # phrases gathered per step, to bound the temporaries
 
 
 def spell(source: np.ndarray, first: np.ndarray, sizes: np.ndarray,
-          encoded: EncodedText) -> bytes:
-    """The bytes encoded's phrases spell, id i being the sizes[i] bytes
-    of source from first[i] on. The gather takes an 8-byte index per
-    output byte, so it runs by blocks; the result is span-sized."""
-    blocks = []
+          encoded: EncodedText) -> Iterator[np.ndarray]:
+    """Yield, in text order, the uint8 blocks that encoded's phrases
+    spell, id i being the sizes[i] bytes of source from first[i] on.
+    The gather takes an 8-byte index per output byte."""
     for lo in range(0, encoded.phrase_count, _SPELL_BLOCK):
-        block = slice(lo, lo + _SPELL_BLOCK)
-        ids = encoded.phrase_ids[block]
-        blocks.append(gather_pieces(source, first[ids], sizes[ids],
-                                    encoded.text_positions[block]))
-    return b"".join(blocks)
+        ids = encoded.phrase_ids[lo:lo + _SPELL_BLOCK]
+        yield gather_pieces(source, first[ids], sizes[ids],
+                            encoded.text_positions[lo:lo + _SPELL_BLOCK])
 
 
 def decode_text(dictionary: PhraseDictionary, encoded: EncodedText) -> bytes:
@@ -281,7 +280,7 @@ def decode_text(dictionary: PhraseDictionary, encoded: EncodedText) -> bytes:
     sizes = np.fromiter(map(len, phrases), dtype=np.int64, count=len(phrases))
     rebuilt = rebuild_positions(dictionary, encoded.stream, sizes)
     source = np.frombuffer(b"".join(phrases), dtype=np.uint8)
-    return spell(source, np.cumsum(sizes) - sizes, sizes, rebuilt)
+    return b"".join(spell(source, np.cumsum(sizes) - sizes, sizes, rebuilt))
 
 
 def _stable_boundaries(pattern: bytes, params: SamplingParams) -> list[int]:

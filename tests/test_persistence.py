@@ -869,6 +869,37 @@ def test_phrase_misspelled_only_in_a_later_block_rejected(monkeypatch):
         load(io.BytesIO(data), text)
 
 
+@pytest.mark.parametrize("cut, message", [(-1, "span"), (1, "spell")])
+def test_stream_short_or_long_of_the_text_rejected(cut, message):
+    # a stream one codeword short spells a prefix of the text; one
+    # codeword long runs past its end
+    text, bundle = _phrase_bundle()
+    stream = bundle.encoded.stream
+    last = int(bundle.encoded.stream_offsets[-1])
+    stream = stream[:last] if cut < 0 else stream + stream[last:]
+    data = _with_phrase_section(bundle, bundle.dictionary.phrases, stream)
+    with pytest.raises(CorruptIndex, match=message):
+        load(io.BytesIO(data), text)
+
+
+def test_spelling_check_stops_at_the_first_wrong_block(monkeypatch):
+    monkeypatch.setattr(phrase, "_SPELL_BLOCK", 7)
+    text, bundle = _phrase_bundle()
+    phrases = list(bundle.dictionary.phrases)
+    i = int(bundle.encoded.phrase_ids[0])
+    phrases[i] = phrases[i][:-1] + b"x"
+    data = _with_phrase_section(bundle, phrases, bundle.encoded.stream)
+    gathered = []
+
+    def spy(*args, gather=phrase.gather_pieces):
+        gathered.append(len(args[1]))
+        return gather(*args)
+    monkeypatch.setattr(phrase, "gather_pieces", spy)
+    with pytest.raises(CorruptIndex, match="spell"):
+        load(io.BytesIO(data), text)
+    assert gathered == [7]
+
+
 @pytest.mark.parametrize("block", [1, 2, 7])
 def test_decode_text_in_spell_blocks(monkeypatch, block):
     # built and loaded bundles, phrase-only and with offsets, over texts
