@@ -56,39 +56,66 @@ def _leftmost_smallest(s: bytes, p: int, starts: int) -> int:
     return best
 
 
+# windows sampled per step: a step's temporaries are a few arrays of
+# this many words (128 KiB each), whatever the text's length. Against
+# 1 << 16, the 512 KiB perfbench texts sample about 0.8 ms slower at
+# q=40 and the dna-search process peaks about 2 MiB lower.
+_SAMPLE_BLOCK = 1 << 14
+
+
 def sampled_positions(text: bytes, params: SamplingParams) -> np.ndarray:
     """Collect the minimizer positions of every length-q window of text.
 
     The result is an ascending uint32 array of 1-based positions: a
     window whose minimizer string recurred at a new position contributes
-    a new sample, while re-selecting the same position does not.
+    a new sample, while re-selecting the same position does not. The
+    windows are taken _SAMPLE_BLOCK at a time, each block keying only
+    the grams it covers, so the temporaries do not grow with the text.
     """
     n = len(text)
     q, p = params.q, params.p
     if n < q:
         raise TextTooShort(f"text length {n} < window length q={q}")
-    # Pack each p-gram's rank and its position into one uint64 so that the
-    # minimum of the words is the leftmost smallest gram. Doubling leaves
-    # mins[i] the minimum of the h words from i on, for the largest power
-    # of two h <= w; a window of w grams is covered by the two such spans
-    # at its start and ending at its end.
-    ngrams = n - p + 1
-    keys = _gram_keys(text, p, ngrams)
-    mins = (keys << np.uint64(32)) | np.arange(ngrams, dtype=np.uint64)
-    del keys
-    w = q - p + 1
+    nwin = n - q + 1
+    view = memoryview(text)
+    blocks = []
+    last = -1  # 0-based minimizer of the window before the block
+    for lo in range(0, nwin, _SAMPLE_BLOCK):
+        count = min(_SAMPLE_BLOCK, nwin - lo)
+        at = _window_minima(view[lo:lo + count + q - 1], p, q - p + 1, count)
+        at += np.uint32(lo)
+        # window minimizers never move left, so a repeat is the one
+        # before; positions, not keys, since a block ranks its own grams
+        keep = np.empty(count, dtype=bool)
+        keep[0] = int(at[0]) != last
+        np.not_equal(at[1:], at[:-1], out=keep[1:])
+        last = int(at[-1])
+        at = at[keep]
+        at += np.uint32(1)
+        blocks.append(at)
+    return np.concatenate(blocks)
+
+
+def _window_minima(text, p: int, w: int, count: int) -> np.ndarray:
+    # 0-based start of the leftmost smallest p-gram of each of the first
+    # count windows of w grams in text, as uint32. Each gram's key and
+    # its position are packed into one uint64, so the minimum of the
+    # words is the leftmost smallest gram. Doubling in place leaves
+    # mins[i] the minimum of the h words from i on, for the largest
+    # power of two h <= w; a window is covered by the two such spans at
+    # its start and ending at its end.
+    ngrams = count + w - 1
+    mins = _gram_keys(text, p, ngrams)
+    mins <<= np.uint64(32)
+    mins |= np.arange(ngrams, dtype=np.uint64)
     h = 1
     while 2 * h <= w:
-        mins = np.minimum(mins[:-h], mins[h:])
+        top = ngrams - 2 * h + 1  # words that now cover 2h grams
+        np.minimum(mins[:top], mins[h:h + top], out=mins[:top])
         h *= 2
-    nwin = ngrams - w + 1
-    win = np.minimum(mins[:nwin], mins[w - h:w - h + nwin])
-    del mins
-    # window minimizers never move left, so a repeat is the one before
-    keep = np.empty(nwin, dtype=bool)
-    keep[0] = True
-    np.not_equal(win[1:], win[:-1], out=keep[1:])
-    return (win[keep] & np.uint64(0xFFFFFFFF)).astype(np.uint32) + np.uint32(1)
+    win = mins[:count]
+    np.minimum(win, mins[w - h:w - h + count], out=win)
+    return win.astype(np.uint32)  # the position's bits
 
 
 def _gram_keys(text: bytes, p: int, count: int) -> np.ndarray:
@@ -99,18 +126,21 @@ def _gram_keys(text: bytes, p: int, count: int) -> np.ndarray:
     # grams are ranked by doubling (Karp, Miller and Rosenberg): for
     # s <= h the h-grams at i and i+s cover the (h+s)-gram at i, so the
     # rank of their pair of keys orders it.
-    arr = np.frombuffer(text, dtype=np.uint8).astype(np.uint64)
+    arr = np.frombuffer(text, dtype=np.uint8)
     h = min(p, 8)
     total = count + p - h  # h-grams whose keys the doubling reads
     keys = np.zeros(total, dtype=np.uint64)
     for t in range(h):
-        keys = (keys << np.uint64(8)) | arr[t:t + total]
+        keys <<= np.uint64(8)
+        keys |= arr[t:t + total]
     if p > 4:
         keys = _ranks(keys)
     while h < p:
         s = min(h, p - h)
         total -= s
-        keys = _ranks((keys[:total] << np.uint64(32)) | keys[s:s + total])
+        pairs = keys[:total] << np.uint64(32)
+        pairs |= keys[s:s + total]
+        keys = _ranks(pairs)
         h += s
     return keys
 

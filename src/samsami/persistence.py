@@ -39,7 +39,10 @@ which raises CorruptIndex unless they equal the positions it samples
 from the text. At load, as with stored offsets, only the crc32 guards
 the cut positions: a resealed file whose phrases start elsewhere but
 spell the text, with n' to match, loads, and its first samsami search
-refuses it.
+refuses it. So does the first phrase query of any loaded bundle, with
+or without offsets: phrase.encoded_locate samples the text once and
+raises CorruptIndex unless the phrase starts are the ones the samples
+give.
 
 Versions 1 to 4 are refused with UnsupportedFormat: since loading
 needs the text, rebuilding the index from it replaces such a file.
@@ -370,8 +373,9 @@ def _read_phrases(buf: bytes, text: bytes, q: int,
     name each phrase once, and spell the text byte for byte through
     spell, decode_text's gather. A section that passes, and whose
     phrases start at the sampled positions (after an unsampled leading
-    piece), is the encoder's output up to the numbering of its phrases,
-    so phrase queries answer as on the bundle that was saved.
+    piece; the first phrase query checks them), is the encoder's output
+    up to the numbering of its phrases, so phrase queries answer as on
+    the bundle that was saved.
     """
     if len(buf) < 4:
         raise CorruptIndex("phrase section truncated before its count")

@@ -21,7 +21,6 @@ query walks every phrase.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from operator import add
@@ -30,10 +29,13 @@ import numpy as np
 
 from . import core
 from .core import QueryStats, _fences, _prefix_range
-from .errors import CorruptEncoding, PatternTooShort, SamsamiError
-from .minimizer import SamplingParams, sampled_positions, window_minimizer
+from .errors import (CorruptEncoding, CorruptIndex, PatternTooShort,
+                     SamsamiError)
+from .minimizer import (SamplingParams, _ranks, sampled_positions,
+                        window_minimizer)
 # build_full_sa is never called here: benchmark tracing wraps it by name
-from .suffix_sort import _suffix_order, build_full_sa  # noqa: F401
+from .suffix_sort import (_group_heads, _suffix_order,  # noqa: F401
+                          build_full_sa)
 
 # argmin copies a strided view to one buffer first; a pattern is parsed
 # in blocks of windows whose copies stay within this many bytes
@@ -61,9 +63,12 @@ class EncodedText:
     text is the text the stream encodes, which queries check their
     candidates against; never stored in an index file, it is None on
     rebuild_positions' output until load finds that the phrases spell
-    it. suffix_order also builds a query loop's memoryviews, whose items
-    read as Python ints, of its result (_order_view) and of
-    text_positions (position_view).
+    it. The phrases of encode_text's output start at the text's
+    minimizer positions by construction; a loaded stream's starts are
+    checked against them once, by the first phrase query
+    (_cuts_checked). suffix_order also builds a query loop's
+    memoryviews, whose items read as Python ints, of its result
+    (_order_view) and of text_positions (position_view).
     """
 
     stream: bytes = field(repr=False)
@@ -80,6 +85,9 @@ class EncodedText:
     _ordered_starts: memoryview | None = field(default=None, repr=False)
     _fences: list[bytes] | None = field(default=None, repr=False)
     position_view: memoryview | None = field(default=None, repr=False)
+    # True when the phrases are known to start at the text's minimizer
+    # positions: set by encode_text, else by the first phrase query
+    _cuts_checked: bool = field(default=False, repr=False)
 
     @property
     def phrase_count(self) -> int:
@@ -171,21 +179,36 @@ def encode_text(text: bytes, params: SamplingParams,
 
     sampled, when given, must be sampled_positions(text, params); a
     caller that already has it saves sampling the text a second time.
+    Occurrences of one phrase share an integer key (_phrase_keys), so
+    one sort of the keys groups them: phrases are ranked by decreasing
+    count, ties by first occurrence, and a bytes object is made only for
+    each distinct phrase. The result is marked as cut at the samples,
+    so its phrase queries never sample the text again.
     """
     if sampled is None:
         sampled = sampled_positions(text, params)
     starts = _phrase_starts(sampled)
-    cuts = (starts - 1).tolist() + [len(text)]
-    raw = [text[a:b] for a, b in zip(cuts, cuts[1:])]
-    # Counter keeps first-seen order and the sort is stable, so equally
-    # frequent phrases stay in the order they first appear.
-    freq = Counter(raw)
-    ranked = sorted(freq, key=freq.__getitem__, reverse=True)
-    ids = {ph: i for i, ph in enumerate(ranked)}
-    words = codeword_table(len(ranked))
+    lengths = np.diff(starts.astype(np.int64), append=len(text) + 1)
+    keys = _phrase_keys(text, starts, lengths)
+    # group equal keys: sorted runs, each run's size and first occurrence
+    order = np.argsort(keys)
+    heads = np.flatnonzero(_group_heads(keys[order]))
+    del keys
+    counts = np.diff(heads, append=len(order))
+    first_seen = np.minimum.reduceat(order, heads)
+    ranked = np.lexsort((first_seen, -counts))  # groups in id order
+    group_id = np.empty(len(ranked), dtype=np.uint32)
+    group_id[ranked] = np.arange(len(ranked), dtype=np.uint32)
+    ids_arr = np.empty(len(order), dtype=np.uint32)
+    ids_arr[order] = np.repeat(group_id, counts)
+    del order
+    first_seen = first_seen[ranked]
+    phrases = [text[a - 1:a - 1 + size]
+               for a, size in zip(starts[first_seen].tolist(),
+                                  lengths[first_seen].tolist())]
+    ids = dict(zip(phrases, range(len(phrases))))
+    words = codeword_table(len(phrases))
 
-    ids_arr = np.array([ids[ph] for ph in raw], dtype=np.uint32)
-    del raw, freq  # one bytes object per phrase
     word_sizes = np.array([len(c) for c in words], dtype=np.int64)
     sizes = word_sizes[ids_arr]
     offsets = np.zeros(len(ids_arr), dtype=np.uint32)
@@ -193,15 +216,51 @@ def encode_text(text: bytes, params: SamplingParams,
     table = np.frombuffer(b"".join(words), dtype=np.uint8)
     first = np.cumsum(word_sizes) - word_sizes
     stream = gather_pieces(table, first[ids_arr], sizes, offsets).tobytes()
-    dictionary = PhraseDictionary(phrases=ranked, ids=ids, codewords=words)
+    dictionary = PhraseDictionary(phrases=phrases, ids=ids, codewords=words)
     encoded = EncodedText(
         stream=stream,
         stream_offsets=offsets,
         text_positions=starts.astype(np.uint32),
         phrase_ids=ids_arr,
         text=text,
+        _cuts_checked=True,
     )
     return dictionary, encoded
+
+
+def _phrase_keys(text: bytes, starts: np.ndarray,
+                 lengths: np.ndarray) -> np.ndarray:
+    # One key per phrase, equal exactly for equal phrases: its bytes
+    # ranked 1..σ, 0 past its end, packed as suffix_sort packs a suffix's
+    # first symbols, 63 // σ.bit_length() to an int64 word. A phrase
+    # longer than one word folds its words in one at a time by dense
+    # rank, as minimizer._gram_keys folds long grams.
+    symbols = np.frombuffer(text, dtype=np.uint8)
+    present = np.zeros(256, dtype=bool)
+    present[symbols] = True
+    bits = int(np.count_nonzero(present)).bit_length()
+    width = 63 // bits
+    ranked = np.cumsum(present, dtype=np.int16)[symbols]
+    full = (1 << bits * width) - 1
+    # masks[r] keeps a word's first r symbols
+    masks = np.array([full ^ (full >> bits * r) for r in range(width + 1)],
+                     dtype=np.int64)
+    at = starts.astype(np.int64) - 1  # the next byte to pack, per phrase
+    longest = int(lengths.max())
+    keys = None
+    for lo in range(0, longest, width):
+        # bytes read past the text's end lie past the phrase's end too
+        word = np.zeros(len(at), dtype=np.int64)
+        take = min(width, longest - lo)
+        for _ in range(take):
+            word <<= bits
+            word |= ranked.take(at, mode="clip")
+            at += 1
+        word <<= bits * (width - take)
+        word &= masks[np.clip(lengths - lo, 0, width)]
+        keys = word if keys is None else _ranks(
+            (_ranks(keys) << np.uint64(32)) | _ranks(word))
+    return keys
 
 
 def _split_stream(stream: bytes, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -332,6 +391,15 @@ def encoded_locate(dictionary: PhraseDictionary, encoded: EncodedText,
     if encoded.text is None:
         raise SamsamiError("phrase queries check the text, which load "
                            "attaches once the phrases spell it")
+    if not encoded._cuts_checked:
+        # a loaded file's cuts are guarded by its crc32 alone, and a
+        # phrase cut elsewhere hides the occurrences that cross it
+        if not np.array_equal(
+                _phrase_starts(sampled_positions(encoded.text, params)),
+                encoded.text_positions):
+            raise CorruptIndex("phrase starts differ from the text's "
+                               "minimizer positions")
+        encoded._cuts_checked = True
     stable = _stable_boundaries(pattern, params)
     j1 = stable[0]
     if len(stable) >= 2:

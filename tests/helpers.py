@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import struct
 import zlib
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -246,6 +246,43 @@ def reference_rebuild_positions(phrases: list[bytes], codewords: list[bytes],
     return offsets, positions, ids
 
 
+def reference_encode_text(text: bytes, q: int, p: int,
+                          sampled: list[int] | None = None):
+    """Reference for phrase.encode_text: one bytes object per phrase
+    occurrence, counted by a Counter, which keeps first-seen order, and
+    ranked by a stable sort on decreasing count; each id's codeword is a
+    tagged vbyte built digit by digit, and the stream is their join.
+
+    The phrases start at sampled (reference_sampled by default), after
+    an unsampled leading piece. Returns (phrases, ids, codewords,
+    stream, stream offsets, 1-based text positions, phrase ids), the
+    last three as lists.
+    """
+    if sampled is None:
+        sampled = reference_sampled(text, q, p)
+    starts = ([] if sampled[0] == 1 else [1]) + list(sampled)
+    cuts = [s - 1 for s in starts] + [len(text)]
+    raw = [text[a:b] for a, b in zip(cuts, cuts[1:])]
+    freq = Counter(raw)
+    ranked = sorted(freq, key=freq.__getitem__, reverse=True)
+    ids = {ph: i for i, ph in enumerate(ranked)}
+    codewords = []
+    for i in range(len(ranked)):
+        digits = [0x80 | (i & 0x7F)]
+        i >>= 7
+        while i:
+            digits.append(i & 0x7F)
+            i >>= 7
+        codewords.append(bytes(reversed(digits)))
+    phrase_ids = [ids[ph] for ph in raw]
+    offsets, at = [], 0
+    for pid in phrase_ids:
+        offsets.append(at)
+        at += len(codewords[pid])
+    stream = b"".join(codewords[pid] for pid in phrase_ids)
+    return ranked, ids, codewords, stream, offsets, starts, phrase_ids
+
+
 def reseal(data: bytes) -> bytes:
     """An index file with its header crc32 (bytes 36..39)
     recomputed over every other byte, so that a test's edit of the file
@@ -308,33 +345,41 @@ def with_offsets(data: bytes, fields) -> bytes:
     return reseal(bytes(head) + pack_fields(fields, width) + data[end:])
 
 
-def phrase_file_with_a_moved_cut(text: bytes, q: int, p: int) -> bytes:
+def phrase_file_with_a_moved_cut(text: bytes, q: int, p: int,
+                                 rng: random.Random | None = None,
+                                 moves: int = 1) -> bytes:
     """A phrase-only index file over text whose phrases start at the
-    sampled positions but one, moved by a byte. Its phrases spell the
-    text in 1 to q bytes each, n' counts their starts and the crc32
-    matches, so it passes every check of load."""
+    sampled positions but moves of them, each moved by a byte: the
+    first cut that can move, or with rng random ones. Its phrases spell
+    the text in 1 to q bytes each, n' counts their starts and the crc32
+    matches, so it passes every check of load. Raises ValueError when
+    fewer than moves cuts can move."""
     from samsami import SamplingParams, encode_text
     from samsami.core import SamsamiIndex
     from samsami.persistence import IndexBundle, serialized_bytes
 
     params = SamplingParams(q, p)
-    sampled = reference_sampled(text, q, p)
-    bounds = ([] if sampled[0] == 1 else [1]) + sampled + [len(text) + 1]
-    for i, start in enumerate(sampled):
-        at = bounds.index(start)
-        if at == 0:  # position 1 is not moved
-            continue
-        for moved in (start - 1, start + 1):
-            if (moved > 1 and 0 < moved - bounds[at - 1] <= q
-                    and 0 < bounds[at + 1] - moved <= q):
-                cuts = np.array(sampled[:i] + [moved] + sampled[i + 1:],
-                                dtype=np.uint32)
-                dictionary, encoded = encode_text(text, params, cuts)
-                idx = SamsamiIndex(text=text, params=params, sa=None,
-                                   n=len(text), ascending=cuts)
-                return serialized_bytes(IndexBundle(
-                    index=idx, dictionary=dictionary, encoded=encoded))
-    raise ValueError("no cut of the text can move by a byte")
+    cuts = reference_sampled(text, q, p)
+    movable = set(range(1 if cuts[0] == 1 else 0, len(cuts)))  # never 1
+    for _ in range(moves):
+        bounds = ([] if cuts[0] == 1 else [1]) + cuts + [len(text) + 1]
+        shift = len(bounds) - len(cuts) - 1  # cut i is bounds[i + shift]
+        options = [(i, moved) for i in sorted(movable)
+                   for moved in (cuts[i] - 1, cuts[i] + 1)
+                   if moved > 1
+                   and 0 < moved - bounds[i + shift - 1] <= q
+                   and 0 < bounds[i + shift + 1] - moved <= q]
+        if not options:
+            raise ValueError("no cut of the text can move by a byte")
+        i, moved = rng.choice(options) if rng else options[0]
+        cuts[i] = moved
+        movable.discard(i)  # a cut moved back would leave the file valid
+    ascending = np.array(cuts, dtype=np.uint32)
+    dictionary, encoded = encode_text(text, params, ascending)
+    idx = SamsamiIndex(text=text, params=params, sa=None, n=len(text),
+                       ascending=ascending)
+    return serialized_bytes(IndexBundle(index=idx, dictionary=dictionary,
+                                        encoded=encoded))
 
 
 def as_version_4(data: bytes, text: bytes) -> bytes:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,6 +185,55 @@ def test_sampled_positions_every_window_width(p):
             text = make(rng, rng.randint(q, q + 200), rng.choice([2, 4, 256]))
             got = sampled_positions(text, SamplingParams(q, p))
             assert list(got) == reference_sampled(text, q, p), (w, text)
+
+
+def _run_text(rng: random.Random, n: int, alphabet: int) -> bytes:
+    """Runs of one byte, up to 40 long: a small byte followed by larger
+    ones stays the minimizer for many windows, and a run of the smallest
+    byte moves it one window at a time."""
+    out = bytearray()
+    while len(out) < n:
+        out += bytes([rng.randrange(alphabet)]) * rng.randint(1, 40)
+    return bytes(out[:n])
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 9])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+def test_sampled_positions_in_blocks_of_windows(monkeypatch, block, p):
+    # a minimizer that serves windows on both sides of a block boundary
+    # is one sample; past p = 4 each block ranks its own grams, so the
+    # repeat is found by position
+    monkeypatch.setattr(minimizer, "_SAMPLE_BLOCK", block)
+    rng = random.Random(block * 100 + p)
+    crossed = False
+    for make in (random_text, _repetitive_text, _run_text):
+        for _ in range(4):
+            q = p + rng.randint(0, 12)
+            n = rng.randint(q, 300)
+            text = make(rng, n, rng.choice([1, 2, 4, 256]))
+            got = sampled_positions(text, SamplingParams(q, p))
+            assert got.dtype == np.uint32
+            assert got.tolist() == reference_sampled(text, q, p), (q, text)
+            crossed |= any(
+                reference_window_minimizer(text[lo - 1:lo - 1 + q], p) - 1
+                == reference_window_minimizer(text[lo:lo + q], p)
+                for lo in range(block, n - q + 1, block))
+    assert crossed
+
+
+@pytest.mark.parametrize("q, p", [(8, 2), (12, 2), (12, 9)])
+def test_sampled_positions_memory_is_bounded_by_blocks(q, p):
+    # the temporaries are a few block-sized arrays, and the result's
+    # blocks are joined once: over 512 KiB the peak stays within 4 MiB
+    text = random_text(random.Random(q * 10 + p), 512 * 1024, 4)
+    tracemalloc.start()
+    try:
+        got = sampled_positions(text, SamplingParams(q, p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(got) > len(text) // (q - p + 2)
+    assert peak <= 4 << 20, peak
 
 
 def test_prune_mask_paper_example():

@@ -373,7 +373,8 @@ def test_unsorted_index_refused_until_its_first_search():
 def test_phrase_only_file_with_a_moved_cut_refused_by_samsami(q, p):
     # only the crc32 guards the cut positions at load, but samsami's
     # first search compares the samples with the text's minimizer
-    # positions before it sorts them, and refuses the file
+    # positions before it sorts them, and refuses the file; so does the
+    # phrase variant's first query, before it sorts the stream
     text = random_text(random.Random(q * 31 + p), 600, 3)
     data = phrase_file_with_a_moved_cut(text, q, p)
     for query in (count, locate):
@@ -381,6 +382,47 @@ def test_phrase_only_file_with_a_moved_cut_refused_by_samsami(q, p):
         with pytest.raises(CorruptIndex, match="minimizer positions"):
             query(back.index, text[100:100 + q])
         assert back.index.sa is None and back.index.fences is None
+    back = load(io.BytesIO(data), text)
+    pattern = text[100:100 + 2 * q - p + 1]
+    for _ in range(2):  # the refusal marks nothing checked
+        with pytest.raises(CorruptIndex, match="minimizer positions"):
+            encoded_locate(back.dictionary, back.encoded, len(text), pattern,
+                           SamplingParams(q, p))
+        assert back.encoded._order_view is None
+
+
+def test_phrase_files_with_moved_cuts_refused_or_exact():
+    # one to three cuts moved by a byte, the phrases still spelling the
+    # text: each file loads, and its first phrase query either refuses
+    # it or every answer is the naive scan's
+    rng = random.Random(0xC075)
+    files = refused = 0
+    while files < 400:
+        q = rng.randint(2, 10)
+        p = rng.randint(1, q)
+        m = 2 * q - p + 1
+        text = random_text(rng, rng.randint(m, 200), rng.randint(2, 4))
+        try:
+            data = phrase_file_with_a_moved_cut(text, q, p, rng,
+                                                rng.randint(1, 3))
+        except ValueError:
+            continue
+        files += 1
+        back = load(io.BytesIO(data), text)
+        patterns = [text[i:i + m] for i in range(len(text) - m + 1)]
+        answers = []
+        for pattern in patterns:
+            try:
+                answers.append(encoded_locate(back.dictionary, back.encoded,
+                                              len(text), pattern,
+                                              SamplingParams(q, p)))
+            except CorruptIndex:
+                assert not answers  # only the first query refuses
+                refused += 1
+                break
+        else:
+            assert answers == [naive_locate(text, x) for x in patterns]
+    assert refused == files
 
 
 def test_roundtrip_preserves_queries_across_variants():

@@ -18,7 +18,7 @@ from samsami.phrase import (PhraseDictionary, _split_stream,
                             _stable_boundaries, codeword_table, encode_id,
                             rebuild_positions)
 
-from helpers import (random_text, reference_decode_ids,
+from helpers import (random_text, reference_decode_ids, reference_encode_text,
                      reference_rebuild_positions)
 
 ABRA = b"abracadabra"
@@ -120,21 +120,20 @@ def test_roundtrip_randomized():
         assert decode_text(dictionary, encoded) == text
 
 
-def _reference_encode(text, params):
-    """The encoder restated phrase by phrase, one stream write at a time."""
-    spans = parse_phrases(text, params)
-    raw = [text[a - 1:a - 1 + ln] for a, ln in spans]
-    freq, first = {}, {}
-    for i, ph in enumerate(raw):
-        freq[ph] = freq.get(ph, 0) + 1
-        first.setdefault(ph, i)
-    ranked = sorted(freq, key=lambda ph: (-freq[ph], first[ph]))
-    stream, offsets, ids = bytearray(), [], []
-    for ph in raw:
-        offsets.append(len(stream))
-        ids.append(ranked.index(ph))
-        stream += encode_id(ids[-1])
-    return ranked, bytes(stream), offsets, ids, [a for a, _ in spans]
+def _assert_encodes_as_reference(text, q, p, sampled=None):
+    params = SamplingParams(q, p)
+    (phrases, ids, codewords, stream, offsets, positions,
+     phrase_ids) = reference_encode_text(text, q, p, sampled)
+    dictionary, encoded = encode_text(text, params, sampled)
+    assert dictionary.phrases == phrases
+    assert dictionary.ids == ids
+    assert dictionary.codewords == codewords
+    assert encoded.stream == stream
+    assert encoded.stream_offsets.tolist() == offsets
+    assert encoded.phrase_ids.tolist() == phrase_ids
+    assert encoded.text_positions.tolist() == positions
+    assert encoded.phrase_ids.dtype == np.uint32
+    assert encoded.text_positions.dtype == np.uint32
 
 
 def test_encode_text_matches_reference():
@@ -142,17 +141,31 @@ def test_encode_text_matches_reference():
     for _ in range(60):
         q = rng.randint(1, 8)
         p = rng.randint(1, q)
-        params = SamplingParams(q, p)
         text = random_text(rng, rng.randint(q, 600), rng.choice([2, 4, 26]))
-        ranked, stream, offsets, ids, positions = _reference_encode(text, params)
-        sampled = sampled_positions(text, params)
-        for dictionary, encoded in (encode_text(text, params),
-                                    encode_text(text, params, sampled)):
-            assert dictionary.phrases == ranked
-            assert encoded.stream == stream
-            assert encoded.stream_offsets.tolist() == offsets
-            assert encoded.phrase_ids.tolist() == ids
-            assert encoded.text_positions.tolist() == positions
+        _assert_encodes_as_reference(text, q, p)
+        sampled = sampled_positions(text, SamplingParams(q, p))
+        _assert_encodes_as_reference(text, q, p, sampled)
+
+
+@pytest.mark.parametrize("letters", [2, 4, 26, 256])
+def test_encode_text_matches_reference_over_alphabets(letters):
+    # alphabets that hold 0x00 and 0xFF, whose symbols bound a key word
+    # (2 bits to 9 bits a byte, 32 to 7 bytes a word), and q up to 40,
+    # so the longest phrases span up to six words and fold by rank
+    rng = random.Random(letters)
+    alphabet = bytes([0x00, 0xFF] + rng.sample(range(1, 0xFF), letters - 2))
+    folded, first_sampled = set(), set()
+    for q in range(1, 41):
+        for _ in range(3):
+            p = rng.randint(1, q)
+            n = rng.randint(q, 400)
+            text = bytes(rng.choice(alphabet) for _ in range(n))
+            first_sampled.add(window_minimizer(text[:q], p) == 1)
+            _assert_encodes_as_reference(text, q, p)
+            longest = max(ln for _, ln in parse_phrases(text,
+                                                        SamplingParams(q, p)))
+            folded.add(longest > 64 // len(set(text)).bit_length())
+    assert folded == first_sampled == {False, True}
 
 
 def test_rebuild_positions_matches_encoder():
