@@ -3,9 +3,11 @@
 The naive scan is the ground-truth oracle every index variant is checked
 against. The sparse suffix array keeps every step-th suffix, so a query
 has step alignments to search. One numpy searchsorted over the kept
-suffixes' first 8 bytes bounds all of them at once, and only the
-non-empty bounds are narrowed by a binary search. With step 1 it is a
-plain suffix array, searched once through the fence list as samsami is.
+suffixes' first 8 bytes bounds all of them at once. A non-empty bound of
+a few suffixes is checked against the whole pattern suffix by suffix;
+only a wider one is narrowed by a binary search and then verified. With
+step 1 it is a plain suffix array, searched once through the fence list
+as samsami is.
 """
 
 from __future__ import annotations
@@ -18,6 +20,20 @@ from .core import (_BIG_U8, QueryStats, _fences, _heads, _left_column,
                    _prefix_range, _verify_candidates)
 from .errors import InvalidParams, PatternTooShort
 from .suffix_sort import build_full_sa, sort_starts
+
+# Head bounds of fewer suffixes than this are checked against the whole
+# pattern at each suffix, at about 0.15 us apiece, instead of paying for
+# a keyed binary search first. On perfbench's step-8 patterns (8,192,
+# seed 1) 28% / 56% / 28% of the non-empty bounds hold one suffix, 38% /
+# 44% / 38% hold 2-15 and 35% / 0% / 34% hold 16 or more (code-anchor /
+# dna-search / code-phrase; on DNA none holds more than 8). Timed in one
+# process (8,192 patterns, 8 interleaved rounds, best per pattern; 2
+# vCPU, Python 3.11, numpy 2.4), thresholds of 8, 16, 32 and 48 gave
+# spasa count p50s of 9.17, 8.79, 8.95 and 8.92 us on code-anchor, where
+# checking only one-suffix bounds directly gave 11.17, and p99s of 33.3,
+# 31.3, 32.2 and 44.8 us; dna-search's p50 fell from 9.56 to 8.0-8.3 us
+# at every threshold.
+_NARROW_MIN_SUFFIXES = 16
 
 
 def naive_locate(text: bytes, pattern: bytes) -> list[int]:
@@ -87,7 +103,10 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
     suffixes that start with seq = pattern[off-1:] lie between the
     searchsorted bounds of seq[:8] padded with 0x00 and with 0xFF (equal
     once seq has 8 bytes), and two calls bound every offset at once.
-    Only a non-empty bound is narrowed to the exact range.
+    A non-empty bound of fewer than _NARROW_MIN_SUFFIXES suffixes is
+    answered directly: the occurrence a kept suffix s stands for starts
+    at 0-based s - off, and is checked whole against the text. A wider
+    bound is narrowed to the exact range of seq and then verified.
     """
     m = len(pattern)
     text, sa, step = spasa.text, spasa.sa_view, spasa.step
@@ -111,16 +130,19 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
     for off, lo, hi in zip(range(1, step + 1), los, his):
         if lo == hi:  # an empty range adds nothing to stats
             continue
-        seq = pattern[off - 1:]
-        if hi - lo == 1:  # one suffix: it starts with seq, or none does
-            s = sa[lo] - 1
-            if text[s:s + len(seq)] != seq:
-                continue
-            ranks = lo, hi
-        else:
-            ranks = _prefix_range(text, sa, lo, hi, seq)
-            if ranks[0] == ranks[1]:
-                continue
+        if hi - lo < _NARROW_MIN_SUFFIXES:
+            for s in sa[lo:hi]:  # the whole pattern, at each suffix
+                b = s - off
+                if b >= 0 and text[b:b + m] == pattern:
+                    out.append(b + 1)
+            if stats is not None:  # _verify_candidates' model of the range
+                seq = pattern[off - 1:]
+                for s in sa[lo:hi]:
+                    if text[s - 1:s - 1 + len(seq)] == seq:
+                        stats.candidates += 1
+                        stats.text_verifications += off > 1 and s >= off
+            continue
+        ranks = _prefix_range(text, sa, lo, hi, pattern[off - 1:])
         out += _verify_candidates(text, sa, pattern, off, ranks, stats,
                                   spasa.left)
     out.sort()

@@ -102,12 +102,11 @@ class EncodedText:
         codeword-length positions misses one.
         """
         if self._order_view is None:
-            starts = self.stream_offsets.astype(np.int32)
+            starts = self.stream_offsets
             longest = int(np.diff(starts, append=len(self.stream)).max())
             order = _suffix_order(self.stream, starts, 1, 0, longest)
             self.position_view = memoryview(self.text_positions)
-            self._ordered_starts = memoryview(
-                (starts[order] + 1).astype(np.uint32))
+            self._ordered_starts = memoryview(starts[order] + np.uint32(1))
             self._fences = _fences(self.stream, self._ordered_starts)
             self._suffix_order = order.astype(np.uint32)
             self._order_view = memoryview(self._suffix_order)

@@ -60,8 +60,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import TextTooShort
+from .errors import SamsamiError, TextTooShort
 from .minimizer import SamplingParams
+
+# The longest text the sort takes. _suffix_order keeps its ranks and
+# indexes as int32, and they run up to the text's length, its end
+# counted; index files hold offsets of up to 32 bits, so the sort is the
+# tighter limit.
+MAX_TEXT_BYTES = 2 ** 31 - 1
 
 
 def build_full_sa(text: bytes) -> np.ndarray:
@@ -88,8 +94,7 @@ def sort_starts(text: bytes, starts: np.ndarray, lead: int, margin: int,
                 gap: int) -> np.ndarray:
     """The 1-based ascending starts, a set with the cover (lead, margin,
     gap) described above, reordered into suffix order as uint32."""
-    order = _suffix_order(text, starts.astype(np.int32) - 1, lead, margin,
-                          gap)
+    order = _suffix_order(text, starts - 1, lead, margin, gap)
     return starts[order].astype(np.uint32, copy=False)
 
 
@@ -97,8 +102,12 @@ def _suffix_order(text: bytes, pos: np.ndarray | None, lead: int,
                   margin: int, gap: int) -> np.ndarray:
     """Indexes into the ascending 0-based starts pos in suffix order, as
     int32. pos None stands for every position, each its own index, so
-    that no index maps are built."""
+    that no index maps are built. pos keeps its own dtype; a text longer
+    than MAX_TEXT_BYTES raises SamsamiError before any int32 is made."""
     n = len(text)
+    if n > MAX_TEXT_BYTES:
+        raise SamsamiError(f"a {n}-byte text exceeds the {MAX_TEXT_BYTES} "
+                           "bytes that the suffix sort takes")
     every = pos is None
     count = n if every else len(pos)
     symbols = np.frombuffer(text, dtype=np.uint8)

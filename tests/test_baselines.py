@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from samsami import (InvalidParams, PatternTooShort, QueryStats,
                      build_full_sa, naive_count, naive_locate, spasa_build,
                      spasa_count, spasa_locate)
-from samsami import core
+from samsami import baselines, core
 
 from helpers import (brute_locate, brute_suffix_array, random_text,
                      reference_spasa_heads, reference_spasa_locate)
@@ -213,3 +214,54 @@ def test_spasa_column_kernel_matches_naive_and_rank_ranges(threshold,
     assert before_text > 0
     # at the default threshold, every range of 48 or more reaches it
     assert len(entered) > 20
+
+
+@pytest.mark.parametrize("threshold", [0, 1, 2, 1000,
+                                       baselines._NARROW_MIN_SUFFIXES])
+def test_spasa_direct_bounds_match_naive_and_reference_stats(threshold,
+                                                             monkeypatch):
+    # A head bound of fewer than threshold suffixes is checked suffix by
+    # suffix and never reaches _prefix_range; a wider one is narrowed.
+    # The bounds are recomputed here from reference heads, and seeds of
+    # 0x00 or 0xFF bytes alone put the padded keys at 0 and 2**64 - 1.
+    monkeypatch.setattr(baselines, "_NARROW_MIN_SUFFIXES", threshold)
+    narrowed = []
+
+    def spy(text, sa, lo, hi, seq, fences=None):
+        narrowed.append((lo, hi))
+        return core._prefix_range(text, sa, lo, hi, seq, fences)
+
+    monkeypatch.setattr(baselines, "_prefix_range", spy)
+    rng = random.Random(0xD12EC7 + threshold)
+    wide = 0
+    for alphabet in EDGE_ALPHABETS:
+        for step in range(2, 13):
+            for n in (step, rng.randint(step + 8, 40), rng.randint(60, 160)):
+                text = _edge_text(rng, alphabet, n)
+                spasa = spasa_build(text, step)
+                heads = reference_spasa_heads(text, spasa.sa)
+                for m in range(step, min(n, step + 12) + 1):
+                    at = rng.randint(0, n - m)
+                    for pattern in (text[at:at + m], bytes(m), b"\xff" * m,
+                                    bytes(m // 2) + b"\xff" * (m - m // 2),
+                                    bytes(rng.choice(alphabet)
+                                          for _ in range(m))):
+                        want_narrowed = []
+                        for off in range(1, step + 1):
+                            seed = pattern[off - 1:off + 7]
+                            lo = bisect_left(heads, int.from_bytes(
+                                seed.ljust(8, b"\0"), "big"))
+                            hi = bisect_right(heads, int.from_bytes(
+                                seed.ljust(8, b"\xff"), "big"))
+                            if hi > lo and hi - lo >= threshold:
+                                want_narrowed.append((lo, hi))
+                        narrowed.clear()
+                        got_stats, want_stats = QueryStats(), QueryStats()
+                        got = spasa_locate(spasa, pattern, got_stats)
+                        assert got == naive_locate(text, pattern)
+                        assert got == reference_spasa_locate(
+                            spasa, pattern, want_stats)
+                        assert got_stats == want_stats
+                        assert narrowed == want_narrowed
+                        wide += len(narrowed)
+    assert (wide == 0) == (threshold == 1000)

@@ -1,3 +1,4 @@
+import io
 import random
 import sysconfig
 from pathlib import Path
@@ -7,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from samsami import (SamplingParams, TextTooShort, build_full_sa,
-                     extract_sampled, sampled_positions, spasa_build)
+from samsami import (SamplingParams, SamsamiError, TextTooShort, build,
+                     build_bundle, build_full_sa, count, extract_sampled,
+                     load, naive_count, sampled_positions, spasa_build)
+from samsami import suffix_sort
+from samsami.persistence import serialized_bytes
 from samsami.suffix_sort import sort_starts
 
 from helpers import brute_suffix_array, random_text, reference_suffix_sort
@@ -208,3 +212,31 @@ def test_cover_sort_takes_any_ascending_cover():
         starts = np.arange(1, len(text) + 1, step, dtype=np.uint32)
         got = sort_starts(text, starts, 0, 0, step)
         assert np.array_equal(got, full[(full - 1) % step == 0])
+
+
+def test_texts_past_the_size_limit_refused(monkeypatch):
+    # every sort goes through _suffix_order, whose ranks and indexes are
+    # int32, so a text past the limit raises there before any is made; a
+    # loaded phrase-only file (no offsets) sorts on its first query, and
+    # a phrase stream on its first phrase query
+    text = random_text(random.Random(0x517E), 400, 4)
+    params = SamplingParams(8, 2)
+    bundle = build_bundle(text, params, with_phrase=True)
+    data = serialized_bytes(bundle)
+    limit = min(len(text), len(bundle.encoded.stream)) - 1
+    monkeypatch.setattr(suffix_sort, "MAX_TEXT_BYTES", limit)
+    loaded = load(io.BytesIO(data), text).index
+    assert loaded.sa is None
+    for call in (lambda: build(text, params),
+                 lambda: spasa_build(text, 1),
+                 lambda: spasa_build(text, 8),
+                 lambda: build_bundle(text, params, with_phrase=True),
+                 bundle.encoded.suffix_order,
+                 lambda: count(loaded, text[:8])):
+        with pytest.raises(SamsamiError, match="suffix sort"):
+            call()
+    monkeypatch.setattr(suffix_sort, "MAX_TEXT_BYTES", len(text))
+    assert count(loaded, text[:8]) == naive_count(text, text[:8])
+    assert len(spasa_build(text, 8).sa) == 50
+    assert len(bundle.encoded.suffix_order()) == len(
+        bundle.encoded.stream_offsets)
