@@ -84,7 +84,8 @@ def _groups(idx: SamsamiIndex, table: PrefixRangeTable) -> dict[bytes, int]:
 
 
 def min_pattern_length(params, k: int) -> int:
-    return max(params.q - params.p + k, params.q)
+    q, p = params.q, params.p
+    return q - p + k if k > p else q
 
 
 def locate_hash(idx: SamsamiIndex, table: PrefixRangeTable, pattern: bytes,

@@ -359,7 +359,7 @@ def _stable_boundaries(pattern: bytes, params: SamplingParams) -> list[int]:
     nwin, w = m - q + 1, q - p + 1
     wins = np.ndarray((nwin, w), _BIG_U2 if p == 2 else f"S{p}", pattern,
                       0, (1, 1))
-    rows = max(1, _PARSE_BLOCK_BYTES // (w * p))
+    rows = _PARSE_BLOCK_BYTES // (w * p) or 1
     if nwin <= rows:
         steps = wins.argmin(1).tolist()
     else:

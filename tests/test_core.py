@@ -1,8 +1,10 @@
+import builtins
 import io
 import math
 import random
 import sys
 import threading
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from samsami import (PatternTooShort, QueryStats, SamplingParams, TextTooShort,
                      naive_locate, parse_phrases, sampled_positions,
                      spasa_build, spasa_locate, suffix_range,
                      window_minimizer)
-from samsami import core, hashindex
+from samsami import baselines, core, hashindex, phrase
 from samsami.persistence import serialized_bytes
 
 from helpers import (brute_group, brute_suffix_array, random_text,
@@ -257,6 +259,7 @@ def test_fenced_prefix_range_equals_fence_free(stride, width, monkeypatch):
     monkeypatch.setattr(core, "FENCE_STRIDE", stride)
     monkeypatch.setattr(core, "FENCE_WIDTH", width)
     rng = random.Random(0xFE9 + 10 * stride + width)
+    clamped = {"start below lo": 0, "start above hi": 0, "stop above hi": 0}
     texts = [b"\x00" * 60, b"\xff" * 60, b"a" * 60,
              bytes([0x00, 0xFF]) * 30 + b"\x00" * 10,
              random_text(rng, 150, 2),
@@ -282,11 +285,25 @@ def test_fenced_prefix_range_equals_fence_free(stride, width, monkeypatch):
                 ending = [(lo, first + size) for size in (0, 1, 2)
                           if first + size <= end
                           for lo in (0, rng.randrange(first + 1))]
-                for lo, hi in bounds + ending:
+                # bounds that cut seq's fence strides, so that the search
+                # clamps their ranks [start, stop) to [lo, hi)
+                key = seq[:width]
+                below = bisect_left(fences, key)
+                above = (below if len(seq) <= width
+                         else bisect_right(fences, key, below))
+                start, stop = (below - 1) * stride + 1, above * stride
+                cuts = [(lo, hi) for lo, hi in
+                        [(start + 1, n), (0, start - 1), (0, stop - 1)]
+                        if 0 <= lo <= hi <= n]
+                for lo, hi in bounds + ending + cuts:
+                    clamped["start below lo"] += start < lo
+                    clamped["start above hi"] += start > hi
+                    clamped["stop above hi"] += stop > hi
                     got = core._prefix_range(text, sa, lo, hi, seq, fences)
                     assert got == core._prefix_range(text, sa, lo, hi, seq)
                     assert tuple(got) == _brute_prefix_range(
                         text, sa, lo, hi, seq), (seq, lo, hi)
+    assert all(clamped.values()), clamped
 
 
 class _CountingSA:
@@ -736,3 +753,81 @@ def test_one_suffix_range_call_per_query(monkeypatch):
                 calls.clear()
                 ask(pattern, stats)
                 assert len(calls) == 1, (pattern, stats)
+
+
+def test_queries_call_no_builtin_min_or_max():
+    # builtin min() and max() cost a call each, so the query paths clamp
+    # with comparisons; the one min() left is the pattern minimizer's
+    # reduction over its window's bytes. The text repeats a block 100
+    # times, whose q-prefix minimizer "ab" lies at j = 15, and two more
+    # 2 and 5 times, so the patterns reach answers of 0, 1 and 2
+    # suffixes, a gallop, an answer spanning a fence stride, 48 or more
+    # survivors (the left column and the 8-byte steps), phrase queries
+    # with one stable boundary and with several, and narrowed spasa bounds
+    rng = random.Random(0xC1A)
+
+    def filler(n):
+        return bytes(rng.choice(b"cdefghij") for _ in range(n))
+
+    block = filler(14) + b"ab" + filler(32)
+    pair, five = (filler(14) + b"ba" + filler(30) for _ in range(2))
+    parts = []
+    for i in range(100):
+        parts += [filler(rng.randint(10, 60)), block]
+        parts += [pair] * (i < 2) + [five] * (i < 5)
+    text = b"".join(parts) + filler(50)
+    params = SamplingParams(16, 2)
+    bundle = build_bundle(text, params, with_delta=True, hash_k=4,
+                          with_phrase=True)
+    idx = bundle.index
+    spasa, plain = spasa_build(text, 4), spasa_build(text, 1)
+    patterns = [block[:40], block[:31], pair[:40], five[:40], filler(40)]
+    patterns += [text[i:i + m] for i in rng.sample(range(len(text) - 40), 30)
+                 for m in (31, 40)]
+    asks = [lambda pattern: locate(idx, pattern),
+            lambda pattern: count(idx, pattern, QueryStats()),
+            lambda pattern: locate2(idx, bundle.delta, pattern, QueryStats()),
+            lambda pattern: locate_hash(idx, bundle.table, pattern,
+                                        QueryStats()),
+            lambda pattern: encoded_locate(bundle.dictionary, bundle.encoded,
+                                           idx.n, pattern, params,
+                                           QueryStats()),
+            lambda pattern: spasa_locate(spasa, pattern, QueryStats()),
+            lambda pattern: spasa_locate(plain, pattern)]
+    for ask in asks:  # the first searches build fences, groups and heads
+        ask(patterns[0])
+    reached = set()
+    for pattern in patterns:
+        j = window_minimizer(pattern[:16], 2)
+        seq = pattern[j - 1:]
+        first, end = suffix_range(idx, seq)
+        below = bisect_left(idx.fences, seq[:core.FENCE_WIDTH])
+        spans = (below + 1 < len(idx.fences)
+                 and idx.fences[below + 1].startswith(seq))
+        reached.add(end - first if end - first <= 2
+                    else "span" if spans else "gallop")
+        if j >= 13 and len(naive_locate(text, pattern)) >= 48:
+            reached.add("8-byte steps")
+        stable = len(phrase._stable_boundaries(pattern, params))
+        reached.add("one boundary" if stable == 1 else "boundaries")
+        heads = [pattern[off:off + 8] for off in range(4)]
+        if any(sum(text[s - 1:s + 7] == head for s in spasa.sa.tolist())
+               >= baselines._NARROW_MIN_SUFFIXES for head in heads):
+            reached.add("narrowed")
+    assert reached == {0, 1, 2, "gallop", "span", "8-byte steps",
+                       "one boundary", "boundaries", "narrowed"}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and (arg is builtins.min or arg is builtins.max):
+            calls.append((arg.__name__, frame.f_code.co_name))
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for ask in asks:
+            for pattern in patterns:
+                ask(pattern)
+    finally:
+        sys.setprofile(before)
+    assert calls and set(calls) == {("min", "_leftmost_smallest")}

@@ -68,7 +68,8 @@ def test_locate_hash_missing_key(abra):
 
 def test_locate_hash_minimum_length(abra):
     idx, table = abra
-    assert min_pattern_length(idx.params, 2) == 4
+    assert min_pattern_length(idx.params, 1) == 4  # q - p + k < q
+    assert min_pattern_length(idx.params, 2) == 4  # q - p + k == q
     with pytest.raises(PatternTooShort):
         locate_hash(idx, table, b"ada"[:3])
     table5 = build_table(idx, 5)
