@@ -7,7 +7,8 @@ suffixes' first 8 bytes bounds all of them at once. A non-empty bound of
 a few suffixes is checked against the whole pattern suffix by suffix;
 only a wider one is narrowed by a binary search and then verified. With
 step 1 it is a plain suffix array, searched once through the fence list
-as samsami is.
+as samsami is. Both are core.SortedSuffixes, so they share samsami's
+first-search step, range search and verification kernel.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_BIG_U8, QueryStats, _fences, _heads, _left_column,
-                   _prefix_range, _verify_candidates)
+from .core import (_BIG_U8, QueryStats, SortedSuffixes, _heads,
+                   _prefix_range, _verify_candidates, prepare)
 from .errors import InvalidParams, PatternTooShort
 from .suffix_sort import build_full_sa, sort_starts
 
@@ -52,29 +53,14 @@ def naive_count(text: bytes, pattern: bytes) -> int:
     return len(naive_locate(text, pattern))
 
 
-@dataclass(eq=False)
-class SparseSuffixArray:
-    """Suffixes at positions 1, 1+step, 1+2*step, ... in suffix order."""
+@dataclass(eq=False, kw_only=True)
+class SparseSuffixArray(SortedSuffixes):
+    """Suffixes at positions 1, 1+step, 1+2*step, ... in suffix order.
+    For step > 1 the first search fills in heads: each kept suffix's
+    first 8 bytes, zero-padded at the text end, as a big-endian number."""
 
-    text: bytes
     step: int
-    sa: np.ndarray = field(repr=False)
-    n: int = 0
-    sa_view: memoryview = field(init=False, repr=False)
-    # for step > 1, the _left_column of sa, as SamsamiIndex.left; step 1
-    # skips no prefix, so it needs none
-    left: np.ndarray | None = field(init=False, repr=False)
-    # filled in by the first search, as SamsamiIndex.fences: the fence
-    # list for step 1, and for step > 1 heads, each kept suffix's first
-    # 8 bytes (zero-padded at the text end) as a big-endian number, in
-    # sa order; 8 bytes per kept suffix
-    fences: list[bytes] | None = field(init=False, repr=False, default=None)
     heads: np.ndarray | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        self.sa_view = memoryview(self.sa)  # items read as Python ints
-        self.left = (_left_column(self.text, self.sa) if self.step > 1
-                     else None)
 
 
 def spasa_build(text: bytes, step: int) -> SparseSuffixArray:
@@ -114,9 +100,9 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
         raise PatternTooShort(f"pattern length {m} < step {step}")
     if step == 1:  # one search: the fence bisect beats numpy's call cost
         if spasa.fences is None:
-            spasa.fences = _fences(text, sa)
-        hits = _verify_candidates(text, sa, pattern, 1, _prefix_range(
-            text, sa, 0, len(sa), pattern, spasa.fences), stats=stats)
+            prepare(spasa)
+        hits = _verify_candidates(spasa, pattern, 1, _prefix_range(
+            text, sa, 0, len(sa), pattern, spasa.fences), stats)
         hits.sort()
         return hits
     if spasa.heads is None:
@@ -143,8 +129,7 @@ def spasa_locate(spasa: SparseSuffixArray, pattern: bytes,
                         stats.text_verifications += off > 1 and s >= off
             continue
         ranks = _prefix_range(text, sa, lo, hi, pattern[off - 1:])
-        out += _verify_candidates(text, sa, pattern, off, ranks, stats,
-                                  spasa.left)
+        out += _verify_candidates(spasa, pattern, off, ranks, stats)
     out.sort()
     return out
 

@@ -5,6 +5,12 @@ position) and keeps those suffixes in lexicographic order. A pattern of
 length m >= q is located with a single binary search for its suffix
 starting at the q-prefix minimizer, followed by verification of the
 skipped prefix symbols against the text.
+
+Every suffix search reads a SortedSuffixes: this index, baselines'
+suffix arrays and the phrase stream's codeword starts share its
+first-search step (prepare), range search (_prefix_range) and kernel
+(_verify_candidates), and differ in the suffixes they keep and the
+pattern offsets they anchor at.
 """
 
 from __future__ import annotations
@@ -34,39 +40,43 @@ class QueryStats:
 
 
 @dataclass(eq=False)
-class SamsamiIndex:
-    """Immutable index over a text: safe to share across threads.
-
-    Two fields are derived from sa and never stored in an index file:
-    sa_view, a memoryview of sa whose items read as Python ints, and
-    left, the _left_column of sa.
-
-    An index loaded from a file that holds no offsets has sa None and
-    its sampled positions, ascending, in ascending. prepare, the first
-    search's step, sorts them into sa, sa_view and left, so an index
-    that never searches never sorts; until then suffix_sa refuses it.
-
-    fences, the fence list of _fences, is filled in by prepare and never
-    stored either. samsami and samsami-hash share it: the hash narrows
-    inside its k-byte group through the same list. It is a plain
-    attribute, not a functools.cached_property: reading __dict__, as
-    that does, makes every later attribute read of the index about 45 ns
-    slower on CPython 3.11.
+class SortedSuffixes:
+    """The 1-based starts sa of suffixes of text (n bytes), in suffix
+    order, and three fields derived from them that no file stores:
+    sa_view, a memoryview of sa whose items read as Python ints; fences,
+    the _fences of sa, built by prepare; and left, the _left_column of
+    sa, built by its one reader, the kernel, on its first range of
+    _VECTOR_MIN_CANDIDATES or more that skips a prefix. They are plain
+    attributes, not functools.cached_property:
+    reading __dict__, as that does, makes every later attribute read
+    about 45 ns slower on CPython 3.11.
     """
 
     text: bytes
-    params: SamplingParams
     sa: np.ndarray | None = field(repr=False)
     n: int = 0
-    ascending: np.ndarray | None = field(default=None, repr=False)
     sa_view: memoryview | None = field(init=False, repr=False, default=None)
-    left: np.ndarray | None = field(init=False, repr=False, default=None)
     fences: list[bytes] | None = field(init=False, repr=False, default=None)
+    left: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.sa is not None:
             self.sa_view = memoryview(self.sa)
-            self.left = _left_column(self.text, self.sa)
+
+
+@dataclass(eq=False, kw_only=True)
+class SamsamiIndex(SortedSuffixes):
+    """Immutable index over a text: safe to share across threads.
+
+    An index loaded from a file that holds no offsets has sa None and
+    its sampled positions, ascending, in ascending. prepare sorts them
+    into sa and sa_view, so an index that never searches never sorts;
+    until then suffix_sa refuses it. samsami and samsami-hash share the
+    fences: the hash narrows inside its k-byte group through them.
+    """
+
+    params: SamplingParams
+    ascending: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_sampled(self) -> int:
@@ -81,28 +91,27 @@ def suffix_sa(idx: SamsamiIndex) -> np.ndarray:
     return idx.sa
 
 
-def prepare(idx: SamsamiIndex) -> None:
-    """The first search's step: build, once, what idx's searches read
-    and no file stores. Samples loaded without offsets are guarded by the
-    file's crc32 alone and extract_sampled sorts only the text's
-    minimizer positions, so they must equal the positions sampled from
-    the text; then they are sorted into sa, sa_view and left. Then the
-    fence list is built. No lock is needed: threads that race here build
-    equal values, either may be kept, and sa is set after sa_view and
-    left, and fences last, so no reader finds what they imply missing.
+def prepare(col: SortedSuffixes) -> None:
+    """The first search's step: build col's fence list, once. A
+    SamsamiIndex loaded without offsets (sa None) sorts its samples
+    first; they are guarded by the file's crc32 alone and
+    extract_sampled sorts only the text's minimizer positions, so they
+    must equal the positions sampled from the text. No lock is needed:
+    threads that race here build equal values, either may be kept, and
+    sa is set after sa_view, and fences last, so no reader finds what
+    they imply missing.
     """
-    if idx.fences is not None:
+    if col.fences is not None:
         return
-    if idx.sa is None:
-        sampled = sampled_positions(idx.text, idx.params)
-        if not np.array_equal(sampled, idx.ascending):
+    if col.sa is None:
+        sampled = sampled_positions(col.text, col.params)
+        if not np.array_equal(sampled, col.ascending):
             raise CorruptIndex("the loaded samples differ from the text's "
                                "minimizer positions")
-        sa = extract_sampled(idx.text, sampled, idx.params)
-        idx.sa_view = memoryview(sa)
-        idx.left = _left_column(idx.text, sa)
-        idx.sa = sa
-    idx.fences = _fences(idx.text, idx.sa_view)
+        sa = extract_sampled(col.text, sampled, col.params)
+        col.sa_view = memoryview(sa)
+        col.sa = sa
+    col.fences = _fences(col.text, col.sa_view)
 
 
 def _left_column(text: bytes, sa: np.ndarray) -> np.ndarray:
@@ -258,24 +267,23 @@ def _prefix_range(text: bytes, sa, lo: int, hi: int, seq: bytes,
 _VECTOR_MIN_CANDIDATES = 48
 
 
-def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
+def _verify_candidates(col: SortedSuffixes, pattern: bytes, j: int,
                        ranks: tuple[int, int],
-                       stats: QueryStats | None = None,
-                       left: np.ndarray | None = None) -> list[int]:
-    """Occurrence starts of pattern among the suffixes at ranks [lo, hi),
+                       stats: QueryStats | None) -> list[int]:
+    """Occurrence starts of pattern among col's suffixes at ranks [lo, hi),
     given as the pair ranks = (lo, hi).
 
-    sa is a memoryview of the sorted 1-based suffix positions, as in
-    _prefix_range. The suffix at sa[r] matches pattern[j-1:]; the
-    occurrence it stands for starts j-1 bytes earlier, which must lie
-    inside the text and agree with the skipped prefix pattern[:j-1].
-    left, the _left_column of sa, lets large ranges check the prefix's
-    last 4 bytes without touching the text; only j = 1 needs none. The
-    result is in rank order. stats gets QueryStats' model of the range.
+    The suffix at col.sa[r] matches pattern[j-1:]; the occurrence it
+    stands for starts j-1 bytes earlier, which must lie inside the text
+    and agree with the skipped prefix pattern[:j-1]. A large range
+    checks the prefix's last 4 bytes against col.left first, which the
+    first such range builds; only j = 1 needs no check. The result is
+    in rank order. stats gets QueryStats' model of the range.
     """
     lo, hi = ranks
     if lo == hi:
         return []
+    sa = col.sa_view
     shift = j - 1
     if stats is not None:
         stats.candidates += hi - lo
@@ -285,8 +293,8 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     if not shift:  # every candidate is an occurrence
         return sa[lo:hi].tolist()
     if hi - lo >= _VECTOR_MIN_CANDIDATES:
-        return _verify_vector(text, sa, pattern, j, lo, hi, left)
-    prefix = pattern[:shift]
+        return _verify_vector(col, pattern, j, lo, hi)
+    text, prefix = col.text, pattern[:shift]
     out = []
     for s in sa[lo:hi]:
         start = s - shift
@@ -295,7 +303,10 @@ def _verify_candidates(text: bytes, sa: memoryview, pattern: bytes, j: int,
     return out
 
 
-def _verify_vector(text, sa, pattern, j, lo, hi, left):
+def _verify_vector(col, pattern, j, lo, hi):
+    text, sa, left = col.text, col.sa_view, col.left
+    if left is None:  # threads that race here build equal columns
+        left = col.left = _left_column(text, col.sa)
     shift = j - 1
     # Compare the prefix nearest the anchor first. The first step reads
     # no scattered text: the left-context column holds up to 4 prefix
@@ -361,8 +372,7 @@ def _query(idx: SamsamiIndex, pattern: bytes,
         raise PatternTooShort(f"pattern length {len(pattern)} < q={q}")
     j = window_minimizer(pattern[:q], p)
     ranks = suffix_range(idx, pattern[j - 1:])
-    return j, ranks, _verify_candidates(idx.text, idx.sa_view, pattern, j,
-                                        ranks, stats, idx.left)
+    return j, ranks, _verify_candidates(idx, pattern, j, ranks, stats)
 
 
 def locate(idx: SamsamiIndex, pattern: bytes,

@@ -118,5 +118,4 @@ def _locate_hash_impl(idx, table, pattern, stats):
         return []
     narrowed = _prefix_range(idx.text, idx.sa_view, group >> 32,
                              group & 0xFFFFFFFF, pattern[j - 1:], idx.fences)
-    return _verify_candidates(idx.text, idx.sa_view, pattern, j, narrowed,
-                              stats=stats, left=idx.left)
+    return _verify_candidates(idx, pattern, j, narrowed, stats)

@@ -28,14 +28,14 @@ from operator import add
 import numpy as np
 
 from . import core
-from .core import QueryStats, _fences, _prefix_range
+from .core import QueryStats, SortedSuffixes, _prefix_range, prepare
 from .errors import (CorruptEncoding, CorruptIndex, PatternTooShort,
                      SamsamiError)
 from .minimizer import (SamplingParams, _ranks, sampled_positions,
                         window_minimizer)
 # build_full_sa is never called here: benchmark tracing wraps it by name
-from .suffix_sort import (_group_heads, _suffix_order,  # noqa: F401
-                          build_full_sa)
+from .suffix_sort import (_byte_ranks, _group_heads,  # noqa: F401
+                          _suffix_order, build_full_sa)
 
 # argmin copies a strided view to one buffer first; a pattern is parsed
 # in blocks of windows whose copies stay within this many bytes
@@ -66,9 +66,9 @@ class EncodedText:
     it. The phrases of encode_text's output start at the text's
     minimizer positions by construction; a loaded stream's starts are
     checked against them once, by the first phrase query
-    (_cuts_checked). suffix_order also builds a query loop's
-    memoryviews, whose items read as Python ints, of its result
-    (_order_view) and of text_positions (position_view).
+    (_cuts_checked). suffix_order also builds the searched column and a
+    query loop's memoryviews, whose items read as Python ints, of its
+    result (_order_view) and of text_positions (position_view).
     """
 
     stream: bytes = field(repr=False)
@@ -79,11 +79,9 @@ class EncodedText:
     _suffix_order: np.ndarray | None = field(default=None, repr=False)
     # set last: a query that finds it set uses every view without a lock
     _order_view: memoryview | None = field(default=None, repr=False)
-    # 1-based stream positions of the phrases in suffix order, the
-    # searched column of a codeword lookup, and its fence list; built
-    # with the suffix order
-    _ordered_starts: memoryview | None = field(default=None, repr=False)
-    _fences: list[bytes] | None = field(default=None, repr=False)
+    # the phrases' 1-based stream starts in suffix order, the column a
+    # codeword lookup searches; built, fences and all, with the order
+    column: SortedSuffixes | None = field(default=None, repr=False)
     position_view: memoryview | None = field(default=None, repr=False)
     # True when the phrases are known to start at the text's minimizer
     # positions: set by encode_text, else by the first phrase query
@@ -106,8 +104,10 @@ class EncodedText:
             longest = int(np.diff(starts, append=len(self.stream)).max())
             order = _suffix_order(self.stream, starts, 1, 0, longest)
             self.position_view = memoryview(self.text_positions)
-            self._ordered_starts = memoryview(starts[order] + np.uint32(1))
-            self._fences = _fences(self.stream, self._ordered_starts)
+            column = SortedSuffixes(self.stream, starts[order] + np.uint32(1),
+                                    len(self.stream))
+            prepare(column)
+            self.column = column
             self._suffix_order = order.astype(np.uint32)
             self._order_view = memoryview(self._suffix_order)
         return self._suffix_order
@@ -235,11 +235,8 @@ def _phrase_keys(text: bytes, starts: np.ndarray,
     # longer than one word folds its words in one at a time by dense
     # rank, as minimizer._gram_keys folds long grams.
     symbols = np.frombuffer(text, dtype=np.uint8)
-    present = np.zeros(256, dtype=bool)
-    present[symbols] = True
-    bits = int(np.count_nonzero(present)).bit_length()
-    width = 63 // bits
-    ranked = np.cumsum(present, dtype=np.int16)[symbols]
+    rank_of, bits, width = _byte_ranks(symbols)
+    ranked = rank_of[symbols]
     full = (1 << bits * width) - 1
     # masks[r] keeps a word's first r symbols
     masks = np.array([full ^ (full >> bits * r) for r in range(width + 1)],
@@ -435,15 +432,16 @@ def _locate_by_codewords(encoded, n, pattern, j1, searches, stats):
     # names are read at call time.
     if encoded._order_view is None:
         encoded.suffix_order()
-    order, positions, text = (encoded._order_view, encoded.position_view,
-                              encoded.text)
+    order, positions, text, col = (encoded._order_view,
+                                   encoded.position_view, encoded.text,
+                                   encoded.column)
     m = len(pattern)
     last = n - m + j1
     out = []
     total = inside = 0
     for codewords in searches:
-        lo, hi = _prefix_range(encoded.stream, encoded._ordered_starts, 0,
-                               len(order), codewords, encoded._fences)
+        lo, hi = _prefix_range(col.text, col.sa_view, 0, len(order),
+                               codewords, col.fences)
         total += hi - lo
         if hi - lo >= core._VECTOR_MIN_CANDIDATES:
             starts = encoded.text_positions[encoded._suffix_order[lo:hi]]

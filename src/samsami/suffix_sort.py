@@ -111,14 +111,11 @@ def _suffix_order(text: bytes, pos: np.ndarray | None, lead: int,
     every = pos is None
     count = n if every else len(pos)
     symbols = np.frombuffer(text, dtype=np.uint8)
-    present = np.zeros(256, dtype=bool)
-    present[symbols] = True
-    bits = int(np.count_nonzero(present)).bit_length()
-    width = 63 // bits
+    rank_of, bits, width = _byte_ranks(symbols)
     # packed[x]: the width symbols from 0-based x on, bits apiece and the
     # first highest, for every x in [0, n]
     padded = np.zeros(n + width, dtype=np.int16)
-    padded[:n] = np.cumsum(present, dtype=np.int16)[symbols]
+    padded[:n] = rank_of[symbols]
     packed = np.zeros(n + 1, dtype=np.int64)
     for t in range(width):
         packed <<= bits
@@ -177,6 +174,16 @@ def _suffix_order(text: bytes, pos: np.ndarray | None, lead: int,
         sa[idx] = own[order]
         del own
         head = _group_heads(key[order])
+
+
+def _byte_ranks(symbols: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The byte ranks of the uint8 text symbols: a 256-entry int16 table
+    ranking the distinct bytes 1..σ (0 for the absent ones), the bits a
+    rank takes, and the 63 // bits ranks that fit one int64 key."""
+    present = np.zeros(256, dtype=bool)
+    present[symbols] = True
+    bits = int(np.count_nonzero(present)).bit_length()
+    return np.cumsum(present, dtype=np.int16), bits, 63 // bits
 
 
 def _last_start(pos: np.ndarray, n: int) -> np.ndarray:

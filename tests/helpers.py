@@ -542,6 +542,24 @@ def reference_spasa_locate(spasa, pattern: bytes, stats=None) -> list[int]:
     for off in range(1, spasa.step + 1):
         ranks = _prefix_range(text, sa, 0, len(sa), pattern[off - 1:])
         if ranks[0] != ranks[1]:
-            out += _verify_candidates(text, sa, pattern, off, ranks,
-                                      stats, spasa.left)
+            out += _verify_candidates(spasa, pattern, off, ranks, stats)
     return sorted(out)
+
+
+def wide_pattern(text: bytes, params) -> bytes:
+    """The first q-byte window of text whose samsami query enters the
+    column kernel: its q-prefix minimizer j skips a prefix, and
+    pattern[j-1:] starts core._VECTOR_MIN_CANDIDATES or more sampled
+    suffixes. It is found on an index of its own, so the caller's
+    indexes stay unsearched."""
+    from samsami import build, suffix_range, window_minimizer
+    from samsami.core import _VECTOR_MIN_CANDIDATES
+
+    idx, q = build(text, params), params.q
+    for i in range(len(text) - q + 1):
+        pattern = text[i:i + q]
+        j = window_minimizer(pattern, params.p)
+        lo, hi = suffix_range(idx, pattern[j - 1:])
+        if j > 1 and hi - lo >= _VECTOR_MIN_CANDIDATES:
+            return pattern
+    raise AssertionError("no window of the text enters the kernel")

@@ -172,7 +172,9 @@ def test_spasa_column_kernel_matches_naive_and_rank_ranges(threshold,
     # pattern[off-1:] is a candidate and, when off > 1 and the
     # occurrence would start inside the text, a text verification; the
     # kept suffix at position 1 stands for one that would start before
-    # it. On 1-letter texts every range holds n/step candidates.
+    # it. On 1-letter texts every range holds n/step candidates. The
+    # column is built by the kernel's first call on a spasa, not before,
+    # and never at step 1, whose anchor skips nothing.
     monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", threshold)
     entered = []
     real = core._verify_vector
@@ -183,16 +185,17 @@ def test_spasa_column_kernel_matches_naive_and_rank_ranges(threshold,
 
     monkeypatch.setattr(core, "_verify_vector", spy)
     rng = random.Random(0xC07)
-    before_text = 0
+    before_text = columns = 0
     for alphabet in (1, 2, 4):
         text = random_text(rng, 900, alphabet)
-        assert spasa_build(text, 1).left is None  # j is always 1
+        plain = spasa_build(text, 1)
+        assert spasa_locate(plain, text[:50]) == naive_locate(text, text[:50])
+        assert plain.left is None  # j is always 1
         for step in range(2, 9):
             spasa = spasa_build(text, step)
             kept = spasa.sa.tolist()
             padded = bytes(4) + text
-            assert spasa.left.tolist() == [
-                int.from_bytes(padded[s - 1:s + 3], "little") for s in kept]
+            assert spasa.left is None
             for m in (step, step + 3, step + 7):
                 at = rng.randint(0, len(text) - m)
                 for pattern in (text[:m], text[-m:], text[at:at + m],
@@ -211,7 +214,16 @@ def test_spasa_column_kernel_matches_naive_and_rank_ranges(threshold,
                     assert spasa_locate(spasa, pattern, stats) == \
                         naive_locate(text, pattern), (step, pattern)
                     assert stats == want, (step, pattern)
+            if any(args[0] is spasa for args in entered):
+                columns += 1
+                assert spasa.left.tolist() == [
+                    int.from_bytes(padded[s - 1:s + 3], "little")
+                    for s in kept]
+            else:
+                assert spasa.left is None
     assert before_text > 0
+    # every spasa enters the kernel from range size 0, 17 of the 21 from 48
+    assert columns == (21 if threshold == 0 else 17)
     # at the default threshold, every range of 48 or more reaches it
     assert len(entered) > 20
 

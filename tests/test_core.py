@@ -21,7 +21,7 @@ from samsami.persistence import serialized_bytes
 
 from helpers import (brute_group, brute_suffix_array, random_text,
                      reference_groups, reference_locate2,
-                     reference_spasa_heads)
+                     reference_spasa_heads, wide_pattern)
 
 ABRA = b"abracadabra"
 
@@ -445,17 +445,23 @@ def test_hash_slot_search_through_fences(stride, width, monkeypatch):
 
 
 def test_fences_are_built_on_the_first_search_only():
-    # load must not pay for them: see load_s in perfbench
+    # load must not pay for them: see load_s in perfbench. Nor for the
+    # left column, which the kernel builds on its first range of
+    # _VECTOR_MIN_CANDIDATES or more whose anchor skips a prefix; a
+    # column whose anchors skip nothing (sa, the phrase stream) never
+    # builds it
     text = random_text(random.Random(0xFE1), 3000, 4)
     params = SamplingParams(8, 2)
     bundle = build_bundle(text, params, with_delta=True, hash_k=3,
                           with_phrase=True)
     back = load(io.BytesIO(serialized_bytes(bundle)), text)
     fresh = build(text, params)
+    wide = wide_pattern(text, params)
     groups = []
     for idx, table in ((fresh, build_table(fresh, 3)),
                        (bundle.index, bundle.table), (back.index, back.table)):
         assert idx.fences is None and table.groups is None
+        assert idx.left is None
         count_hash(idx, table, text[100:120])  # the index's own list
         fences, groups_of_table = idx.fences, table.groups
         assert fences == core._fences(text, idx.sa_view)
@@ -464,6 +470,12 @@ def test_fences_are_built_on_the_first_search_only():
         assert idx.fences is fences  # shared with samsami, built once
         assert table.groups is groups_of_table  # built once
         groups.append(groups_of_table)
+        assert idx.left is None  # no range was wide
+        assert count(idx, wide) == len(naive_locate(text, wide))
+        left = idx.left
+        assert left.tolist() == core._left_column(text, idx.sa).tolist()
+        count(idx, wide)
+        assert idx.left is left  # built once
     assert groups[0] == groups[1] == groups[2] == reference_groups(
         text, fresh.sa, 3)  # a loaded table's dict is the built one's
     plain = spasa_build(text, 1)  # one search, through the fence list
@@ -471,6 +483,8 @@ def test_fences_are_built_on_the_first_search_only():
     spasa_locate(plain, text[100:120])
     assert plain.fences == core._fences(text, plain.sa_view)
     assert plain.heads is None
+    assert spasa_locate(plain, wide[:2]) == naive_locate(text, wide[:2])
+    assert plain.left is None  # hundreds of candidates, none skipping
     spasa = spasa_build(text, 4)  # one head search for every alignment
     assert spasa.fences is None and spasa.heads is None
     spasa_locate(spasa, text[100:120])
@@ -478,12 +492,17 @@ def test_fences_are_built_on_the_first_search_only():
     assert heads.tolist() == reference_spasa_heads(text, spasa.sa)
     spasa_locate(spasa, text[200:220])
     assert spasa.heads is heads  # built once
+    assert spasa.fences is None and spasa.left is None
+    # the last alignment's 1-byte seed is narrowed and verified wide
+    assert spasa_locate(spasa, wide[:4]) == naive_locate(text, wide[:4])
+    assert spasa.left.tolist() == core._left_column(text, spasa.sa).tolist()
     assert spasa.fences is None
     encoded = back.encoded
-    assert encoded._fences is None
+    assert encoded.column is None
     encoded_locate(back.dictionary, encoded, len(text), text[100:140], params)
-    assert encoded._fences == core._fences(encoded.stream,
-                                           encoded._ordered_starts)
+    column = encoded.column
+    assert column.fences == core._fences(encoded.stream, column.sa_view)
+    assert column.left is None
 
 
 def test_hash_first_query_builds_the_shared_fences_once(monkeypatch):
@@ -517,15 +536,23 @@ def test_threads_racing_on_the_first_search_agree():
     # Many threads run the first searches of shared fresh indexes at
     # once, switching often; whichever fence list is kept, every
     # answer must equal the scan's. The index loaded from a phrase file
-    # sorts its samples in that first search too.
+    # sorts its samples in that first search too, and its phrase queries
+    # check the file's cuts and prepare the stream's column. Each
+    # thread's first query on a loaded delta file, through samsami2,
+    # enters the column kernel, so the left column is built in the race.
     rng = random.Random(0xFE2)
     text = random_text(rng, 3000, 4)
     params = SamplingParams(8, 2)
     idx = build(text, params)
     table = build_table(idx, 3)
-    lazy = load(io.BytesIO(serialized_bytes(build_bundle(
-        text, params, with_phrase=True))), text).index
-    assert lazy.sa is None
+    loaded = load(io.BytesIO(serialized_bytes(build_bundle(
+        text, params, with_phrase=True))), text)
+    lazy = loaded.index
+    assert lazy.sa is None and not loaded.encoded._cuts_checked
+    delta = load(io.BytesIO(serialized_bytes(build_bundle(
+        text, params, with_delta=True))), text)
+    wide = wide_pattern(text, params)
+    assert delta.index.left is None
     # step 20 leaves 5-byte seeds for the last alignments of a 24-byte
     # pattern, which take the padded head keys
     spasas = [spasa_build(text, step) for step in (1, 4, 20)]
@@ -536,16 +563,21 @@ def test_threads_racing_on_the_first_search_agree():
     results = []
     heads_seen = []
     groups_seen = []
+    wide_seen = []
 
     def work():
         barrier.wait()
+        wide_seen.append(locate2(delta.index, delta.delta, wide))
         got = []
         for pat in patterns:
             got.append((count_hash(idx, table, pat), locate(idx, pat),
                         locate(lazy, pat),
                         *(spasa_locate(spasa, pat) for spasa in spasas),
                         encoded_locate(dictionary, encoded, len(text), pat,
-                                       params)))
+                                       params),
+                        encoded_locate(loaded.dictionary, loaded.encoded,
+                                       len(text), pat, params),
+                        locate2(delta.index, delta.delta, pat)))
             if len(got) == 1:  # what this thread's first search saw
                 heads_seen.append([s.heads for s in spasas[1:]])
                 groups_seen.append(table.groups)
@@ -564,12 +596,18 @@ def test_threads_racing_on_the_first_search_agree():
         sys.setswitchinterval(old)
     assert len(results) == 8
     for got in results:
-        assert got == [(len(hits), hits, hits, hits, hits, hits, hits)
-                       for hits in expect]
+        assert got == [(len(hits), *[hits] * 8) for hits in expect]
+    assert wide_seen == [naive_locate(text, wide)] * 8
     assert idx.fences == core._fences(text, idx.sa_view)
     assert lazy.sa.tolist() == idx.sa.tolist()
-    assert lazy.left.tolist() == idx.left.tolist()
     assert lazy.fences == idx.fences
+    assert delta.index.fences == idx.fences
+    assert delta.index.left.tolist() == core._left_column(text,
+                                                          idx.sa).tolist()
+    assert loaded.encoded._cuts_checked
+    column = loaded.encoded.column
+    assert column.fences == core._fences(column.text, column.sa_view)
+    assert column.sa.tolist() == encoded.column.sa.tolist()
     assert spasas[0].fences == core._fences(text, spasas[0].sa_view)
     assert len(heads_seen) == 8
     for spasa in spasas[1:]:
@@ -582,12 +620,18 @@ def test_threads_racing_on_the_first_search_agree():
     assert all(groups == expect_groups for groups in groups_seen)
 
 
-def test_left_context_column_holds_the_four_bytes_before_each_suffix():
+def test_left_context_column_holds_the_four_bytes_before_each_suffix(
+        monkeypatch):
+    # the kernel builds the column on its first range of
+    # _VECTOR_MIN_CANDIDATES or more, here any range, that skips a prefix
+    monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", 0)
     rng = random.Random(0xC01)
     for text in (ABRA, b"\x00" * 30,
                  bytes(rng.choice(b"\x00\x01\xff") for _ in range(300))):
         idx = build(text, SamplingParams(4, 2))
         padded = bytes(4) + text  # zero bytes stand in before the text
+        assert idx.left is None
+        core._verify_candidates(idx, text[:5], 2, (0, len(idx.sa)), None)
         assert idx.left.dtype == np.uint32
         assert idx.left.tolist() == [
             int.from_bytes(padded[s - 1:s + 3], "little")
@@ -648,9 +692,9 @@ def test_column_padding_cannot_admit_a_start_before_the_text(monkeypatch):
     pattern = b"\x00\x05\x05\x05\x00\x01"
     assert window_minimizer(pattern, 2) == 5
     rank = idx.sa.tolist().index(4)
-    assert idx.left[rank] == int.from_bytes(pattern[:4], "little")
     stats = QueryStats()
     assert locate(idx, pattern, stats) == []
+    assert idx.left[rank] == int.from_bytes(pattern[:4], "little")
     assert stats == QueryStats(candidates=1)
     assert locate(idx, pattern) == []
 
@@ -688,8 +732,7 @@ def test_column_first_kernel_at_the_real_threshold():
         expect = [s - shift for s in sa[lo:hi]
                   if s >= j and text[s - j:s - 1] == pattern[:shift]]
         stats = QueryStats()
-        got = core._verify_candidates(text, sa, pattern, j, (lo, hi), stats,
-                                      idx.left)
+        got = core._verify_candidates(idx, pattern, j, (lo, hi), stats)
         assert got == expect, pattern
         assert stats == QueryStats(
             candidates=hi - lo,

@@ -448,8 +448,9 @@ def test_roundtrip_preserves_queries_across_variants():
 
 
 def test_loaded_index_rebuilds_the_left_context_column(monkeypatch):
-    # the column is not in the file: load derives it again, and the
-    # kernel (forced for every range) answers alike from both
+    # the column is not in the file: the loaded index's first kernel
+    # call derives it again, as the built index's did, and the kernel
+    # (forced for every range) answers alike from both
     from samsami import core
     monkeypatch.setattr(core, "_VECTOR_MIN_CANDIDATES", 0)
     rng = random.Random(0x1EF7)
@@ -458,8 +459,7 @@ def test_loaded_index_rebuilds_the_left_context_column(monkeypatch):
     params = SamplingParams(8, 2)
     bundle = build_bundle(text, params, with_delta=True, hash_k=3)
     back = roundtrip(bundle, text)
-    assert back.index.left.dtype == np.uint32
-    assert back.index.left.tolist() == bundle.index.left.tolist()
+    assert back.index.left is None and bundle.index.left is None
     for _ in range(100):
         i = rng.randint(1, len(text) - 20)
         pattern = text[i - 1:i - 1 + rng.randint(9, 20)]
@@ -468,6 +468,8 @@ def test_loaded_index_rebuilds_the_left_context_column(monkeypatch):
             assert locate(b.index, pattern) == expect
             assert locate2(b.index, b.delta, pattern) == expect
             assert locate_hash(b.index, b.table, pattern) == expect
+    assert back.index.left.dtype == np.uint32
+    assert back.index.left.tolist() == bundle.index.left.tolist()
 
 
 def test_bad_magic_rejected():

@@ -196,24 +196,26 @@ def test_suffix_order_equals_filtered_full_sort():
             expect = full[is_start[full]]
             order = encoded.suffix_order()
             assert encoded.stream_offsets[order].tolist() == expect.tolist()
-            assert encoded._ordered_starts.tolist() == (expect + 1).tolist()
+            assert encoded.column.sa.tolist() == (expect + 1).tolist()
 
 
 def test_suffix_order_publishes_its_order_view_last():
     # a concurrent query that finds _order_view set reads every other
-    # query view without a lock, so each must already be in place
+    # query view without a lock, so each must already be in place, the
+    # searched column's fences included
     dictionary, encoded = encode_text(ABRA, P42)
     assigned = []
 
     class Spy(EncodedText):
         def __setattr__(self, name, value):
+            if name == "_order_view":
+                assert self.column.fences is not None
             assigned.append(name)
             super().__setattr__(name, value)
     encoded.__class__ = Spy
     encoded.suffix_order()
     assert assigned[-1] == "_order_view"
-    assert {"position_view", "_ordered_starts", "_fences",
-            "_suffix_order"} <= set(assigned)
+    assert {"position_view", "column", "_suffix_order"} <= set(assigned)
     assigned.clear()
     encoded.suffix_order()
     assert encoded_locate(dictionary, encoded, len(ABRA), b"abracadab",
